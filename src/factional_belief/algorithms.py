@@ -209,79 +209,48 @@ def _candidate_mass(
 # ---------------------------------------------------------------------------
 
 
-def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
-    """Largest supported revolt size (expected fraction) per state, for the
-    two-state case.
-
-    Candidate states are those whose expected chi+alpha mass reaches mu; the
-    branch on the candidate set follows the weak inequalities verbatim. If
-    only B qualifies, or the computed sizes come out reversed, the labels
-    violate the X_A >= X_B convention and a relabel error is raised rather
-    than a silently reordered answer.
-    """
-    prior.require_two_states()
-    seq = validate_degree_sequence(degseq)
-
-    e_alpha = {
-        s: expected_type_fraction(s, (AgentType.ALPHA,), prior) for s in ("A", "B")
-    }
-    e_chi_alpha = {
+def _check_labels(prior: Prior) -> None:
+    """Raise when only state B reaches mu on its chi+alpha mass: the labels
+    then violate the X_A >= X_B convention."""
+    e = {
         s: expected_type_fraction(s, (AgentType.CHI, AgentType.ALPHA), prior)
         for s in ("A", "B")
     }
-    candidates = {s for s in ("A", "B") if e_chi_alpha[s] >= prior.mu}
-
-    if candidates == {"B"}:
+    if e["A"] < prior.mu <= e["B"]:
         raise MislabeledStatesError(
             "only state B is a candidate; labels appear swapped"
         )
-    if not candidates:
-        x = dict(e_alpha)
-    elif candidates == {"A", "B"}:
-        x = dict(e_chi_alpha)
-    else:
-        mass = _candidate_mass(prior, seq, frozenset({"A"}), len(seq))
-        if mass["A"] + e_alpha["A"] >= prior.mu:
-            x = {s: mass[s] + e_alpha[s] for s in ("A", "B")}
-        else:
-            x = dict(e_alpha)
+
+
+def _check_order(x: dict[str, Fraction]) -> dict[str, Fraction]:
     if x["A"] < x["B"]:
-        raise MislabeledStatesError(
-            "computed X_A < X_B; labels appear swapped"
-        )
+        raise MislabeledStatesError("computed X_A < X_B; labels appear swapped")
     return x
+
+
+def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
+    """Largest supported revolt size (expected fraction) per state, for the
+    two-state case: the candidate-state fixpoint plus the label checks. If
+    only B qualifies as a candidate, or the computed sizes come out
+    reversed, the labels violate the X_A >= X_B convention and a relabel
+    error is raised rather than a silently reordered answer.
+    """
+    prior.require_two_states()
+    _check_labels(prior)
+    sizes, _survivors = multistate_fixpoint(degseq, prior)
+    return _check_order(sizes)
 
 
 def revolting_contexts(degseq: DegreeSequence, prior: Prior) -> list[ContextClass]:
     """The chi-centered contexts that revolt under the two-state largest-
-    revolt reasoning: every possible chi context when both states qualify,
-    the candidate contexts when only A does and they carry enough mass, and
-    none otherwise. Used by the Monte-Carlo validator to count realized
-    candidates."""
+    revolt reasoning: the candidate contexts of the surviving candidate
+    states, or none when no state survives. Used by the Monte-Carlo
+    validator to count realized candidates."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
-    e_chi_alpha = {
-        s: expected_type_fraction(s, (AgentType.CHI, AgentType.ALPHA), prior)
-        for s in ("A", "B")
-    }
-    candidates = {s for s in ("A", "B") if e_chi_alpha[s] >= prior.mu}
-    if candidates == {"B"}:
-        raise MislabeledStatesError(
-            "only state B is a candidate; labels appear swapped"
-        )
-    if not candidates:
-        return []
-    if candidates == {"A", "B"}:
-        out = []
-        for d in sorted(set(seq)):
-            for (a, c, v), _likes, _posts in _degree_table(prior.states, d):
-                out.append(ContextClass(AgentType.CHI, a, c, v))
-        return out
-    e_alpha_a = expected_type_fraction("A", (AgentType.ALPHA,), prior)
-    mass = _candidate_mass(prior, seq, frozenset({"A"}), len(seq))
-    if mass["A"] + e_alpha_a >= prior.mu:
-        return candidate_contexts(prior, seq, ("A",))
-    return []
+    _check_labels(prior)
+    _sizes, survivors = multistate_fixpoint(seq, prior)
+    return candidate_contexts(prior, seq, survivors) if survivors else []
 
 
 def swap_state_labels(prior: Prior) -> Prior:
@@ -324,19 +293,28 @@ def algorithm2(sizes: dict[str, Fraction], mu_star) -> PromiseOutcome:
     return PromiseOutcome.EMPTY
 
 
+def _perturbed_sizes(
+    inst: PromiseInstance,
+) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """Largest-revolt sizes with the thresholds nudged up and down by a third
+    of the tolerance. Neither run depends on mu_star, so one pair serves a
+    whole grid of requested sizes."""
+    third_d, third_e = inst.delta / 3, inst.epsilon / 3
+    up = replace(inst.prior, p=inst.prior.p + third_d, mu=inst.prior.mu + third_e)
+    down = replace(inst.prior, p=inst.prior.p - third_d, mu=inst.prior.mu - third_e)
+    return algorithm1(inst.degseq, up), algorithm1(inst.degseq, down)
+
+
+def _agreed_outcome(pair, mu_star) -> PromiseOutcome:
+    s1, s2 = (algorithm2(sizes, mu_star) for sizes in pair)
+    return s1 if s1 == s2 else PromiseOutcome.NULL
+
+
 def algorithm3(inst: PromiseInstance) -> PromiseOutcome:
     """Promise decision: run the size computation twice with thresholds
     nudged up and down by a third of the tolerance; agreement decides, any
     disagreement is Null."""
-    up = replace(
-        inst.prior, p=inst.prior.p + inst.delta / 3, mu=inst.prior.mu + inst.epsilon / 3
-    )
-    down = replace(
-        inst.prior, p=inst.prior.p - inst.delta / 3, mu=inst.prior.mu - inst.epsilon / 3
-    )
-    s1 = algorithm2(algorithm1(inst.degseq, up), inst.mu_star)
-    s2 = algorithm2(algorithm1(inst.degseq, down), inst.mu_star)
-    return s1 if s1 == s2 else PromiseOutcome.NULL
+    return _agreed_outcome(_perturbed_sizes(inst), inst.mu_star)
 
 
 def equilibria_map(
@@ -350,12 +328,16 @@ def equilibria_map(
     three-column supported/only-in-A/unsupported region picture."""
     seq = tuple(validate_degree_sequence(degseq))
     rows = []
+    pair = None
     for mu_star in mu_grid:
         mu_star = Fraction(mu_star)
         if not 0 <= mu_star <= 1:
             raise ValidationError("grid values must lie in [0, 1]")
-        inst = PromiseInstance(seq, prior, mu_star, Fraction(epsilon), Fraction(delta))
-        rows.append((mu_star, algorithm3(inst)))
+        if pair is None:
+            pair = _perturbed_sizes(
+                PromiseInstance(seq, prior, mu_star, Fraction(epsilon), Fraction(delta))
+            )
+        rows.append((mu_star, _agreed_outcome(pair, mu_star)))
     return rows
 
 
@@ -439,10 +421,11 @@ def algorithm1_general(
     epsilon=Fraction(1, 100),
 ) -> dict[str, Fraction]:
     """Arbitrary-degree variant: agents with degree >= cutoff_c * n^(1/3)
-    see enough of the graph to identify the state, so their chi mass joins
-    the revolt in A without a belief calculation. When they are rarer than
-    an epsilon fraction they are ignored and the base computation runs on
-    the whole sequence unchanged."""
+    (hubs) see enough of the graph to identify the state. A hub's posterior
+    is a point mass on the true state, so a chi hub revolts exactly in the
+    surviving candidate states, without a belief calculation. When hubs are
+    rarer than an epsilon fraction they are ignored and the base computation
+    runs on the whole sequence unchanged."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     epsilon = Fraction(epsilon)
@@ -450,76 +433,54 @@ def algorithm1_general(
         raise ValidationError("epsilon must be positive")
     n = len(seq)
     cutoff = high_degree_cutoff(n, cutoff_c)
-    high = [d for d in seq if d >= cutoff]
-    if Fraction(len(high), n) < epsilon:
-        return algorithm1(seq, prior)
     low = [d for d in seq if d < cutoff]
-
-    h_frac = Fraction(len(high), n)
-    e_alpha = {
-        s: expected_type_fraction(s, (AgentType.ALPHA,), prior) for s in ("A", "B")
-    }
-    e_chi_alpha = {
-        s: expected_type_fraction(s, (AgentType.CHI, AgentType.ALPHA), prior)
-        for s in ("A", "B")
-    }
-    h_chi = {s: h_frac * prior.state(s).types.chi for s in ("A", "B")}
-    candidates = {s for s in ("A", "B") if e_chi_alpha[s] >= prior.mu}
-
-    if candidates == {"B"}:
-        raise MislabeledStatesError(
-            "only state B is a candidate; labels appear swapped"
-        )
-    if not candidates:
-        x = dict(e_alpha)
-    elif candidates == {"A", "B"}:
-        x = dict(e_chi_alpha)
-    else:
-        mass = _candidate_mass(prior, low, frozenset({"A"}), n)
-        base = {s: mass[s] + e_alpha[s] for s in ("A", "B")}
-        if base["A"] + h_chi["A"] >= prior.mu:
-            xa = base["A"] + h_chi["A"]
-            xb = (
-                base["B"] + h_chi["B"]
-                if base["B"] + h_chi["B"] >= prior.mu
-                else base["B"]
-            )
-            x = {"A": xa, "B": xb}
-        else:
-            x = dict(e_alpha)
-    if x["A"] < x["B"]:
-        raise MislabeledStatesError("computed X_A < X_B; labels appear swapped")
-    return x
+    hubs = n - len(low)
+    if Fraction(hubs, n) < epsilon:
+        return algorithm1(seq, prior)
+    _check_labels(prior)
+    sizes, _survivors = multistate_fixpoint(low, prior, revealed=hubs)
+    return _check_order(sizes)
 
 
 def multistate_fixpoint(
-    degseq: DegreeSequence, prior: Prior
+    degseq: DegreeSequence, prior: Prior, *, revealed: int = 0
 ) -> tuple[dict[str, Fraction], frozenset]:
-    """General-m variant: start from every state whose chi+alpha mass
+    """The candidate-state fixpoint behind every largest-revolt entry point,
+    for any number of states: start from every state whose chi+alpha mass
     reaches mu, and repeatedly drop states that cannot sustain the revolt of
     the agents believing in the current candidate set. All failing states
     are dropped per round; the fixpoint is order-independent (it is the
     unique maximal self-supporting candidate set). Returns per-state sizes
-    and the surviving set."""
-    seq = validate_degree_sequence(degseq)
+    and the surviving set.
+
+    `revealed` counts further agents, outside `degseq`, whose contexts
+    reveal the true state: a chi agent among them believes the candidate
+    set, and revolts, exactly in the states inside it."""
+    if revealed < 0:
+        raise ValidationError("revealed agent count must be nonnegative")
+    # Revealed agents alone make a nonempty population.
+    seq = [] if revealed and not degseq else validate_degree_sequence(degseq)
+    n = len(seq) + revealed
     labels = prior.labels
-    e_alpha = {s: expected_type_fraction(s, (AgentType.ALPHA,), prior) for s in labels}
-    e_chi_alpha = {
-        s: expected_type_fraction(s, (AgentType.CHI, AgentType.ALPHA), prior)
-        for s in labels
-    }
-    survivors = {s for s in labels if e_chi_alpha[s] >= prior.mu}
-    while True:
-        if survivors:
-            mass = _candidate_mass(prior, seq, frozenset(survivors), len(seq))
-        else:
-            mass = {s: ZERO for s in labels}
-        failing = {s for s in survivors if mass[s] + e_alpha[s] < prior.mu}
+    e_alpha = {s: prior.type_prob(s, AgentType.ALPHA) for s in labels}
+    chi = {s: prior.type_prob(s, AgentType.CHI) for s in labels}
+    survivors = frozenset(s for s in labels if e_alpha[s] + chi[s] >= prior.mu)
+    if len(survivors) == len(labels):
+        # Every context puts posterior 1 >= p on the full state set (states
+        # have positive probability, so no possible context is left out), so
+        # every chi agent revolts and no degree table is needed.
+        return {s: e_alpha[s] + chi[s] for s in labels}, survivors
+    while survivors:
+        mass = _candidate_mass(prior, seq, survivors, n)
+        x = {s: e_alpha[s] + mass[s] for s in labels}
+        if revealed:
+            for s in survivors:
+                x[s] += chi[s] * revealed / n
+        failing = {s for s in survivors if x[s] < prior.mu}
         if not failing:
-            break
+            return x, survivors
         survivors -= failing
-    x = {s: mass[s] + e_alpha[s] for s in labels}
-    return x, frozenset(survivors)
+    return e_alpha, survivors
 
 
 def algorithm1_multistate(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:

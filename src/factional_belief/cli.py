@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze, promise, sweep, validate, oracle, epistemic, gen,
-bounds. Global flags (--seed, --format, --out, --jobs, --config) are
-accepted by every subcommand; --config points at a JSON file whose keys
-pre-fill that subcommand's options (explicit flags win).
+bounds. Global flags (--seed, --format, --out, --config) are accepted by
+every subcommand, and `sweep` also takes --jobs. --config (or
+--config=PATH) points at a JSON file whose keys pre-fill that subcommand's
+options; explicit flags win.
 
 Exit codes: 0 success, 2 validation/parse error, 3 enumeration budget
 exceeded, 4 promise answered Null under --strict.
@@ -72,12 +73,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (stdout when omitted)")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    sub.add_argument(
-        "--emit-plot-stub",
-        metavar="PATH",
-        help="also write a generic CSV-plotting script (needs no extra deps here)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", required=True)
     p.add_argument("--param", help="fixed family parameter (p-axis sweeps)")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_common(p)
 
     p = subs.add_parser("validate", help="Monte-Carlo concentration check")
@@ -176,14 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, argv):
-    """Pre-scan for --config and install its values as defaults."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config needs a path")
-    path = argv[idx + 1]
+def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
+    """Pre-scan for --config (either spelling) and splice the file's values
+    in as flags right after the subcommand. argparse keeps the last value it
+    sees, so explicit flags, which come later, win; and config values get
+    the same conversions, choices and required-option checks as flags.
+    Returns the new argv and the config path found."""
+    pre = argparse.ArgumentParser(prog="revolt", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None:
+        return argv, None
+    path = known.config
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -193,8 +193,6 @@ def _apply_config(parser, argv):
     extra = []
     for key, value in doc.items():
         flag = "--" + str(key).replace("_", "-")
-        if flag in argv:
-            continue  # explicit flag wins
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
@@ -203,7 +201,7 @@ def _apply_config(parser, argv):
             extra.extend(str(v) for v in value)
         else:
             extra.extend([flag, str(value)])
-    return argv + extra
+    return argv[:1] + extra + argv[1:], path
 
 
 def _emit(text: str, out) -> None:
@@ -564,12 +562,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        argv, config = _apply_config(argv)
         args = parser.parse_args(argv)
-        code = HANDLERS[args.command](args)
-        if getattr(args, "emit_plot_stub", None):
-            fileio.write_plot_stub(args.emit_plot_stub)
-        return code
+        # The pre-scan matches --config only in full; an abbreviation would
+        # otherwise be accepted and its file silently ignored.
+        if args.config != config:
+            raise ValidationError("spell out --config in full")
+        return HANDLERS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

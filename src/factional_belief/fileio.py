@@ -257,37 +257,3 @@ def write_report(payload, path=None, fmt: str = "csv", columns=None) -> str:
         Path(path).write_text(text)
     return text
 
-
-PLOT_STUB = """\
-#!/usr/bin/env python3
-# Generic plotting stub: reads a CSV produced by the revolt CLI and plots
-# the first column against the remaining numeric columns, if matplotlib is
-# installed. The analysis pipeline itself never needs this.
-import csv
-import sys
-
-path = sys.argv[1] if len(sys.argv) > 1 else "out.csv"
-with open(path) as f:
-    rows = list(csv.DictReader(f))
-if not rows:
-    sys.exit("no rows in " + path)
-cols = list(rows[0])
-x = [float(r[cols[0]]) for r in rows]
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    sys.exit("matplotlib not installed; nothing to do")
-for col in cols[1:]:
-    try:
-        ys = [float(r[col]) for r in rows]
-    except ValueError:
-        continue
-    plt.plot(x, ys, marker="o", label=col)
-plt.xlabel(cols[0])
-plt.legend()
-plt.savefig(path.rsplit(".", 1)[0] + ".png", dpi=150)
-"""
-
-
-def write_plot_stub(path: PathLike) -> None:
-    Path(path).write_text(PLOT_STUB)

@@ -75,8 +75,10 @@ class StatePrior:
     def __post_init__(self):
         if not isinstance(self.prob, Fraction):
             object.__setattr__(self, "prob", Fraction(self.prob))
-        if self.prob < 0:
-            raise ValidationError(f"state {self.label!r} has negative probability")
+        # A zero-probability state could only add contexts that no possible
+        # state produces; the posteriors of those are undefined.
+        if self.prob <= 0:
+            raise ValidationError(f"state {self.label!r} needs a positive probability")
 
 
 @dataclass(frozen=True)

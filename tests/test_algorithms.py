@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -347,6 +348,31 @@ class TestEquilibriaMap:
         first_empty = outs.index(PromiseOutcome.EMPTY)
         assert grid[first_a - 1] < X_B <= grid[first_a]
         assert grid[first_empty - 1] < X_A <= grid[first_empty]
+
+
+    def test_matches_per_point_algorithm3_on_random_instances(self):
+        eps = delta = F(1, 4)
+        outcomes = set()
+        for i in range(20):
+            prior = random_label_correct_prior(derive_seed(81, i))
+            degseq = random_degseq(derive_seed(82, i))
+            # Where the two perturbed runs give different sizes, a requested
+            # size at either one is answered Null.
+            perturbed = set()
+            for sign in (1, -1):
+                nudged = replace(
+                    prior, p=prior.p + sign * delta / 3, mu=prior.mu + sign * eps / 3
+                )
+                perturbed |= set(algorithm1(degseq, nudged).values())
+            mu_grid = sorted({F(k, 10) for k in range(11)} | perturbed)
+            rows = equilibria_map(degseq, prior, mu_grid, eps, delta)
+            assert rows == [
+                (m, algorithm3(PromiseInstance(degseq, prior, m, eps, delta)))
+                for m in mu_grid
+            ], i
+            outcomes.update(o for _m, o in rows)
+        assert PromiseOutcome.NULL in outcomes
+        assert equilibria_map(CONST4, random_label_correct_prior(0), [], eps, delta) == []
 
 
 class TestCrucialThresholds:

@@ -65,6 +65,22 @@ class TestAnalyze:
         )
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", [[], ["--multistate"]])
+    def test_zero_probability_state_rejected(self, variant, tmp_path, capsys):
+        # Contexts only the zero-probability state produces have no posterior;
+        # the two-state and multistate paths used to disagree on them.
+        doc = dict(MOTIVATING, states={
+            "A": {"prob": "1", "types": {"alpha": "0", "chi": "3/4", "nu": "1/4"}},
+            "B": {"prob": "0", "types": {"alpha": "1/4", "chi": "1/2", "nu": "1/4"}},
+        })
+        prior = tmp_path / "zero.json"
+        prior.write_text(json.dumps(doc))
+        degrees = tmp_path / "degs2.txt"
+        degrees.write_text("10 x 2\n")
+        argv = ["analyze", "--prior", str(prior), "--degrees", str(degrees), *variant]
+        assert main(argv) == 2
+        assert "positive probability" in capsys.readouterr().err
+
     def test_auto_relabel(self, tmp_path, const4_file, capsys):
         swapped = dict(MOTIVATING, states={
             "A": MOTIVATING["states"]["B"],
@@ -352,6 +368,31 @@ class TestConfigFile:
             main(["analyze", "--config", str(cfg), "--degrees", const4_file]) == 0
         )
         assert "2432/3125" in capsys.readouterr().out
+
+    def test_config_equals_form(self, prior_file, const4_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": prior_file, "degrees": const4_file}))
+        assert main(["analyze", f"--config={cfg}"]) == 0
+        assert "2432/3125" in capsys.readouterr().out
+
+    def test_flag_equals_form_overrides_config(
+        self, prior_file, const4_file, tmp_path, capsys
+    ):
+        flat = dict(MOTIVATING, states={
+            "A": MOTIVATING["states"]["B"],
+            "B": MOTIVATING["states"]["B"],
+        })
+        other = tmp_path / "flat.json"
+        other.write_text(json.dumps(flat))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": str(other), "degrees": const4_file}))
+        assert main(["analyze", "--config", str(cfg), f"--prior={prior_file}"]) == 0
+        assert "2432/3125" in capsys.readouterr().out
+
+    def test_jobs_is_a_sweep_flag(self, prior_file, const4_file):
+        argv = ["analyze", "--prior", prior_file, "--degrees", const4_file]
+        with pytest.raises(SystemExit):
+            main(argv + ["--jobs", "7"])
 
     def test_validate_command_on_small_torus(self, prior_file, capsys):
         assert (
