@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: analyze, promise, sweep, validate, oracle, epistemic, gen,
-bounds. Global flags (--seed, --format, --out, --config) are accepted by
-every subcommand, and `sweep` also takes --jobs. --config (or
---config=PATH) points at a JSON file whose keys pre-fill that subcommand's
-options; explicit flags win.
+bounds. All take --config and --out; every other flag sits only on the
+subcommands whose handler reads it, and flags that pick the same thing (a
+variant, an input, a task) are mutually exclusive.
+--config (or --config=PATH) points at a JSON file whose keys pre-fill that
+subcommand's options as flags would; explicit flags win.
 
 Exit codes: 0 success, 2 validation/parse error, 3 enumeration budget
 exceeded, 4 promise answered Null under --strict.
@@ -55,7 +56,6 @@ from .experiments import (
     run_sweep,
     run_validate,
 )
-from .model import Prior
 from .netgen import GenSpec, generate_graph, generate_sequence, torus_grid
 from .oracle import (
     OracleBudget,
@@ -68,10 +68,12 @@ from .oracle import (
 RAT = fileio.parse_rational
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, seed=False, fmt=False) -> None:
     sub.add_argument("--config", help="JSON file with option defaults")
-    sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
+    if fmt:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (stdout when omitted)")
 
 
@@ -86,24 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("analyze", help="largest/smallest supported revolt sizes")
     p.add_argument("--prior", required=True)
     p.add_argument("--degrees", required=True)
-    p.add_argument("--smallest", action="store_true")
-    p.add_argument("--general", action="store_true")
-    p.add_argument("--multistate", action="store_true")
-    p.add_argument("--auto-relabel", action="store_true")
+    variant = p.add_mutually_exclusive_group()
+    for flag in ("smallest", "general", "multistate", "auto-relabel"):
+        variant.add_argument(
+            f"--{flag}", dest="variant", action="store_const", const=flag
+        )
     p.add_argument("--cutoff-c", default="1")
     p.add_argument("--epsilon", default="1/100")
-    _add_common(p)
+    _add_common(p, fmt=True)
 
     p = subs.add_parser("promise", help="promise decision / region map")
     p.add_argument("--prior", required=True)
     p.add_argument("--degrees", required=True)
-    p.add_argument("--mu-star")
-    p.add_argument("--grid-step")
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--mu-star")
+    point.add_argument("--grid-step")
     p.add_argument("--epsilon", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--show-thresholds", action="store_true")
-    _add_common(p)
+    _add_common(p, fmt=True)
 
     p = subs.add_parser("sweep", help="parameter sweeps with seeded trials")
     p.add_argument("--prior", required=True)
@@ -116,49 +120,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", help="fixed family parameter (p-axis sweeps)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    _add_common(p)
+    _add_common(p, seed=True, fmt=True)
 
     p = subs.add_parser("validate", help="Monte-Carlo concentration check")
     p.add_argument("--prior", required=True)
     p.add_argument("--state", default="A")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--level", default="1/100")
-    p.add_argument("--graph", help="edge-list file")
-    p.add_argument("--torus", nargs=2, type=int, metavar=("ROWS", "COLS"))
-    p.add_argument("--family")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="edge-list file")
+    source.add_argument("--torus", nargs=2, type=int, metavar=("ROWS", "COLS"))
+    source.add_argument("--family")
     p.add_argument("--n", type=int)
     p.add_argument("--param")
-    _add_common(p)
+    _add_common(p, seed=True, fmt=True)
 
     p = subs.add_parser("oracle", help="exact small-instance revolt decision")
-    p.add_argument("--graph", help="edge-list file")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="edge-list file")
+    source.add_argument(
         "--edges", help="inline adjacency, e.g. '0-1,1-2,0-2' (config-friendly)"
     )
     p.add_argument("--n", type=int, help="vertex count for --edges (optional)")
-    p.add_argument("--prior")
+    instance = p.add_mutually_exclusive_group(required=True)
+    instance.add_argument("--prior")
+    instance.add_argument("--clique-reduce", type=int, metavar="K")
     p.add_argument("--mu-star")
     p.add_argument("--q-star")
-    p.add_argument("--clique-reduce", type=int, metavar="K")
     p.add_argument("--budget-pairs", type=int, default=10_000)
     p.add_argument("--budget-assignments", type=int, default=200_000)
     _add_common(p)
 
     p = subs.add_parser("epistemic", help="belief operators and common belief")
-    p.add_argument("--model")
+    task = p.add_mutually_exclusive_group(required=True)
+    task.add_argument("--model")
+    task.add_argument("--verify-prop1", type=int, metavar="COUNT")
     p.add_argument("--p", default="1/2")
     p.add_argument("--mu", default="1/2")
     p.add_argument("--event", help="comma-separated outcome labels")
     p.add_argument("--omega")
-    p.add_argument("--verify-prop1", type=int, metavar="COUNT")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = subs.add_parser("gen", help="degree-sequence / graph generators")
     p.add_argument("--family", required=True, choices=("constant", "powerlaw", "ba", "er"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--kind", choices=("sequence", "graph"), default="sequence")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = subs.add_parser("bounds", help="closed-form probability bounds")
     p.add_argument("--prior", required=True)
@@ -167,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="1/50")
     p.add_argument("--epsilon0", default="1/10")
     p.add_argument("--c", default="1")
-    _add_common(p)
+    _add_common(p, fmt=True)
 
     return parser
 
@@ -204,41 +212,32 @@ def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
     return argv[:1] + extra + argv[1:], path
 
 
-def _emit(text: str, out) -> None:
-    if out:
-        Path(out).write_text(text)
+def _report(args, doc, rows=None, columns=None) -> None:
+    """Write `doc` as JSON, or `rows` as CSV under `columns` when the
+    subcommand was given --format csv; to --out, else to stdout."""
+    if rows is not None and args.format == "csv":
+        text = fileio.write_report(rows, None, "csv", columns)
+    else:
+        text = fileio.write_report(doc, None, "json")
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_prior(path: str) -> Prior:
-    return fileio.load_prior(path)
-
-
-def _sizes_rows(sizes) -> list[dict]:
-    return [
-        {
-            "state": s,
-            "X_exact": fileio.format_rational(x),
-            "X_decimal": fileio.format_decimal(x),
-        }
-        for s, x in sizes.items()
-    ]
-
-
 def cmd_analyze(args) -> int:
-    prior = _load_prior(args.prior)
+    prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees)
     relabeled = False
-    if args.multistate:
+    if args.variant == "multistate":
         sizes = algorithm1_multistate(degseq, prior)
-    elif args.smallest:
+    elif args.variant == "smallest":
         sizes = smallest_revolt(degseq, prior)
-    elif args.general:
+    elif args.variant == "general":
         sizes = algorithm1_general(
             degseq, prior, cutoff_c=RAT(args.cutoff_c), epsilon=RAT(args.epsilon)
         )
-    elif args.auto_relabel:
+    elif args.variant == "auto-relabel":
         sizes, relabeled = algorithm1_auto(degseq, prior)
         if relabeled:
             print("note: state labels were swapped to restore X_A >= X_B", file=sys.stderr)
@@ -247,17 +246,21 @@ def cmd_analyze(args) -> int:
             sizes = algorithm1(degseq, prior)
         except MislabeledStatesError as exc:
             raise MislabeledStatesError(f"{exc} (rerun with --auto-relabel)") from None
-    rows = _sizes_rows(sizes)
-    if args.format == "json":
-        payload = {"sizes": {r["state"]: r["X_exact"] for r in rows}, "relabeled": relabeled}
-        _emit(fileio.write_report(payload, None, "json"), args.out)
-    else:
-        _emit(fileio.write_report(rows, None, "csv", ANALYZE_COLUMNS), args.out)
+    rows = [
+        {
+            "state": s,
+            "X_exact": fileio.format_rational(x),
+            "X_decimal": fileio.format_decimal(x),
+        }
+        for s, x in sizes.items()
+    ]
+    doc = {"sizes": {r["state"]: r["X_exact"] for r in rows}, "relabeled": relabeled}
+    _report(args, doc, rows, ANALYZE_COLUMNS)
     return 0
 
 
 def cmd_promise(args) -> int:
-    prior = _load_prior(args.prior)
+    prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees)
     epsilon, delta = RAT(args.epsilon), RAT(args.delta)
     if args.show_thresholds:
@@ -270,38 +273,22 @@ def cmd_promise(args) -> int:
         rows = run_promise_map(
             degseq, prior, grid(0, 1, RAT(args.grid_step)), epsilon, delta
         )
-        if args.format == "json":
-            text = fileio.write_report(rows, None, "json")
-        else:
-            text = fileio.write_report(rows, None, "csv", MAP_COLUMNS)
-        _emit(text, args.out)
+        _report(args, rows, rows, MAP_COLUMNS)
         if args.strict and any(r["outcome"] == PromiseOutcome.NULL.value for r in rows):
             return 4
         return 0
-    if args.mu_star is None:
-        raise ValidationError("promise needs --mu-star or --grid-step")
     inst = PromiseInstance(tuple(degseq), prior, RAT(args.mu_star), epsilon, delta)
     outcome = algorithm3(inst)
     payload = {"mu_star": fileio.format_rational(inst.mu_star), "outcome": outcome.value}
-    if args.format == "json":
-        _emit(fileio.write_report(payload, None, "json"), args.out)
-    else:
-        _emit(
-            fileio.write_report(
-                [dict(payload, mu_star_decimal=fileio.format_decimal(inst.mu_star))],
-                None,
-                "csv",
-                MAP_COLUMNS,
-            ),
-            args.out,
-        )
+    row = dict(payload, mu_star_decimal=fileio.format_decimal(inst.mu_star))
+    _report(args, payload, [row], MAP_COLUMNS)
     if args.strict and outcome is PromiseOutcome.NULL:
         return 4
     return 0
 
 
 def cmd_sweep(args) -> int:
-    prior = _load_prior(args.prior)
+    prior = fileio.load_prior(args.prior)
     cfg = SweepConfig(
         family=args.family,
         n=args.n,
@@ -314,40 +301,30 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
     )
     rows = run_sweep(cfg)
-    if args.format == "json":
-        _emit(fileio.write_report(rows, None, "json"), args.out)
-    else:
-        _emit(fileio.write_report(rows, None, "csv", SWEEP_COLUMNS), args.out)
+    _report(args, rows, rows, SWEEP_COLUMNS)
     return 0
 
 
 def _validate_graph(args):
-    if args.graph:
+    if args.graph is not None:
         return fileio.load_edge_list(args.graph)
-    if args.torus:
+    if args.torus is not None:
         return torus_grid(args.torus[0], args.torus[1])
-    if args.family:
-        if args.n is None or args.param is None:
-            raise ValidationError("generated validate graphs need --n and --param")
-        return generate_graph(GenSpec(args.family, args.n, RAT(args.param), args.seed))
-    raise ValidationError("validate needs --graph, --torus, or --family")
+    if args.n is None or args.param is None:
+        raise ValidationError("generated validate graphs need --n and --param")
+    return generate_graph(GenSpec(args.family, args.n, RAT(args.param), args.seed))
 
 
 def cmd_validate(args) -> int:
-    prior = _load_prior(args.prior)
+    prior = fileio.load_prior(args.prior)
     graph = _validate_graph(args)
     report = run_validate(
         graph, prior, args.state, args.trials, args.seed, RAT(args.level)
     )
+    _report(args, report, report["trial_rows"], VALIDATE_COLUMNS)
     if args.format == "csv":
-        _emit(
-            fileio.write_report(report["trial_rows"], None, "csv", VALIDATE_COLUMNS),
-            args.out,
-        )
         summary = {k: v for k, v in report.items() if k != "trial_rows"}
         print(json.dumps(summary, indent=2, default=str), file=sys.stderr)
-    else:
-        _emit(fileio.write_report(report, None, "json"), args.out)
     return 0
 
 
@@ -369,24 +346,25 @@ def _inline_graph(text: str, n):
 
 
 def cmd_oracle(args) -> int:
-    if args.graph:
+    if args.graph is not None:
         graph = fileio.load_edge_list(args.graph)
-    elif args.edges is not None:
-        graph = _inline_graph(args.edges, args.n)
     else:
-        raise ValidationError("oracle needs --graph or --edges")
+        graph = _inline_graph(args.edges, args.n)
     budget = OracleBudget(args.budget_pairs, args.budget_assignments)
     if args.clique_reduce is not None:
+        if args.mu_star is not None or args.q_star is not None:
+            raise ValidationError(
+                "--mu-star and --q-star go with --prior, not --clique-reduce"
+            )
         inst = clique_reduction(graph, args.clique_reduce)
         has_clique = (
             clique_exists(graph, args.clique_reduce) if graph.n <= 20 else None
         )
     else:
-        if not (args.prior and args.mu_star and args.q_star):
-            raise ValidationError(
-                "oracle needs --clique-reduce or --prior/--mu-star/--q-star"
-            )
-        inst = RevoltInstance(graph, _load_prior(args.prior), RAT(args.mu_star), RAT(args.q_star))
+        if args.mu_star is None or args.q_star is None:
+            raise ValidationError("--prior needs --mu-star and --q-star")
+        prior = fileio.load_prior(args.prior)
+        inst = RevoltInstance(graph, prior, RAT(args.mu_star), RAT(args.q_star))
         has_clique = None
     supported, prob = revolt_decision(inst, budget)
     payload = {
@@ -400,18 +378,22 @@ def cmd_oracle(args) -> int:
     if has_clique is not None:
         payload["k"] = args.clique_reduce
         payload["clique_exists"] = has_clique
-    _emit(fileio.write_report(payload, None, "json"), args.out)
+    _report(args, payload)
     return 0
 
 
 def cmd_epistemic(args) -> int:
-    if args.verify_prop1:
+    if args.verify_prop1 is not None:
+        if args.event is not None or args.omega is not None:
+            raise ValidationError("--event and --omega go with --model, not --verify-prop1")
+        if args.verify_prop1 < 1:
+            raise ValidationError("--verify-prop1 needs a positive COUNT")
         agree, total = prop1_battery(args.verify_prop1, args.seed)
         payload = {"models": total, "agreeing": agree, "all_agree": agree == total}
-        _emit(fileio.write_report(payload, None, "json"), args.out)
+        _report(args, payload)
         return 0 if agree == total else 2
-    if not args.model or args.event is None:
-        raise ValidationError("epistemic needs --model and --event (or --verify-prop1)")
+    if args.event is None:
+        raise ValidationError("--model needs --event")
     model = fileio.load_epistemic_model(args.model)
     event = frozenset(s.strip() for s in args.event.split(",") if s.strip())
     p, mu = RAT(args.p), RAT(args.mu)
@@ -434,7 +416,7 @@ def cmd_epistemic(args) -> int:
         payload["common_at_omega_search"] = common_belief_by_search(
             model, p, mu, event, args.omega
         )
-    _emit(fileio.write_report(payload, None, "json"), args.out)
+    _report(args, payload)
     return 0
 
 
@@ -469,7 +451,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    prior = _load_prior(args.prior)
+    prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees) if args.degrees else None
     n = args.n or (len(degseq) if degseq else None)
     if n is None:
@@ -536,13 +518,7 @@ def cmd_bounds(args) -> int:
         }
         for r in reports
     ]
-    if args.format == "json":
-        _emit(fileio.write_report(rows, None, "json"), args.out)
-    else:
-        _emit(
-            fileio.write_report(rows, None, "csv", ("name", "value", "clamped", "inputs")),
-            args.out,
-        )
+    _report(args, rows, rows, ("name", "value", "clamped", "inputs"))
     return 0
 
 

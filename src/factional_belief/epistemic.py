@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Hashable, Iterable, Mapping
 
 from .errors import InvalidAgentError, SpaceTooLargeError, ValidationError
@@ -21,6 +22,7 @@ Outcome = Hashable
 Event = frozenset
 
 SEARCH_GUARD = 20  # outcomes; search enumerates all 2^|outcomes| events
+FIXPOINT_GUARD = 100_000  # witness-set pairs (J1, J2) the fixpoint may enumerate
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,9 @@ def common_belief_fixpoint(
     `hierarchy_levels`, where the believing fraction may differ outcome by
     outcome, can overshoot: their intersection is a superset of this event
     in general.)
+
+    Raises SpaceTooLargeError, before any enumeration, when the number of
+    (J1, J2) pairs exceeds FIXPOINT_GUARD.
     """
     mu = Fraction(mu)
     if not 0 <= mu <= 1:
@@ -268,6 +273,12 @@ def common_belief_fixpoint(
     need = _ceil_fraction(mu * len(agents))
     if need == 0:
         return model.space.universe()
+    pairs = comb(len(agents), need) ** 2
+    if pairs > FIXPOINT_GUARD:
+        raise SpaceTooLargeError(
+            f"common-belief fixpoint limited to {FIXPOINT_GUARD} witness-set "
+            f"pairs; {len(agents)} agents at mu={mu} need {pairs}"
+        )
     result: set = set()
     belief_of_f = {a: belief_operator(model, a, p, f) for a in agents}
     for j2 in combinations(agents, need):

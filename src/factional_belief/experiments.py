@@ -12,6 +12,7 @@ survives averaging. Family-parameter sweeps derive from (value, trial).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -95,33 +96,44 @@ def _run_pair(args) -> tuple[Fraction, Fraction, bool]:
     return sizes["A"], sizes["B"], relabeled
 
 
-def _map_jobs(fn, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+def worker_count(jobs: int, items: int, cpus: int) -> int:
+    """Pool size for `items` tasks at a time: at most `jobs`, the `cpus`
+    the process may run on, and `items`; 1 means run in-process."""
+    return max(1, min(jobs, cpus, items))
 
 
-def _sequences_for_value(cfg: SweepConfig, value_index: int, param) -> list[list[int]]:
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sequences(cfg: SweepConfig, param, *index: int) -> list[list[int]]:
+    """The sampled sequences for one family parameter; trial t is seeded by
+    derive_seed(cfg.seed, *index, t). The constant family has one."""
     if cfg.family == "constant":
         return [generate_sequence(GenSpec("constant", cfg.n, param))]
     return [
         generate_sequence(
-            GenSpec(cfg.family, cfg.n, param, derive_seed(cfg.seed, value_index, t))
+            GenSpec(cfg.family, cfg.n, param, derive_seed(cfg.seed, *index, t))
         )
         for t in range(cfg.trials)
     ]
 
 
-def _sequences_shared(cfg: SweepConfig) -> list[list[int]]:
-    if cfg.family == "constant":
-        return [generate_sequence(GenSpec("constant", cfg.n, cfg.fixed_param))]
-    return [
-        generate_sequence(
-            GenSpec(cfg.family, cfg.n, cfg.fixed_param, derive_seed(cfg.seed, t))
-        )
-        for t in range(cfg.trials)
-    ]
+def _grid_points(cfg: SweepConfig):
+    """(axis value, [(sequence, prior), ...]) per grid point, one point at a
+    time."""
+    if cfg.axis == "param":
+        for vi, value in enumerate(cfg.values):
+            yield value, [(seq, cfg.prior) for seq in _sequences(cfg, value, vi)]
+    else:
+        seqs = _sequences(cfg, cfg.fixed_param)
+        for value in cfg.values:
+            prior = replace(cfg.prior, p=Fraction(value))
+            yield value, [(seq, prior) for seq in seqs]
 
 
 def _aggregate(value: Fraction, results) -> dict:
@@ -147,20 +159,21 @@ def _aggregate(value: Fraction, results) -> dict:
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """Rows of mean largest-revolt sizes along the sweep axis."""
-    rows = []
-    if cfg.axis == "param":
-        for vi, value in enumerate(cfg.values):
-            seqs = _sequences_for_value(cfg, vi, value)
-            results = _map_jobs(_run_pair, [(seq, cfg.prior) for seq in seqs], cfg.jobs)
-            rows.append(_aggregate(value, results))
-    else:
-        seqs = _sequences_shared(cfg)
-        for value in cfg.values:
-            prior = replace(cfg.prior, p=Fraction(value))
-            results = _map_jobs(_run_pair, [(seq, prior) for seq in seqs], cfg.jobs)
-            rows.append(_aggregate(value, results))
-    return rows
+    """Rows of mean largest-revolt sizes along the sweep axis. With
+    cfg.jobs > 1 the grid points share one process pool."""
+    per_point = 1 if cfg.family == "constant" else cfg.trials
+    workers = worker_count(cfg.jobs, per_point, _usable_cpus())
+    if workers == 1:
+        return [
+            _aggregate(value, [_run_pair(item) for item in items])
+            for value, items in _grid_points(cfg)
+        ]
+    chunksize = max(1, per_point // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [
+            _aggregate(value, list(pool.map(_run_pair, items, chunksize=chunksize)))
+            for value, items in _grid_points(cfg)
+        ]
 
 
 def run_promise_map(

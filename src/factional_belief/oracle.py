@@ -97,11 +97,6 @@ class StrategyProfile:
     def chi_cells(self) -> frozenset:
         return frozenset(c for c in self.cells if c[1] is AgentType.CHI)
 
-    def chi_context_pairs(self) -> frozenset:
-        """Identity-agnostic view: (vertex, ContextClass) pairs with at least
-        one revolting cell."""
-        return frozenset((c[0], cell_context(c)) for c in self.chi_cells())
-
 
 class _Enumeration:
     """Pre-enumerated positive-probability type assignments for one

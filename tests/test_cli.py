@@ -1,9 +1,14 @@
+import argparse
 import json
+import re
+import shlex
 from fractions import Fraction as F
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from factional_belief.cli import main
+from factional_belief.cli import HANDLERS, build_parser, main
 from factional_belief.fileio import dump_edge_list
 from factional_belief.model import ConcreteGraph
 
@@ -418,3 +423,122 @@ class TestConfigFile:
         assert doc["trials"] == 20
         assert doc["expected_candidate_fraction"] == "2432/3125"
         assert doc["envelope_violations"] == 0
+
+
+@pytest.fixture
+def files(prior_file, const4_file, tmp_path):
+    """Input paths for the flag-surface tests, keyed for str.format."""
+    tri = tmp_path / "tri.txt"
+    dump_edge_list(ConcreteGraph(3, [(0, 1), (1, 2), (0, 2)]), tri)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "outcomes": ["1", "2"],
+        "prob": {"1": "1/2", "2": "1/2"},
+        "partitions": {"i": [["1"], ["2"]]},
+    }))
+    smallest = tmp_path / "smallest.json"
+    smallest.write_text(json.dumps({"smallest": True}))
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"seed": 3}))
+    return {
+        "prior": prior_file, "degrees": const4_file, "tri": str(tri),
+        "model": str(model), "cfg_smallest": str(smallest), "cfg_seed": str(seed),
+    }
+
+
+ANALYZE = "analyze --prior {prior} --degrees {degrees} "
+PROMISE = "promise --prior {prior} --degrees {degrees} --epsilon 1/200 --delta 1/200 "
+VALIDATE = "validate --prior {prior} --trials 2 "
+ORACLE = "oracle --graph {tri} --clique-reduce 3 "
+
+PARSER_CONFLICTS = [
+    ANALYZE + f"--{a} --{b}"
+    for a, b in combinations(("smallest", "general", "multistate", "auto-relabel"), 2)
+] + [
+    ANALYZE + "--config {cfg_smallest} --multistate",
+    PROMISE + "--mu-star 3/5 --grid-step 1/2",
+    PROMISE,
+    VALIDATE + "--graph {tri} --torus 5 5",
+    VALIDATE + "--graph {tri} --family er --n 10 --param 1/2",
+    VALIDATE + "--torus 5 5 --family er --n 10 --param 1/2",
+    VALIDATE,
+    "oracle --graph {tri} --edges 0-1 --n 5 --clique-reduce 3",
+    "oracle --clique-reduce 3",
+    "oracle --graph {tri} --clique-reduce 2 --prior {prior} --mu-star 1/2 --q-star 1/2",
+    "oracle --graph {tri}",
+    "epistemic --model {model} --event 1 --verify-prop1 2",
+    "epistemic --p 1/2",
+]
+
+HANDLER_CONFLICTS = [
+    (ORACLE + "--mu-star 1/2 --q-star 1/2", "not --clique-reduce"),
+    (ORACLE + "--q-star 1/2", "not --clique-reduce"),
+    ("oracle --graph {tri} --prior {prior} --mu-star 1/2", "needs --mu-star and --q-star"),
+    ("epistemic --verify-prop1 2 --event 1", "not --verify-prop1"),
+    ("epistemic --verify-prop1 2 --omega 1", "not --verify-prop1"),
+    ("epistemic --verify-prop1 0", "positive COUNT"),
+    ("epistemic --model {model} --omega 1", "needs --event"),
+]
+
+REMOVED_FLAGS = [
+    ANALYZE + "--seed 3",
+    ANALYZE + "--config {cfg_seed}",
+    PROMISE + "--mu-star 3/5 --seed 3",
+    ORACLE + "--seed 3",
+    "bounds --prior {prior} --seed 3",
+    ORACLE + "--format csv",
+    "epistemic --verify-prop1 2 --format csv",
+    "gen --family constant --n 5 --param 2 --format csv",
+]
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("line", PARSER_CONFLICTS + REMOVED_FLAGS)
+    def test_parser_rejects(self, line, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(shlex.split(line.format(**files)))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("line, message", HANDLER_CONFLICTS)
+    def test_handler_rejects(self, line, message, files, capsys):
+        assert main(shlex.split(line.format(**files))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_seed_and_format_placement(self):
+        subs = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        takes = {
+            flag: {name for name, p in subs.items() if flag in p._option_string_actions}
+            for flag in ("--seed", "--format", "--config", "--out")
+        }
+        assert takes["--seed"] == {"sweep", "validate", "epistemic", "gen"}
+        assert takes["--format"] == {"analyze", "promise", "sweep", "validate", "bounds"}
+        assert takes["--config"] == takes["--out"] == set(subs)
+
+
+def _readme_commands() -> list[str]:
+    """Every `revolt <subcommand> ...` line of README.md, with backslash
+    continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = text.replace("\\\n", " ")
+    return [
+        line.strip()
+        for line in text.splitlines()
+        if re.match(r"\s*revolt [a-z]", line)
+    ]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    argv = shlex.split(line)
+    assert argv[0] == "revolt"
+    build_parser().parse_args(argv[1:])
+
+
+def test_readme_has_an_example_per_subcommand():
+    used = {shlex.split(line)[1] for line in _readme_commands()}
+    assert used == set(HANDLERS)

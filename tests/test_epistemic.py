@@ -9,6 +9,7 @@ from factional_belief import (
     common_belief_fixpoint,
     common_belief_search_set,
     derive_seed,
+    epistemic,
     hierarchy_levels,
     is_evident_belief,
 )
@@ -86,6 +87,25 @@ class TestCommonBeliefFixpoint:
 
     def test_mu_zero_is_everything(self, two_agent_die):
         assert common_belief_fixpoint(two_agent_die, F(1), F(0), {5}) == ALL
+
+    def test_guard_rejects_before_enumerating(self, monkeypatch):
+        # 20 agents at mu = 1/2: C(20, 10)^2 = 34,134,779,536 witness-set pairs.
+        def enumerated(*_args):
+            raise AssertionError("enumerated past the guard")
+
+        monkeypatch.setattr(epistemic, "belief_operator", enumerated)
+        monkeypatch.setattr(epistemic, "_witness_chain", enumerated)
+        model = EpistemicModel.make(
+            {i: F(1, 2) for i in range(2)}, {f"a{j}": [[0], [1]] for j in range(20)}
+        )
+        with pytest.raises(SpaceTooLargeError, match="34134779536"):
+            common_belief_fixpoint(model, F(1, 2), F(1, 2), {0})
+
+    def test_guard_admits_six_agents_at_half(self):
+        model = EpistemicModel.make(
+            {i: F(1, 2) for i in range(2)}, {f"a{j}": [[0], [1]] for j in range(6)}
+        )
+        assert common_belief_fixpoint(model, F(1, 2), F(1, 2), {0}) == {0}
 
 
 class TestCommonBeliefSearch:

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from factional_belief import torus_grid, two_state_prior, TypeDistribution
+from factional_belief import experiments
 from factional_belief.errors import ValidationError
 from factional_belief.experiments import (
     SweepConfig,
@@ -12,6 +14,7 @@ from factional_belief.experiments import (
     run_sweep,
     run_validate,
     sample_type_assignment,
+    worker_count,
 )
 
 class TestGrid:
@@ -85,6 +88,44 @@ class TestSweep:
             seed=3,
         )
         assert run_sweep(cfg) == run_sweep(cfg)
+
+
+class TestSweepPool:
+    @pytest.mark.parametrize(
+        "jobs, items, cpus, want",
+        [(1, 10, 8, 1), (4, 10, 8, 4), (64, 10, 8, 8), (64, 3, 8, 3),
+         (4, 10, 1, 1), (0, 10, 8, 1), (-2, 10, 8, 1), (4, 0, 8, 1)],
+    )
+    def test_worker_count_clamp(self, jobs, items, cpus, want):
+        assert worker_count(jobs, items, cpus) == want
+
+    @pytest.mark.parametrize("axis", ["param", "p"])
+    def test_two_jobs_one_pool_same_rows(self, axis, motivating_prior, monkeypatch):
+        pools = []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        # Two usable CPUs, so the pool runs even on a one-CPU machine.
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        fixed = F(1, 30) if axis == "p" else None
+        cfg = SweepConfig(
+            family="er",
+            n=60,
+            axis=axis,
+            values=grid("1/5", "3/5", "1/5") if axis == "p" else (F(1, 30), F(1, 20)),
+            prior=motivating_prior,
+            fixed_param=fixed,
+            trials=3,
+            seed=9,
+        )
+        serial = run_sweep(cfg)
+        assert pools == []
+        assert run_sweep(replace(cfg, jobs=2)) == serial
+        assert len(pools) == 1
 
 
 class TestPromiseMap:
