@@ -161,27 +161,27 @@ def _degree_table(
     return tuple(rows)
 
 
-def _state_index(prior: Prior) -> dict[str, int]:
-    return {s.label: i for i, s in enumerate(prior.states)}
+def _candidates(prior: Prior, degrees: Iterable[int], states: Iterable[str]):
+    """The candidacy scan: yields (degree, neighbor counts, per-state
+    likelihoods) for every chi-centered context over the distinct degrees,
+    in increasing degree order, whose posterior mass on `states` is at
+    least p."""
+    sel = [prior.labels.index(s) for s in states]
+    for d in sorted(set(degrees)):
+        for counts, likes, posts in _degree_table(prior.states, d):
+            if sum((posts[i] for i in sel), ZERO) >= prior.p:
+                yield d, counts, likes
 
 
 def candidate_contexts(
-    prior: Prior,
-    degrees: Iterable[int],
-    candidate_states: Iterable[str],
-    p: Optional[Fraction] = None,
+    prior: Prior, degrees: Iterable[int], candidate_states: Iterable[str]
 ) -> list[ContextClass]:
     """Chi-centered contexts (over the given degrees) whose posterior mass on
     the candidate-state set is at least p."""
-    p = prior.p if p is None else Fraction(p)
-    idx = _state_index(prior)
-    sel = [idx[s] for s in candidate_states]
-    out = []
-    for d in sorted(set(degrees)):
-        for (a, c, v), _likes, posts in _degree_table(prior.states, d):
-            if sum((posts[i] for i in sel), ZERO) >= p:
-                out.append(ContextClass(AgentType.CHI, a, c, v))
-    return out
+    return [
+        ContextClass(AgentType.CHI, *counts)
+        for _d, counts, _likes in _candidates(prior, degrees, candidate_states)
+    ]
 
 
 def _candidate_mass(
@@ -192,15 +192,11 @@ def _candidate_mass(
 ) -> dict[str, Fraction]:
     """Per-state expected fraction (relative to total_n agents) of agents
     whose context is a candidate context over the given degree entries."""
-    idx = _state_index(prior)
-    sel = [idx[s] for s in candidate_states]
     counts = Counter(degrees)
     mass = [ZERO] * len(prior.states)
-    for d, m in counts.items():
-        for _counts, likes, posts in _degree_table(prior.states, d):
-            if sum((posts[i] for i in sel), ZERO) >= prior.p:
-                for i, lk in enumerate(likes):
-                    mass[i] += m * lk
+    for d, _counts, likes in _candidates(prior, counts, candidate_states):
+        for i, lk in enumerate(likes):
+            mass[i] += counts[d] * lk
     return {s.label: mass[i] / total_n for i, s in enumerate(prior.states)}
 
 
@@ -344,7 +340,9 @@ def equilibria_map(
 def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
     """The finite set of values the two-state computation compares p and mu
     against on this instance, for auditing how far a promise input sits from
-    a decision boundary."""
+    a decision boundary. `e_A(candidates+alpha)` is X_A at the
+    candidate-state fixpoint: A's alpha mass plus the mass of the candidate
+    contexts of the surviving states."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     out = {
@@ -355,16 +353,11 @@ def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fracti
             "B", (AgentType.CHI, AgentType.ALPHA), prior
         ),
     }
-    mass = _candidate_mass(prior, seq, frozenset({"A"}), len(seq))
-    e_alpha_a = expected_type_fraction("A", (AgentType.ALPHA,), prior)
-    out["e_A(candidates+alpha)"] = mass["A"] + e_alpha_a
-    idx = _state_index(prior)
+    sizes, _survivors = multistate_fixpoint(seq, prior)
+    out["e_A(candidates+alpha)"] = sizes["A"]
+    a = prior.labels.index("A")
     posts = sorted(
-        {
-            posts[idx["A"]]
-            for d in set(seq)
-            for _c, _l, posts in _degree_table(prior.states, d)
-        }
+        {posts[a] for d in set(seq) for _c, _l, posts in _degree_table(prior.states, d)}
     )
     for i, q in enumerate(posts):
         out[f"posterior_A_level_{i}"] = q
@@ -400,18 +393,19 @@ def smallest_revolt(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]
 
 
 def high_degree_cutoff(n: int, cutoff_c) -> int:
-    """Smallest integer k with k >= cutoff_c * n^(1/3), computed exactly by
-    comparing cubes."""
+    """Smallest integer k with k >= cutoff_c * n^(1/3), computed exactly:
+    with cutoff_c = a/b that is (k*b)^3 >= a^3 * n, found by bisection."""
     c = Fraction(cutoff_c)
     if c <= 0 or n < 1:
         raise ValidationError("need cutoff_c > 0 and n >= 1")
     target = c.numerator**3 * n
-    k = round((target ** (1 / 3)) / c.denominator) if n < 2**50 else 1
-    while (k * c.denominator) ** 3 >= target and k > 0:
-        k -= 1
-    while (k * c.denominator) ** 3 < target:
-        k += 1
-    return k
+    lo, hi = 0, 1  # k = lo always falls short (target >= 1)
+    while (hi * c.denominator) ** 3 < target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if (mid * c.denominator) ** 3 >= target else (mid, hi)
+    return hi
 
 
 def algorithm1_general(

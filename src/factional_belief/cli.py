@@ -3,7 +3,9 @@
 Subcommands: analyze, promise, sweep, validate, oracle, epistemic, gen,
 bounds. All take --config and --out; every other flag sits only on the
 subcommands whose handler reads it, and flags that pick the same thing (a
-variant, an input, a task) are mutually exclusive.
+variant, an input, a task) are mutually exclusive. A flag that only one
+branch of a handler reads is rejected when another branch runs, and gets
+its default inside the branch that reads it.
 --config (or --config=PATH) points at a JSON file whose keys pre-fill that
 subcommand's options as flags would; explicit flags win.
 
@@ -93,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         variant.add_argument(
             f"--{flag}", dest="variant", action="store_const", const=flag
         )
-    p.add_argument("--cutoff-c", default="1")
-    p.add_argument("--epsilon", default="1/100")
+    p.add_argument("--cutoff-c", help="hub cutoff constant, with --general (default 1)")
+    p.add_argument("--epsilon", help="least hub fraction, with --general (default 1/100)")
     _add_common(p, fmt=True)
 
     p = subs.add_parser("promise", help="promise decision / region map")
@@ -155,11 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     task = p.add_mutually_exclusive_group(required=True)
     task.add_argument("--model")
     task.add_argument("--verify-prop1", type=int, metavar="COUNT")
-    p.add_argument("--p", default="1/2")
-    p.add_argument("--mu", default="1/2")
+    p.add_argument("--p", help="belief level, with --model (default 1/2)")
+    p.add_argument("--mu", help="agent fraction, with --model (default 1/2)")
     p.add_argument("--event", help="comma-separated outcome labels")
     p.add_argument("--omega")
     _add_common(p, seed=True)
+    p.set_defaults(seed=None)  # read by --verify-prop1 alone, default 0
 
     p = subs.add_parser("gen", help="degree-sequence / graph generators")
     p.add_argument("--family", required=True, choices=("constant", "powerlaw", "ba", "er"))
@@ -212,6 +215,15 @@ def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
     return argv[:1] + extra + argv[1:], path
 
 
+def _reject_unread(args, owner: str, chosen: str, *dests: str) -> None:
+    """Exit 2 on a flag, given on the command line or as a --config key,
+    that only the `owner` branch reads while `chosen` runs."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise ValidationError(f"{flag} goes with {owner}, not {chosen}")
+
+
 def _report(args, doc, rows=None, columns=None) -> None:
     """Write `doc` as JSON, or `rows` as CSV under `columns` when the
     subcommand was given --format csv; to --out, else to stdout."""
@@ -226,6 +238,9 @@ def _report(args, doc, rows=None, columns=None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.variant != "general":
+        chosen = f"--{args.variant}" if args.variant else "the plain largest revolt"
+        _reject_unread(args, "--general", chosen, "cutoff_c", "epsilon")
     prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees)
     relabeled = False
@@ -235,7 +250,10 @@ def cmd_analyze(args) -> int:
         sizes = smallest_revolt(degseq, prior)
     elif args.variant == "general":
         sizes = algorithm1_general(
-            degseq, prior, cutoff_c=RAT(args.cutoff_c), epsilon=RAT(args.epsilon)
+            degseq,
+            prior,
+            cutoff_c=RAT(args.cutoff_c if args.cutoff_c is not None else "1"),
+            epsilon=RAT(args.epsilon if args.epsilon is not None else "1/100"),
         )
     elif args.variant == "auto-relabel":
         sizes, relabeled = algorithm1_auto(degseq, prior)
@@ -306,6 +324,9 @@ def cmd_sweep(args) -> int:
 
 
 def _validate_graph(args):
+    if args.family is None:
+        chosen = "--graph" if args.graph is not None else "--torus"
+        _reject_unread(args, "--family", chosen, "n", "param")
     if args.graph is not None:
         return fileio.load_edge_list(args.graph)
     if args.torus is not None:
@@ -347,15 +368,13 @@ def _inline_graph(text: str, n):
 
 def cmd_oracle(args) -> int:
     if args.graph is not None:
+        _reject_unread(args, "--edges", "--graph", "n")
         graph = fileio.load_edge_list(args.graph)
     else:
         graph = _inline_graph(args.edges, args.n)
     budget = OracleBudget(args.budget_pairs, args.budget_assignments)
     if args.clique_reduce is not None:
-        if args.mu_star is not None or args.q_star is not None:
-            raise ValidationError(
-                "--mu-star and --q-star go with --prior, not --clique-reduce"
-            )
+        _reject_unread(args, "--prior", "--clique-reduce", "mu_star", "q_star")
         inst = clique_reduction(graph, args.clique_reduce)
         has_clique = (
             clique_exists(graph, args.clique_reduce) if graph.n <= 20 else None
@@ -384,19 +403,21 @@ def cmd_oracle(args) -> int:
 
 def cmd_epistemic(args) -> int:
     if args.verify_prop1 is not None:
-        if args.event is not None or args.omega is not None:
-            raise ValidationError("--event and --omega go with --model, not --verify-prop1")
+        _reject_unread(args, "--model", "--verify-prop1", "event", "omega", "p", "mu")
         if args.verify_prop1 < 1:
             raise ValidationError("--verify-prop1 needs a positive COUNT")
-        agree, total = prop1_battery(args.verify_prop1, args.seed)
+        seed = args.seed if args.seed is not None else 0
+        agree, total = prop1_battery(args.verify_prop1, seed)
         payload = {"models": total, "agreeing": agree, "all_agree": agree == total}
         _report(args, payload)
         return 0 if agree == total else 2
+    _reject_unread(args, "--verify-prop1", "--model", "seed")
     if args.event is None:
         raise ValidationError("--model needs --event")
     model = fileio.load_epistemic_model(args.model)
     event = frozenset(s.strip() for s in args.event.split(",") if s.strip())
-    p, mu = RAT(args.p), RAT(args.mu)
+    p = RAT(args.p if args.p is not None else "1/2")
+    mu = RAT(args.mu if args.mu is not None else "1/2")
     evident, witnesses = is_evident_belief(model, p, mu, event)
     fix = common_belief_fixpoint(model, p, mu, event)
     payload = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import InvalidAgentError, SpaceTooLargeError, ValidationError
 
@@ -293,13 +293,42 @@ def common_belief_fixpoint(
     return frozenset(result)
 
 
-def _search_guard(model: EpistemicModel) -> None:
-    size = len(model.space.outcomes)
-    if size > SEARCH_GUARD:
+def _events(model: EpistemicModel) -> list[Event]:
+    """All 2^|outcomes| events of the model, smallest bit patterns first.
+    Raises SpaceTooLargeError past SEARCH_GUARD outcomes."""
+    outcomes = model.space.outcomes
+    m = len(outcomes)
+    if m > SEARCH_GUARD:
         raise SpaceTooLargeError(
             f"exhaustive event search limited to {SEARCH_GUARD} outcomes; "
-            f"model has {size}"
+            f"model has {m}"
         )
+    return [
+        frozenset(outcomes[i] for i in range(m) if bits >> i & 1)
+        for bits in range(1 << m)
+    ]
+
+
+def _search(
+    events: list[Event],
+    beliefs: Callable[[Event], list[Event]],
+    need: Fraction,
+    f: Event,
+) -> Event:
+    """Union of the witness events: every event e that at least `need`
+    agents p-believe f on (e <= B_a(f)) and at least `need` agents find
+    evident (e <= B_a(e)). `beliefs(e)` returns each agent's B_a(e). The
+    cheap test on f runs first, and an event already inside the union can
+    add nothing, so neither pays for its own belief sets. The empty event is
+    vacuously a witness but contains no outcome."""
+    believe_f = beliefs(f)
+    result: Event = frozenset()
+    for e in events:
+        if e <= result or sum(1 for b in believe_f if e <= b) < need:
+            continue
+        if sum(1 for b in beliefs(e) if e <= b) >= need:
+            result |= e
+    return result
 
 
 def common_belief_search_set(
@@ -308,31 +337,15 @@ def common_belief_search_set(
     """All outcomes at which f is common belief, certified by exhaustively
     searching witness events. Independent of the fixpoint construction: it
     unions every evident event whose occurrence forces a mu fraction to
-    p-believe f."""
-    _search_guard(model)
-    mu = Fraction(mu)
+    p-believe f. Belief sets are computed only for the events the search
+    reaches."""
+    events = _events(model)
     f = model.check_event(f)
-    outcomes = list(model.space.outcomes)
-    m = len(outcomes)
-    n_agents = len(model.agents)
-    need = mu * n_agents
 
-    belief_of_f = [belief_operator(model, a, p, f) for a in model.agents]
-    result: set = set()
-    for bits in range(1, 1 << m):
-        e = frozenset(outcomes[i] for i in range(m) if bits >> i & 1)
-        if e <= result:
-            continue
-        evident_count = sum(
-            1 for a in model.agents if e <= belief_operator(model, a, p, e)
-        )
-        if evident_count < need:
-            continue
-        f_count = sum(1 for bf in belief_of_f if e <= bf)
-        if f_count >= need:
-            result |= e
-    # The empty event is vacuously a witness but contains no outcome.
-    return frozenset(result)
+    def beliefs(e: Event) -> list[Event]:
+        return [belief_operator(model, a, p, e) for a in model.agents]
+
+    return _search(events, beliefs, Fraction(mu) * len(model.agents), f)
 
 
 def common_belief_by_search(
@@ -352,47 +365,26 @@ def check_fixpoint_search_agreement(
     model: EpistemicModel, p: Fraction, mu: Fraction
 ) -> bool:
     """Verify, for every event f, that search-certified common belief agrees
-    with membership in the hierarchy fixpoint. The search side precomputes
-    per-event belief sets once, so the full sweep is feasible for the small
-    models this is meant for."""
-    _search_guard(model)
-    mu = Fraction(mu)
-    outcomes = list(model.space.outcomes)
-    m = len(outcomes)
-    need = mu * len(model.agents)
-
-    all_events = [
-        frozenset(outcomes[i] for i in range(m) if bits >> i & 1)
-        for bits in range(1 << m)
-    ]
-    belief = {
-        a: {e: belief_operator(model, a, p, e) for e in all_events}
-        for a in model.agents
+    with membership in the hierarchy fixpoint. The search side builds the
+    table of every agent's belief in every event once and shares it across
+    all f, so the full sweep is feasible for the small models this is meant
+    for."""
+    events = _events(model)
+    need = Fraction(mu) * len(model.agents)
+    table = {
+        e: [belief_operator(model, a, p, e) for a in model.agents] for e in events
     }
-    evident = {
-        e: sum(1 for a in model.agents if e <= belief[a][e]) >= need
-        for e in all_events
-    }
-    for f in all_events:
-        searched: set = set()
-        for e in all_events:
-            if evident[e] and sum(1 for a in model.agents if e <= belief[a][f]) >= need:
-                searched |= e
-        if frozenset(searched) != common_belief_fixpoint(model, p, mu, f):
-            return False
-    return True
+    return all(
+        _search(events, table.__getitem__, need, f)
+        == common_belief_fixpoint(model, p, mu, f)
+        for f in events
+    )
 
 
 def check_operator_laws(model: EpistemicModel, p: Fraction) -> bool:
     """Verify monotonicity and idempotence of the belief operator over all
     event pairs of the model (guarded exhaustive sweep)."""
-    _search_guard(model)
-    outcomes = list(model.space.outcomes)
-    m = len(outcomes)
-    all_events = [
-        frozenset(outcomes[i] for i in range(m) if bits >> i & 1)
-        for bits in range(1 << m)
-    ]
+    all_events = _events(model)
     for a in model.agents:
         b = {e: belief_operator(model, a, p, e) for e in all_events}
         for e in all_events:

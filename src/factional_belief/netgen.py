@@ -90,7 +90,10 @@ def powerlaw_sequence(
     The truncation window [1, n-1] is fixed and recorded by `gen` output
     metadata. Heavy exponents below ~1.7 may exhaust the attempt cap.
     """
-    gamma = float(gamma)
+    try:
+        gamma = float(gamma)
+    except OverflowError:
+        raise ValidationError("gamma is out of float range") from None
     if gamma <= 1:
         raise ValidationError("gamma must exceed 1")
     if n < 2:
@@ -147,9 +150,9 @@ def er_graph(n: int, p_edge, seed: int) -> ConcreteGraph:
     """G(n, p): every vertex pair is an edge independently with probability
     p_edge. Sampled with geometric gap-skipping, which draws the same
     distribution in O(edges) time."""
-    p = float(Fraction(p_edge))
-    if not 0 <= p <= 1:
+    if not 0 <= Fraction(p_edge) <= 1:
         raise ValidationError("p_edge must lie in [0, 1]")
+    p = float(Fraction(p_edge))
     if n < 0:
         raise ValidationError("n must be nonnegative")
     if p == 0:

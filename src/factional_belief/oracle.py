@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import ceil, lcm
 
 from .errors import BudgetExceededError, ValidationError
 from .model import (
@@ -78,10 +78,10 @@ class RevoltInstance:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """A symmetric threshold profile: the set of decision cells that play
-    revolt. Every possible alpha cell is in; nu cells never are; chi cells
-    are the decision variables. `trace` records each fixpoint iteration's
-    cell set for auditing."""
+    """A symmetric threshold profile. Alpha agents always revolt and nu
+    agents never do, so `cells` holds only what the profile decides: the chi
+    decision cells that play revolt. `trace` records each fixpoint
+    iteration's cell set for auditing."""
 
     cells: frozenset
     trace: tuple = field(default=(), compare=False)
@@ -94,14 +94,13 @@ class StrategyProfile:
             return False
         return cell in self.cells
 
-    def chi_cells(self) -> frozenset:
-        return frozenset(c for c in self.cells if c[1] is AgentType.CHI)
-
 
 class _Enumeration:
-    """Pre-enumerated positive-probability type assignments for one
-    (graph, prior) pair, with integer weights over per-state common
-    denominators."""
+    """Every positive-probability type assignment of one (graph, prior)
+    pair. Weights are integers over a per-state common denominator: an
+    assignment in state s has probability state_scale[s] * weight. Each
+    entry keeps the assignment's alpha count and its chi cells, which is all
+    a profile needs to fix the realized revolt count."""
 
     def __init__(self, graph: ConcreteGraph, prior: Prior, budget: OracleBudget):
         n = graph.n
@@ -121,20 +120,17 @@ class _Enumeration:
                 f"{budget.max_assignments}"
             )
 
-        self.graph = graph
         self.prior = prior
         self.n = n
         self.state_labels = prior.labels
         # entries: (state index, weight int, alpha count, chi cell tuple)
         self.entries = []
         self.state_scale: list[Fraction] = []  # prob_s / den_s^n
-        self.denominators: list[int] = []
         neighbor_lists = [graph.neighbors(v) for v in range(n)]
         for si, s in enumerate(prior.states):
             dist = s.types
             den = lcm(*(dist.prob(t).denominator for t in AgentType))
             nums = {t: int(dist.prob(t) * den) for t in AgentType}
-            self.denominators.append(den)
             self.state_scale.append(s.prob / Fraction(den**n))
             for types in product(supports[si], repeat=n):
                 w = 1
@@ -151,92 +147,65 @@ class _Enumeration:
                 self.entries.append((si, w, alpha_count, chis))
 
         # Per-cell occurrence weight by state (profile-independent).
-        self.cell_totals: dict[Cell, list[int]] = {}
-        n_states = len(prior.states)
+        totals: dict[Cell, list[int]] = {}
         for si, w, _ac, chis in self.entries:
             for cell in chis:
-                tot = self.cell_totals.setdefault(cell, [0] * n_states)
-                tot[si] += w
-        alpha_cells = set()
-        for si, s in enumerate(prior.states):
-            dist = s.types
-            if dist.alpha == 0:
+                totals.setdefault(cell, [0] * len(prior.states))[si] += w
+        self.cell_mass = {cell: self._mass(ws) for cell, ws in totals.items()}
+        self.possible_chi_cells = frozenset(totals)
+
+    def _mass(self, weights: list[int]) -> Fraction:
+        """Probability of a per-state list of integer weights."""
+        return sum((s * w for s, w in zip(self.state_scale, weights)), ZERO)
+
+    def _counts(self, revolting: frozenset):
+        """(state index, weight, chi cells, realized revolt count) of every
+        assignment under the profile."""
+        for si, w, alpha_count, chis in self.entries:
+            yield si, w, chis, alpha_count + sum(1 for c in chis if c in revolting)
+
+    def _threshold_weights(self, revolting: frozenset) -> dict[Cell, list[int]]:
+        """Per chi cell and state, the weight of the assignments in which the
+        cell, forced to revolt with everyone else on the profile, brings the
+        revolt count to mu*n. A count already there reaches it for every chi
+        cell; a count one short, only for the cells that are not revolting."""
+        need = ceil(self.prior.mu * self.n)
+        weights = {cell: [0] * len(self.state_scale) for cell in self.cell_mass}
+        for si, w, chis, count in self._counts(revolting):
+            if count == need - 1:
+                chis = [c for c in chis if c not in revolting]
+            elif count < need:
                 continue
-            support = supports[si]
-            for v in range(n):
-                for ntypes in product(support, repeat=graph.degree(v)):
-                    alpha_cells.add((v, AgentType.ALPHA, ntypes))
-        self.alpha_cells = frozenset(alpha_cells)
-        self.possible_chi_cells = frozenset(self.cell_totals)
+            for cell in chis:
+                weights[cell][si] += w
+        return weights
 
     def best_response(self, revolting: frozenset) -> frozenset:
-        """One monotone step: alpha cells plus the chi cells whose forced-
-        revolt threshold probability reaches p under the given profile."""
-        mu_num = self.prior.mu.numerator
-        mu_den = self.prior.mu.denominator
-        n = self.n
-        numer: dict[Cell, list[int]] = {
-            cell: [0] * len(self.state_scale) for cell in self.cell_totals
-        }
-        for si, w, alpha_count, chis in self.entries:
-            count = alpha_count
-            membership = []
-            for cell in chis:
-                member = cell in revolting
-                membership.append(member)
-                if member:
-                    count += 1
-            for cell, member in zip(chis, membership):
-                forced = count if member else count + 1
-                if forced * mu_den >= mu_num * n:
-                    numer[cell][si] += w
-        keep = set(self.alpha_cells)
-        for cell, nums in numer.items():
-            tots = self.cell_totals[cell]
-            prob_num = sum(scale * x for scale, x in zip(self.state_scale, nums))
-            prob_den = sum(scale * x for scale, x in zip(self.state_scale, tots))
-            if prob_num >= self.prior.p * prob_den:
-                keep.add(cell)
-        return frozenset(keep)
-
-    def threshold_probability(self, revolting: frozenset, cell: Cell) -> Fraction:
-        """Exact Pr[revolt count reaches mu*n | the cell's observation], with
-        the cell itself forced to revolt and everyone else on the profile."""
-        mu_num = self.prior.mu.numerator
-        mu_den = self.prior.mu.denominator
-        n = self.n
-        nums = [0] * len(self.state_scale)
-        for si, w, alpha_count, chis in self.entries:
-            if cell not in chis:
-                continue
-            count = alpha_count + sum(1 for q in chis if q in revolting)
-            forced = count if cell in revolting else count + 1
-            if forced * mu_den >= mu_num * n:
-                nums[si] += w
-        tots = self.cell_totals[cell]
-        num = sum(s * x for s, x in zip(self.state_scale, nums))
-        den = sum(s * x for s, x in zip(self.state_scale, tots))
-        return num / den
+        """One monotone step: the chi cells whose forced-revolt threshold
+        probability reaches p under the given profile."""
+        p = self.prior.p
+        return frozenset(
+            cell
+            for cell, ws in self._threshold_weights(revolting).items()
+            if self._mass(ws) >= p * self.cell_mass[cell]
+        )
 
     def revolt_size_distribution(self, revolting: frozenset) -> dict[int, Fraction]:
         """Ex ante distribution of the realized revolt count under the
         profile (summed over states and assignments)."""
-        out: dict[int, Fraction] = {}
-        for si, w, alpha_count, chis in self.entries:
-            count = alpha_count + sum(1 for cell in chis if cell in revolting)
-            out[count] = out.get(count, ZERO) + self.state_scale[si] * w
-        return out
+        weights: dict[int, list[int]] = {}
+        for si, w, _chis, count in self._counts(revolting):
+            weights.setdefault(count, [0] * len(self.state_scale))[si] += w
+        return {count: self._mass(ws) for count, ws in weights.items()}
 
     def expected_fraction(self, revolting: frozenset, state: str) -> Fraction:
         si_want = self.state_labels.index(state)
-        total = 0
-        for si, w, alpha_count, chis in self.entries:
-            if si != si_want:
-                continue
-            count = alpha_count + sum(1 for cell in chis if cell in revolting)
-            total += w * count
-        den = Fraction(self.denominators[si_want] ** self.n)
-        return Fraction(total) / den / self.n
+        total = sum(
+            w * count for si, w, _chis, count in self._counts(revolting) if si == si_want
+        )
+        # state_scale / prob_s is 1 / den_s^n, the weights' denominator.
+        scale = self.state_scale[si_want] / self.prior.states[si_want].prob
+        return scale * total / self.n
 
 
 def _iterate(enum: _Enumeration, start: frozenset) -> StrategyProfile:
@@ -255,20 +224,19 @@ def greatest_equilibrium(
     graph: ConcreteGraph, prior: Prior, budget: OracleBudget = DEFAULT_BUDGET
 ) -> StrategyProfile:
     """Greatest fixpoint of the threshold best-response map: start from every
-    possible alpha and chi cell revolting and remove chi cells whose exact
-    conditional revolt probability falls below p, until stable."""
+    possible chi cell revolting and remove chi cells whose exact conditional
+    revolt probability falls below p, until stable."""
     enum = _Enumeration(graph, prior, budget)
-    start = frozenset(enum.alpha_cells | enum.possible_chi_cells)
-    return _iterate(enum, start)
+    return _iterate(enum, enum.possible_chi_cells)
 
 
 def least_equilibrium(
     graph: ConcreteGraph, prior: Prior, budget: OracleBudget = DEFAULT_BUDGET
 ) -> StrategyProfile:
-    """Least fixpoint: start from alpha cells only and add chi cells whose
-    threshold is met, until stable."""
+    """Least fixpoint: start from no chi cell revolting (alpha agents only)
+    and add chi cells whose threshold is met, until stable."""
     enum = _Enumeration(graph, prior, budget)
-    return _iterate(enum, frozenset(enum.alpha_cells))
+    return _iterate(enum, frozenset())
 
 
 def threshold_probabilities(
@@ -278,10 +246,13 @@ def threshold_probabilities(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> dict[Cell, Fraction]:
     """Exact conditional threshold probability of every possible chi cell
-    under the profile (for fixpoint soundness audits)."""
+    under the profile: Pr[revolt count reaches mu*n | the cell's
+    observation], with the cell itself forced to revolt and everyone else on
+    the profile (for fixpoint soundness audits)."""
     enum = _Enumeration(graph, prior, budget)
+    weights = enum._threshold_weights(profile.cells)
     return {
-        cell: enum.threshold_probability(profile.cells, cell)
+        cell: enum._mass(weights[cell]) / enum.cell_mass[cell]
         for cell in sorted(enum.possible_chi_cells, key=repr)
     }
 
@@ -306,7 +277,7 @@ def revolt_decision(
     at least mu_star * n realized with probability at least q_star? Returns
     the verdict and the exact probability."""
     enum = _Enumeration(inst.graph, inst.prior, budget)
-    profile = _iterate(enum, frozenset(enum.alpha_cells | enum.possible_chi_cells))
+    profile = _iterate(enum, enum.possible_chi_cells)
     n = inst.graph.n
     threshold = inst.mu_star * n
     prob = ZERO

@@ -384,6 +384,21 @@ class TestCrucialThresholds:
         posts = {v for k, v in th.items() if k.startswith("posterior_A_level_")}
         assert posts == {F(1, 65), F(1, 5), F(4, 5), F(64, 65), F(1024, 1025)}
 
+    def test_reads_the_fixpoint_when_both_states_survive(self):
+        # Both states reach mu on chi+alpha, so every chi agent revolts and
+        # X_A is A's whole chi mass, not its {A}-candidate mass (2048/3125).
+        prior = two_state_prior(
+            F(2, 5),
+            F(1, 2),
+            TypeDistribution(F(0), F(4, 5), F(1, 5)),
+            TypeDistribution(F(0), F(3, 5), F(2, 5)),
+        )
+        degseq = [4] * 10
+        sizes, survivors = multistate_fixpoint(degseq, prior)
+        assert survivors == {"A", "B"}
+        th = crucial_thresholds(degseq, prior)
+        assert th["e_A(candidates+alpha)"] == sizes["A"] == F(4, 5)
+
 
 class TestSmallestRevolt:
     def test_motivating_is_zero(self, motivating_prior):
@@ -425,6 +440,22 @@ class TestHighDegreeCutoff:
         for n in (1, 7, 26, 27, 28, 64, 125, 999, 1000, 4096):
             k = high_degree_cutoff(n, F(1))
             assert k**3 >= n and (k - 1) ** 3 < n
+
+    def test_matches_brute_force_smallest_k(self):
+        # n up to 216 takes in the exact cubes of n and of c^3 * n.
+        for n in range(1, 217):
+            for c in (F(1), F(1, 2), F(2), F(3, 2), F(2, 3), F(5, 3)):
+                k = 1
+                while k**3 < c**3 * n:
+                    k += 1
+                assert high_degree_cutoff(n, c) == k, (n, c)
+
+    def test_huge_constant_stays_exact(self):
+        # A float cube root of this target overflows.
+        c = F(10) ** 120
+        assert high_degree_cutoff(1000, c) == 10**121
+        k = high_degree_cutoff(1001, c)
+        assert (k - 1) ** 3 < c**3 * 1001 <= k**3
 
 
 class TestAlgorithm1General:

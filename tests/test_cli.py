@@ -542,3 +542,67 @@ def test_readme_command_parses(line):
 def test_readme_has_an_example_per_subcommand():
     used = {shlex.split(line)[1] for line in _readme_commands()}
     assert used == set(HANDLERS)
+
+
+UNREAD_FLAGS = [
+    (ANALYZE + "--cutoff-c 7", "--cutoff-c goes with --general"),
+    (ANALYZE + "--epsilon 1/3 --multistate", "--epsilon goes with --general"),
+    (ANALYZE + "--config {cfg_cutoff}", "--cutoff-c goes with --general"),
+    (ORACLE + "--n 5", "--n goes with --edges"),
+    ("epistemic --model {model} --event 1 --seed 5", "--seed goes with --verify-prop1"),
+    ("epistemic --model {model} --event 1 --config {cfg_seed}", "--seed goes with"),
+    ("epistemic --verify-prop1 2 --p 1/3", "--p goes with --model"),
+    ("epistemic --verify-prop1 2 --mu 1/3", "--mu goes with --model"),
+    (VALIDATE + "--torus 5 5 --n 10", "--n goes with --family"),
+    (VALIDATE + "--graph {tri} --param 1/2", "--param goes with --family"),
+]
+
+
+class TestUnreadFlags:
+    """A flag whose value only another branch reads exits 2, also as a
+    --config key; left out, the branch that reads it applies its default."""
+
+    @pytest.fixture
+    def unread_files(self, files, tmp_path):
+        cutoff = tmp_path / "cutoff.json"
+        cutoff.write_text(json.dumps({"cutoff_c": "7"}))
+        return dict(files, cfg_cutoff=str(cutoff))
+
+    @pytest.mark.parametrize("line, message", UNREAD_FLAGS)
+    def test_rejected(self, line, message, unread_files, capsys):
+        assert main(shlex.split(line.format(**unread_files))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
+        "line, defaults",
+        [
+            (ANALYZE + "--general", "--cutoff-c 1 --epsilon 1/100"),
+            ("epistemic --model {model} --event 1", "--p 1/2 --mu 1/2"),
+            ("epistemic --verify-prop1 3", "--seed 0"),
+        ],
+    )
+    def test_defaults(self, line, defaults, files, capsys):
+        outputs = []
+        for argv in (line, f"{line} {defaults}"):
+            assert main(shlex.split(argv.format(**files))) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+
+class TestHugeNumbers:
+    def test_huge_cutoff_means_no_hubs(self, files, capsys):
+        assert main(shlex.split(ANALYZE.format(**files))) == 0
+        plain = capsys.readouterr().out
+        line = ANALYZE + "--general --cutoff-c 1e120"
+        assert main(shlex.split(line.format(**files))) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [("er", "p_edge must lie in [0, 1]"), ("powerlaw", "gamma is out of float range")],
+    )
+    def test_generator_parameter_beyond_float(self, family, message, capsys):
+        assert main(["gen", "--family", family, "--n", "5", "--param", "1e400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err

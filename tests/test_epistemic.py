@@ -126,6 +126,29 @@ class TestCommonBeliefSearch:
         with pytest.raises(SpaceTooLargeError):
             common_belief_search_set(model, F(1, 2), F(1, 2), {0})
 
+    def test_pruned_search_equals_naive_union(self):
+        # The naive union looks at every event, with no pruning on f and no
+        # skipping of events already covered.
+        for i in range(40):
+            model, p, mu = random_epistemic_model(derive_seed(7, i))
+            outcomes = list(model.space.outcomes)
+            events = [
+                frozenset(o for j, o in enumerate(outcomes) if bits >> j & 1)
+                for bits in range(1 << len(outcomes))
+            ]
+            belief = {
+                e: [belief_operator(model, a, p, e) for a in model.agents]
+                for e in events
+            }
+            need = mu * len(model.agents)
+            for f in events:
+                naive = frozenset().union(*(
+                    e for e in events
+                    if sum(1 for b in belief[e] if e <= b) >= need
+                    and sum(1 for b in belief[f] if e <= b) >= need
+                ))
+                assert common_belief_search_set(model, p, mu, f) == naive, (i, f)
+
     def test_matches_fixpoint_on_die(self, two_agent_die):
         for event in ({1, 2}, {2, 4, 6}, {1}, ALL):
             assert common_belief_search_set(

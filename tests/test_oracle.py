@@ -60,11 +60,11 @@ class TestGreatestEquilibrium:
         profile = greatest_equilibrium(TRIANGLE, inst.prior)
         revolting_contexts = {
             (cell_context(c).chi_neighbors, cell_context(c).nu_neighbors)
-            for c in profile.chi_cells()
+            for c in profile.cells
         }
         assert revolting_contexts == {(2, 0)}  # only the all-chi observation
         # any observation containing a nu neighbor stays out
-        assert all(NU not in cell[2] for cell in profile.chi_cells())
+        assert all(NU not in cell[2] for cell in profile.cells)
 
     def test_fixpoint_soundness(self, motivating_prior):
         graph = ConcreteGraph(4, [(0, 1), (1, 2), (2, 3)])
@@ -111,7 +111,7 @@ class TestLeastEquilibrium:
         dist = TypeDistribution(F(1, 3), F(1, 3), F(1, 3))
         prior = two_state_prior(F(1), F(1, 2), dist, dist)
         profile = least_equilibrium(PATH3, prior)
-        joined = profile.chi_cells()
+        joined = profile.cells
         assert joined  # some chi cells revolt
         for cell in joined:
             assert ALPHA in cell[2]  # each joined cell sees an alpha neighbor
