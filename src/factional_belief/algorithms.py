@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Optional
 
-from .errors import MislabeledStatesError, ValidationError
+from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
 from .model import (
     AgentType,
     ContextClass,
@@ -29,6 +29,7 @@ from .model import (
 )
 
 ZERO = Fraction(0)
+TABLE_ROW_GUARD = 200_000  # table rows one call may build over its distinct degrees
 
 
 class PromiseOutcome(Enum):
@@ -127,50 +128,106 @@ def expected_fraction(
 # ---------------------------------------------------------------------------
 
 
+def _table_rows(dists, degree: int) -> int:
+    """Rows `_degree_table` iterates over at this degree: none without chi
+    agents, and neighbor counts only of the types some state has."""
+    if not any(t.chi for t in dists):
+        return 0
+    alpha, nu = any(t.alpha for t in dists), any(t.nu for t in dists)
+    if alpha and nu:
+        return (degree + 1) * (degree + 2) // 2
+    return degree + 1 if alpha or nu else 1
+
+
 @lru_cache(maxsize=4096)
 def _degree_table(
     states: tuple[StatePrior, ...], degree: int
-) -> tuple[tuple[tuple[int, int, int], tuple[Fraction, ...], tuple[Fraction, ...]], ...]:
-    """Per-degree table of possible chi-centered contexts: neighbor counts,
-    per-state likelihood, per-state posterior. Contexts with zero likelihood
-    in every state are omitted (they never occur and have no posterior).
-    The table does not depend on p or mu, so threshold sweeps share it."""
-    rows = []
-    state_probs = tuple(s.prob for s in states)
+) -> tuple[int, tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]]:
+    """Per-degree table of possible chi-centered contexts, in integers over
+    one common scale: returns (scale, rows), each row holding the neighbor
+    counts and one integer weight per state, and a state's likelihood of
+    the context is its weight / scale. With D the lcm of every type
+    probability's denominator over all states, the scale is D^(degree+1)
+    for every state, so weights add and compare as integers and no row
+    pays a gcd. Contexts with zero likelihood in every state are omitted
+    (they never occur and have no posterior). The table does not depend on
+    p or mu, so threshold sweeps share it."""
     dists = tuple(s.types for s in states)
-    if all(d.chi == 0 for d in dists):
-        return ()
+    common = lcm(*(x.denominator for t in dists for x in (t.alpha, t.chi, t.nu)))
+    scale = common ** (degree + 1)
+    if not any(t.chi for t in dists):
+        return scale, ()
+    # Per state, the powers 0..degree+1 of its alpha, chi and nu numerators
+    # over the common denominator; a row's weight is
+    # C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v (the own type is chi).
+    powers = []
+    for t in dists:
+        per_type = []
+        for x in (t.alpha, t.chi, t.nu):
+            base, acc = x.numerator * (common // x.denominator), [1]
+            for _ in range(degree + 1):
+                acc.append(acc[-1] * base)
+            per_type.append(acc)
+        powers.append(per_type)
     # Types with zero mass in every state cannot occur; skipping them keeps
     # high-degree tables linear instead of quadratic in the degree.
-    alpha_possible = any(d.alpha > 0 for d in dists)
-    nu_possible = any(d.nu > 0 for d in dists)
+    alpha_possible = any(t.alpha for t in dists)
+    nu_possible = any(t.nu for t in dists)
+    rows = []
     for a in range(degree + 1 if alpha_possible else 1):
-        c_values = range(degree - a, degree + 1 - a) if not nu_possible else range(degree + 1 - a)
+        heads = [comb(degree, a) * pa[a] for pa, _px, _pn in powers]
+        c_values = range(degree + 1 - a) if nu_possible else (degree - a,)
         for c in c_values:
             v = degree - a - c
-            coeff = comb(degree, a) * comb(degree - a, c)
-            likes = tuple(
-                d.chi * coeff * d.alpha**a * d.chi**c * d.nu**v for d in dists
+            coeff = comb(degree - a, c)
+            weights = tuple(
+                coeff * head * px[c + 1] * pn[v]
+                for head, (_pa, px, pn) in zip(heads, powers)
             )
-            weighted = tuple(sp * lk for sp, lk in zip(state_probs, likes))
-            total = sum(weighted, ZERO)
-            if total == 0:
-                continue
-            posts = tuple(w / total for w in weighted)
-            rows.append(((a, c, v), likes, posts))
-    return tuple(rows)
+            if any(weights):
+                rows.append(((a, c, v), weights))
+    return scale, tuple(rows)
+
+
+def _tables(states: tuple[StatePrior, ...], degrees: Iterable[int]):
+    """(degree, scale, rows) of the degree table of every distinct degree,
+    in increasing order. Raises SpaceTooLargeError, before building any
+    table, when their rows sum past TABLE_ROW_GUARD."""
+    distinct = sorted(set(degrees))
+    dists = tuple(s.types for s in states)
+    rows = sum(_table_rows(dists, d) for d in distinct)
+    if rows > TABLE_ROW_GUARD:
+        raise SpaceTooLargeError(
+            f"degree tables limited to {TABLE_ROW_GUARD} rows; "
+            f"{len(distinct)} distinct degrees up to {distinct[-1]} need {rows}"
+        )
+    return [(d, *_degree_table(states, d)) for d in distinct]
+
+
+def _prob_weights(prior: Prior) -> list[int]:
+    """The state probabilities as integers over their common denominator."""
+    common = lcm(*(s.prob.denominator for s in prior.states))
+    return [s.prob.numerator * (common // s.prob.denominator) for s in prior.states]
 
 
 def _candidates(prior: Prior, degrees: Iterable[int], states: Iterable[str]):
-    """The candidacy scan: yields (degree, neighbor counts, per-state
-    likelihoods) for every chi-centered context over the distinct degrees,
-    in increasing degree order, whose posterior mass on `states` is at
-    least p."""
-    sel = [prior.labels.index(s) for s in states]
-    for d in sorted(set(degrees)):
-        for counts, likes, posts in _degree_table(prior.states, d):
-            if sum((posts[i] for i in sel), ZERO) >= prior.p:
-                yield d, counts, likes
+    """The candidacy scan: yields (degree, scale, rows) for every distinct
+    degree, in increasing order, keeping the table rows whose posterior
+    mass on `states` is at least p. Exact and division-free: with S and R
+    the probability-weighted row weights inside and outside `states`, the
+    mass S / (S + R) >= p = num/den iff (den - num) S >= num R."""
+    sel = {prior.labels.index(s) for s in states}
+    probs = _prob_weights(prior)
+    inside = [pi if i in sel else 0 for i, pi in enumerate(probs)]
+    outside = [0 if i in sel else pi for i, pi in enumerate(probs)]
+    num, den = prior.p.numerator, prior.p.denominator
+    for d, scale, rows in _tables(prior.states, degrees):
+        yield d, scale, [
+            (counts, w)
+            for counts, w in rows
+            if (den - num) * sum(map(int.__mul__, inside, w))
+            >= num * sum(map(int.__mul__, outside, w))
+        ]
 
 
 def candidate_contexts(
@@ -180,7 +237,8 @@ def candidate_contexts(
     the candidate-state set is at least p."""
     return [
         ContextClass(AgentType.CHI, *counts)
-        for _d, counts, _likes in _candidates(prior, degrees, candidate_states)
+        for _d, _scale, rows in _candidates(prior, degrees, candidate_states)
+        for counts, _weights in rows
     ]
 
 
@@ -191,12 +249,14 @@ def _candidate_mass(
     total_n: int,
 ) -> dict[str, Fraction]:
     """Per-state expected fraction (relative to total_n agents) of agents
-    whose context is a candidate context over the given degree entries."""
+    whose context is a candidate context over the given degree entries.
+    The candidate rows' integer weights are summed per degree and state and
+    divided by the table's scale once."""
     counts = Counter(degrees)
     mass = [ZERO] * len(prior.states)
-    for d, _counts, likes in _candidates(prior, counts, candidate_states):
-        for i, lk in enumerate(likes):
-            mass[i] += counts[d] * lk
+    for d, scale, rows in _candidates(prior, counts, candidate_states):
+        for i in range(len(mass)):
+            mass[i] += Fraction(counts[d] * sum(w[i] for _c, w in rows), scale)
     return {s.label: mass[i] / total_n for i, s in enumerate(prior.states)}
 
 
@@ -356,8 +416,13 @@ def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fracti
     sizes, _survivors = multistate_fixpoint(seq, prior)
     out["e_A(candidates+alpha)"] = sizes["A"]
     a = prior.labels.index("A")
+    probs = _prob_weights(prior)
     posts = sorted(
-        {posts[a] for d in set(seq) for _c, _l, posts in _degree_table(prior.states, d)}
+        {
+            Fraction(probs[a] * w[a], sum(pi * wi for pi, wi in zip(probs, w)))
+            for _d, _scale, rows in _tables(prior.states, seq)
+            for _c, w in rows
+        }
     )
     for i, q in enumerate(posts):
         out[f"posterior_A_level_{i}"] = q

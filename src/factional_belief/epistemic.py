@@ -170,6 +170,14 @@ def belief_operator(
     return frozenset(believed)
 
 
+def _check_mu(mu) -> Fraction:
+    """mu as an exact Fraction, rejected outside [0, 1]."""
+    mu = Fraction(mu)
+    if not 0 <= mu <= 1:
+        raise ValidationError("mu must lie in [0, 1]")
+    return mu
+
+
 def _fraction_believers_at_least(
     model: EpistemicModel, mu: Fraction, per_agent: list[Event]
 ) -> Event:
@@ -189,9 +197,7 @@ def is_evident_belief(
 ) -> tuple[bool, frozenset]:
     """Whether the event, whenever it occurs, is believed at level p by at
     least a mu fraction of agents. Returns the maximal witness agent set."""
-    mu = Fraction(mu)
-    if not 0 <= mu <= 1:
-        raise ValidationError("mu must lie in [0, 1]")
+    mu = _check_mu(mu)
     e = model.check_event(event)
     witnesses = frozenset(
         a for a in model.agents if e <= belief_operator(model, a, p, e)
@@ -234,7 +240,7 @@ def hierarchy_levels(
     fraction of agents p-believe level n-1". Exposed for study; note the raw
     level sequence need not be monotone, because the believing fraction may
     be a different set of agents at different outcomes."""
-    mu = Fraction(mu)
+    mu = _check_mu(mu)
     current = model.check_event(f)
     levels = []
     for _ in range(depth):
@@ -265,9 +271,7 @@ def common_belief_fixpoint(
     Raises SpaceTooLargeError, before any enumeration, when the number of
     (J1, J2) pairs exceeds FIXPOINT_GUARD.
     """
-    mu = Fraction(mu)
-    if not 0 <= mu <= 1:
-        raise ValidationError("mu must lie in [0, 1]")
+    mu = _check_mu(mu)
     f = model.check_event(f)
     agents = model.agents
     need = _ceil_fraction(mu * len(agents))
@@ -339,13 +343,14 @@ def common_belief_search_set(
     unions every evident event whose occurrence forces a mu fraction to
     p-believe f. Belief sets are computed only for the events the search
     reaches."""
+    mu = _check_mu(mu)
     events = _events(model)
     f = model.check_event(f)
 
     def beliefs(e: Event) -> list[Event]:
         return [belief_operator(model, a, p, e) for a in model.agents]
 
-    return _search(events, beliefs, Fraction(mu) * len(model.agents), f)
+    return _search(events, beliefs, mu * len(model.agents), f)
 
 
 def common_belief_by_search(
@@ -370,7 +375,7 @@ def check_fixpoint_search_agreement(
     all f, so the full sweep is feasible for the small models this is meant
     for."""
     events = _events(model)
-    need = Fraction(mu) * len(model.agents)
+    need = _check_mu(mu) * len(model.agents)
     table = {
         e: [belief_operator(model, a, p, e) for a in model.agents] for e in events
     }

@@ -33,7 +33,7 @@ from factional_belief import (
     swap_state_labels,
     two_state_prior,
 )
-from factional_belief.algorithms import high_degree_cutoff
+from factional_belief.algorithms import _candidate_mass, high_degree_cutoff
 from factional_belief.errors import (
     ImpossibleContextError,
     MislabeledStatesError,
@@ -138,6 +138,23 @@ class TestExpectedFraction:
                     degseq,
                 )
                 assert full == expected_type_fraction(s, (CHI,), prior)
+
+
+class TestCandidacyTies:
+    def test_identical_states_tie_at_prob_a(self):
+        # Identical type distributions leave every context's posterior on A
+        # at prob_A exactly, so p = prob_A puts every row on the >= tie.
+        dist = TypeDistribution(F(1, 6), F(1, 2), F(1, 3))
+        prior = two_state_prior(F(1, 3), F(1, 2), dist, dist, F(1, 3))
+        assert candidate_contexts(prior, [5], ("A",)) == enumerate_contexts(5, CHI)
+        assert _candidate_mass(prior, [5], frozenset({"A"}), 1) == {
+            "A": F(1, 2), "B": F(1, 2),
+        }
+        above = replace(prior, p=F(1, 3) + F(1, 10**30))
+        assert candidate_contexts(above, [5], ("A",)) == []
+        assert _candidate_mass(above, [5], frozenset({"A"}), 1) == {
+            "A": F(0), "B": F(0),
+        }
 
 
 class TestAlgorithm1:
@@ -398,6 +415,21 @@ class TestCrucialThresholds:
         assert survivors == {"A", "B"}
         th = crucial_thresholds(degseq, prior)
         assert th["e_A(candidates+alpha)"] == sizes["A"] == F(4, 5)
+
+
+    def test_levels_are_the_reference_posteriors(self):
+        prior = two_state_prior(
+            F(2, 5),
+            F(1, 2),
+            TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+            TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+            F(3, 7),
+        )
+        th = crucial_thresholds([6] * 10, prior)
+        levels = [v for k, v in th.items() if k.startswith("posterior_A_level_")]
+        assert levels == sorted(
+            {state_posterior(c, prior)["A"] for c in enumerate_contexts(6, CHI)}
+        )
 
 
 class TestSmallestRevolt:

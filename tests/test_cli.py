@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from factional_belief import algorithms
 from factional_belief.cli import HANDLERS, build_parser, main
 from factional_belief.fileio import dump_edge_list
 from factional_belief.model import ConcreteGraph
@@ -128,6 +129,39 @@ class TestAnalyze:
         )
         doc = json.loads(capsys.readouterr().out)
         assert doc["sizes"] == {"A": "2432/3125", "B": "113/3125"}
+
+
+ALPHA_PRIOR = dict(MOTIVATING, states={
+    "A": {"prob": "1/2", "types": {"alpha": "1/10", "chi": "7/10", "nu": "1/5"}},
+    "B": {"prob": "1/2", "types": {"alpha": "1/20", "chi": "1/5", "nu": "3/4"}},
+})
+# Both states reach mu on chi+alpha, so only the threshold report builds tables.
+BOTH_SURVIVE_PRIOR = dict(MOTIVATING, states={
+    "A": {"prob": "1/2", "types": {"alpha": "1/10", "chi": "7/10", "nu": "1/5"}},
+    "B": {"prob": "1/2", "types": {"alpha": "1/10", "chi": "1/2", "nu": "2/5"}},
+})
+
+
+@pytest.mark.parametrize("doc, task", [
+    (ALPHA_PRIOR, ["analyze"]),
+    (BOTH_SURVIVE_PRIOR, ["promise", "--mu-star", "1/2", "--epsilon", "1/100",
+                          "--delta", "1/100", "--show-thresholds"]),
+])
+def test_table_row_guard_exits_2(doc, task, tmp_path, monkeypatch, capsys):
+    # alpha and nu are both possible, so the degree-1000 table would hold
+    # 1001 * 1002 / 2 = 501,501 rows, past TABLE_ROW_GUARD.
+    def built(*_args):
+        raise AssertionError("built a degree table past the guard")
+
+    monkeypatch.setattr(algorithms, "_degree_table", built)
+    prior = tmp_path / "alpha.json"
+    prior.write_text(json.dumps(doc))
+    degrees = tmp_path / "degs1000.txt"
+    degrees.write_text("10 x 1000\n")
+    argv = [task[0], "--prior", str(prior), "--degrees", str(degrees), *task[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "501501" in captured.err and not captured.out
 
 
 class TestPromise:

@@ -174,6 +174,26 @@ class TestHierarchyLevels:
         assert fix == search == frozenset({1, 2})
 
 
+MU_QUERIES = {
+    "search_set": lambda m, p, mu, f: common_belief_search_set(m, p, mu, f),
+    "by_search": lambda m, p, mu, f: common_belief_by_search(
+        m, p, mu, f, m.space.outcomes[0]
+    ),
+    "hierarchy_levels": lambda m, p, mu, f: hierarchy_levels(m, p, mu, f, 2),
+    "agreement": lambda m, p, mu, f: check_fixpoint_search_agreement(m, p, mu),
+}
+
+
+@pytest.mark.parametrize("mu", [F(3), F(-1)])
+@pytest.mark.parametrize("query", MU_QUERIES.values(), ids=MU_QUERIES.keys())
+def test_mu_outside_unit_interval_rejected(query, mu):
+    # At the unchecked search, mu = 3 answered frozenset() and mu = -1 the
+    # whole space.
+    model, p, _mu = random_epistemic_model(1)
+    with pytest.raises(ValidationError, match=r"mu must lie in \[0, 1\]"):
+        query(model, p, mu, model.space.outcomes[:1])
+
+
 class TestBattery:
     def test_agreement_on_random_models(self):
         for i in range(120):

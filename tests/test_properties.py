@@ -1,8 +1,10 @@
 """Property tests for the candidate-state fixpoint that every largest-revolt
 entry point shares (random two-state priors on an eighths grid and short
-random degree sequences), and for the concrete-graph oracle against a brute
-force over every type assignment."""
+random degree sequences), for the integer degree-table kernel against
+Bayes' rule in plain Fractions, and for the concrete-graph oracle against a
+brute force over every type assignment."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -12,20 +14,30 @@ from hypothesis import strategies as st
 from factional_belief import (
     AgentType,
     ConcreteGraph,
+    Prior,
     RevoltInstance,
+    StatePrior,
     TypeDistribution,
     algorithm1,
     algorithm1_general,
     algorithm1_multistate,
+    candidate_contexts,
+    context_likelihood,
+    enumerate_contexts,
     expected_context_fraction,
     greatest_equilibrium,
     least_equilibrium,
     revolt_decision,
+    state_posterior,
     threshold_probabilities,
     two_state_prior,
 )
-from factional_belief.algorithms import high_degree_cutoff, revolting_contexts
-from factional_belief.errors import MislabeledStatesError
+from factional_belief.algorithms import (
+    _candidate_mass,
+    high_degree_cutoff,
+    revolting_contexts,
+)
+from factional_belief.errors import ImpossibleContextError, MislabeledStatesError
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -88,6 +100,82 @@ def test_general_state_b_excludes_hub_chi_mass(prior, degseq):
     low = sum(1 for d in degseq if d < high_degree_cutoff(len(degseq), 1))
     assert sizes["B"] <= dist_b.alpha + dist_b.chi * F(low, len(degseq))
 
+
+@st.composite
+def mixed_dists(draw):
+    """Type distributions with chi agents over assorted denominators, some
+    with alpha = 0 or nu = 0."""
+    den = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 12]))
+    alpha = draw(st.integers(0, den - 1))
+    chi = draw(st.integers(1, den - alpha))
+    nu = den - alpha - chi
+    drop = draw(st.sampled_from(["", "alpha", "nu"]))
+    if drop == "alpha":
+        alpha, nu = 0, nu + alpha
+    elif drop == "nu":
+        alpha, nu = alpha + nu, 0
+    return TypeDistribution(F(alpha, den), F(chi, den), F(nu, den))
+
+
+@st.composite
+def kernel_instances(draw):
+    """A 2- or 3-state prior with unequal state probabilities, a short
+    degree sequence and a proper subset of the states; p is, half the time,
+    one of the instance's own posterior masses on that subset, so rows sit
+    on the tie."""
+    k = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k, unique=True))
+    states = tuple(
+        StatePrior(f"s{i}", F(w, sum(weights)), draw(mixed_dists()))
+        for i, w in enumerate(weights)
+    )
+    prior = Prior(F(1, 2), F(1, 2), states)
+    degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    subsets = st.lists(
+        st.sampled_from(prior.labels), min_size=1, max_size=k - 1, unique=True
+    )
+    chosen = draw(subsets)
+    levels = sorted(
+        {sum(post[s] for s in chosen) for _c, post in posteriors(prior, degrees)}
+    )
+    if levels and draw(st.booleans()):
+        p = draw(st.sampled_from(levels))
+    else:
+        p = F(draw(st.integers(0, 8)), 8)
+    return replace(prior, p=p), degrees, chosen
+
+
+def posteriors(prior, degrees):
+    """(context, posterior) for every possible chi context over the distinct
+    degrees, in increasing degree order, by Bayes' rule in plain Fractions."""
+    out = []
+    for d in sorted(set(degrees)):
+        for c in enumerate_contexts(d, AgentType.CHI):
+            try:
+                out.append((c, state_posterior(c, prior)))
+            except ImpossibleContextError:
+                pass
+    return out
+
+
+@SETTINGS
+@given(kernel_instances())
+def test_kernel_matches_fraction_reference(instance):
+    prior, degrees, chosen = instance
+    brute = [
+        c for c, post in posteriors(prior, degrees)
+        if sum(post[s] for s in chosen) >= prior.p
+    ]
+    assert candidate_contexts(prior, degrees, chosen) == brute
+    mass = {
+        s: sum(
+            (context_likelihood(c, s, prior) for d in degrees for c in brute
+             if c.degree == d),
+            F(0),
+        ) / len(degrees)
+        for s in prior.labels
+    }
+    assert _candidate_mass(prior, degrees, frozenset(chosen), len(degrees)) == mass
 
 
 class BruteOracle:
