@@ -297,16 +297,19 @@ def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
     return _check_order(sizes)
 
 
-def revolting_contexts(degseq: DegreeSequence, prior: Prior) -> list[ContextClass]:
-    """The chi-centered contexts that revolt under the two-state largest-
-    revolt reasoning: the candidate contexts of the surviving candidate
-    states, or none when no state survives. Used by the Monte-Carlo
-    validator to count realized candidates."""
+def revolting_contexts(
+    degseq: DegreeSequence, prior: Prior
+) -> tuple[dict[str, Fraction], list[ContextClass]]:
+    """The fixpoint's per-state sizes (alpha mass plus the mass of these
+    contexts), and the chi-centered contexts that revolt under the two-state
+    largest-revolt reasoning: the candidate contexts of the surviving
+    candidate states, or none when no state survives. Used by the
+    Monte-Carlo validator to count realized candidates."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     _check_labels(prior)
-    _sizes, survivors = multistate_fixpoint(seq, prior)
-    return candidate_contexts(prior, seq, survivors) if survivors else []
+    sizes, survivors = multistate_fixpoint(seq, prior)
+    return sizes, (candidate_contexts(prior, seq, survivors) if survivors else [])
 
 
 def swap_state_labels(prior: Prior) -> Prior:

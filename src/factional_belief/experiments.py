@@ -16,6 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from statistics import stdev
 from typing import Iterable, Optional, Sequence
 
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .algorithms import algorithm1_auto, equilibria_map, revolting_contexts
-from .errors import ValidationError
+from .errors import SpaceTooLargeError, ValidationError
 from .fileio import format_decimal, format_rational
-from .model import AgentType, ConcreteGraph, Prior
+from .model import ConcreteGraph, Prior
 from .netgen import FAMILIES, GenSpec, derive_seed, generate_sequence
 
 SWEEP_COLUMNS = (
@@ -40,6 +41,8 @@ SWEEP_COLUMNS = (
     "trials",
     "relabeled",
 )
+
+GRID_POINT_GUARD = 100_000  # points one sweep or promise-map grid may hold
 
 MAP_COLUMNS = ("mu_star", "mu_star_decimal", "outcome")
 
@@ -76,18 +79,17 @@ class SweepConfig:
 
 
 def grid(start, stop, step) -> tuple[Fraction, ...]:
-    """Inclusive arithmetic grid with exact endpoints."""
+    """Inclusive arithmetic grid start + i*step up to stop, exact; refuses
+    more than GRID_POINT_GUARD points before building any."""
     start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
     if step <= 0:
         raise ValidationError("step must be positive")
-    out = []
-    v = start
-    while v <= stop:
-        out.append(v)
-        v += step
-    if not out:
+    count = (stop - start) // step + 1
+    if count < 1:
         raise ValidationError("empty grid")
-    return tuple(out)
+    if count > GRID_POINT_GUARD:
+        raise SpaceTooLargeError(f"grid limited to {GRID_POINT_GUARD} points, not {count}")
+    return tuple(start + i * step for i in range(count))
 
 
 def _run_pair(args) -> tuple[Fraction, Fraction, bool]:
@@ -199,20 +201,14 @@ def run_promise_map(
 # Monte-Carlo concentration validation
 # ---------------------------------------------------------------------------
 
-_TYPE_ORDER = (AgentType.ALPHA, AgentType.CHI, AgentType.NU)
-
-
-def sample_type_assignment(prior: Prior, state: str, n: int, seed: int) -> list[AgentType]:
-    """Draw n i.i.d. types from the state's distribution (PCG64-seeded)."""
+def sample_type_assignment(prior: Prior, state: str, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. types from the state's distribution (PCG64-seeded), as
+    codes 0 alpha, 1 chi, 2 nu: a draw's code is the number of the cuts
+    alpha and alpha + chi at or below it."""
     dist = prior.state(state).types
-    cut1 = float(dist.alpha)
-    cut2 = float(dist.alpha + dist.chi)
+    cuts = (float(dist.alpha), float(dist.alpha + dist.chi))
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
-    return [
-        _TYPE_ORDER[0] if x < cut1 else (_TYPE_ORDER[1] if x < cut2 else _TYPE_ORDER[2])
-        for x in u
-    ]
+    return np.searchsorted(cuts, rng.random(n), side="right").astype(np.int8)
 
 
 def run_validate(
@@ -227,59 +223,57 @@ def run_validate(
     compare per-trial alpha/chi/candidate counts against the degree-sequence
     expectations and the dependent-Chernoff envelope.
 
+    The expected candidate fraction is the fixpoint's size less the alpha
+    mass. A chi vertex of degree d with a alpha and c chi neighbors is a
+    candidate iff its key (d*M + a)*M + c, M = max degree + 1, is a
+    revolting context's.
+
     The envelope is the deviation at which the union bound over all trials
     of the two-sided tail reaches `level`: sqrt(chi* n ln(2 trials / level) / 2).
     """
-    from .algorithms import expected_context_fraction, expected_type_fraction
-
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     degseq = graph.degree_sequence()
     n = graph.n
-    contexts = revolting_contexts(degseq, prior)
-    member = {}
-    for c in contexts:
-        member.setdefault(c.degree, set()).add(
-            (c.alpha_neighbors, c.chi_neighbors, c.nu_neighbors)
-        )
+    sizes, contexts = revolting_contexts(degseq, prior)
+    dist = prior.state(state).types
+    exp_candidate = sizes[state] - dist.alpha
 
-    exp_alpha = expected_type_fraction(state, (AgentType.ALPHA,), prior)
-    exp_chi = expected_type_fraction(state, (AgentType.CHI,), prior)
-    exp_candidate = expected_context_fraction(state, contexts, prior, degseq)
+    m = max(degseq) + 1
+    if m**3 >= 2**63:  # the largest key, M^3 - 1, must fit in an int64
+        raise SpaceTooLargeError(f"validate needs max degree < {2**21 - 1}, not {m - 1}")
+    cand_keys = np.array(
+        [(c.degree * m + c.alpha_neighbors) * m + c.chi_neighbors for c in contexts],
+        np.int64,
+    )
+    deg = np.array(degseq, dtype=np.int64)
+    heads = np.repeat(np.arange(n), deg)
+    tails = np.fromiter(
+        chain.from_iterable(map(graph.neighbors, range(n))), np.intp, len(heads)
+    )
 
-    chi_star = bounds_mod.dependency_chi_star_bound(degseq) if max(degseq) > 0 else 1
+    chi_star = bounds_mod.dependency_chi_star_bound(degseq)
     envelope = float(bounds_mod.chernoff_envelope(n, chi_star, trials, level))
 
     trial_rows = []
     max_dev = 0.0
     cand_sum = 0
     for t in range(trials):
-        types = sample_type_assignment(prior, state, n, derive_seed(seed, t))
-        n_alpha = sum(1 for x in types if x is AgentType.ALPHA)
-        n_chi = sum(1 for x in types if x is AgentType.CHI)
-        n_cand = 0
-        for v in range(n):
-            if types[v] is not AgentType.CHI:
-                continue
-            a = c = nu = 0
-            for u in graph.neighbors(v):
-                tu = types[u]
-                if tu is AgentType.ALPHA:
-                    a += 1
-                elif tu is AgentType.CHI:
-                    c += 1
-                else:
-                    nu += 1
-            if (a, c, nu) in member.get(graph.degree(v), ()):
-                n_cand += 1
+        codes = sample_type_assignment(prior, state, n, derive_seed(seed, t))
+        tail_codes = codes[tails]
+        alpha_nbrs = np.bincount(heads[tail_codes == 0], minlength=n)
+        chi_nbrs = np.bincount(heads[tail_codes == 1], minlength=n)
+        chi = codes == 1
+        keys = (deg[chi] * m + alpha_nbrs[chi]) * m + chi_nbrs[chi]
+        n_cand = int(np.count_nonzero(np.isin(keys, cand_keys)))
         dev = abs(n_cand - float(exp_candidate) * n)
         max_dev = max(max_dev, dev)
         cand_sum += n_cand
         trial_rows.append(
             {
                 "trial": t,
-                "n_alpha": n_alpha,
-                "n_chi": n_chi,
+                "n_alpha": int(np.count_nonzero(codes == 0)),
+                "n_chi": int(np.count_nonzero(chi)),
                 "n_candidates": n_cand,
                 "candidate_fraction": format_decimal(n_cand / n),
                 "deviation": format_decimal(dev),
@@ -291,8 +285,8 @@ def run_validate(
         "state": state,
         "n": n,
         "trials": trials,
-        "expected_alpha_fraction": format_rational(exp_alpha),
-        "expected_chi_fraction": format_rational(exp_chi),
+        "expected_alpha_fraction": format_rational(dist.alpha),
+        "expected_chi_fraction": format_rational(dist.chi),
         "expected_candidate_fraction": format_rational(exp_candidate),
         "expected_candidate_fraction_decimal": format_decimal(exp_candidate),
         "empirical_candidate_fraction": format_decimal(cand_sum / (trials * n)),

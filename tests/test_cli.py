@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from factional_belief import algorithms
+from factional_belief import algorithms, cli
 from factional_belief.cli import HANDLERS, build_parser, main
 from factional_belief.fileio import dump_edge_list
 from factional_belief.model import ConcreteGraph
@@ -162,6 +162,26 @@ def test_table_row_guard_exits_2(doc, task, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "501501" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("task", [
+    ["promise", "--degrees", "{degrees}", "--epsilon", "1/200", "--delta", "1/200",
+     "--grid-step", "1e-12"],
+    ["sweep", "--family", "constant", "--axis", "param", "--start", "0",
+     "--stop", "1", "--step", "1e-12", "--n", "10"],
+])
+def test_grid_point_guard_exits_2(task, prior_file, const4_file, monkeypatch, capsys):
+    # 10^12 + 1 grid points, past GRID_POINT_GUARD: refused before any point
+    # is built or any grid point is run.
+    def ran(*_args):
+        raise AssertionError("ran a grid past the guard")
+
+    monkeypatch.setattr(cli, "run_promise_map", ran)
+    monkeypatch.setattr(cli, "run_sweep", ran)
+    argv = [a.format(degrees=const4_file) for a in task]
+    assert main([argv[0], "--prior", prior_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "1000000000001" in captured.err and not captured.out
 
 
 class TestPromise:

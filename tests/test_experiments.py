@@ -1,11 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from factional_belief import torus_grid, two_state_prior, TypeDistribution
+from factional_belief import ConcreteGraph, torus_grid, two_state_prior, TypeDistribution
 from factional_belief import experiments
-from factional_belief.errors import ValidationError
+from factional_belief.errors import SpaceTooLargeError, ValidationError
 from factional_belief.experiments import (
     SweepConfig,
     grid,
@@ -28,6 +30,22 @@ class TestGrid:
     def test_step_positive(self):
         with pytest.raises(ValidationError):
             grid(0, 1, 0)
+
+    def test_point_guard(self):
+        step = F(1, experiments.GRID_POINT_GUARD - 1)
+        assert len(grid(0, 1, step)) == experiments.GRID_POINT_GUARD
+        with pytest.raises(SpaceTooLargeError, match=str(experiments.GRID_POINT_GUARD + 1)):
+            grid(0, 1, F(1, experiments.GRID_POINT_GUARD))
+
+    def test_points_equal_accumulation(self):
+        start, stop, step = F(-1, 3), F(7, 5), F(2, 9)
+        points, v = [], start
+        while v <= stop:
+            points.append(v)
+            v += step
+        assert grid(start, stop, step) == tuple(points)
+        with pytest.raises(ValidationError, match="empty grid"):
+            grid(stop, start, step)
 
 
 class TestSweep:
@@ -142,7 +160,57 @@ class TestValidate:
     def test_sampling_deterministic(self, motivating_prior):
         a = sample_type_assignment(motivating_prior, "A", 50, 7)
         b = sample_type_assignment(motivating_prior, "A", 50, 7)
-        assert a == b
+        assert np.array_equal(a, b)
+
+    def test_sampled_codes_cut_the_draws(self):
+        # Code 0 (alpha) below alpha, 1 (chi) below alpha + chi, else 2 (nu).
+        dist = TypeDistribution(F(1, 10), F(7, 10), F(1, 5))
+        prior = two_state_prior(F(2, 5), F(1, 2), dist, dist)
+        draws = np.random.Generator(np.random.PCG64(11)).random(400)
+        expected = [0 if x < 0.1 else 1 if x < 0.8 else 2 for x in draws]
+        codes = sample_type_assignment(prior, "A", 400, 11)
+        assert codes.tolist() == expected and set(expected) == {0, 1, 2}
+
+    def test_edgeless_graph(self, motivating_prior):
+        # Every chi vertex sees the empty context, whose posterior on {A} is
+        # the prior 1/2 >= p: all of them are candidates.
+        report = run_validate(ConcreteGraph(30, []), motivating_prior, "A", trials=5, seed=3)
+        assert report["chi_star_bound"] == 1
+        assert report["expected_candidate_fraction"] == "4/5"
+        for row in report["trial_rows"]:
+            assert row["n_candidates"] == row["n_chi"] > 0
+
+    def test_isolated_vertices_count(self, motivating_prior):
+        # Vertices 3..11 are isolated; their chi vertices are candidates, and
+        # a triangle chi vertex is one iff it sees at least one chi neighbor.
+        graph = ConcreteGraph(12, [(0, 1), (1, 2), (0, 2)])
+        report = run_validate(graph, motivating_prior, "A", trials=8, seed=5)
+        assert report["chi_star_bound"] == 5
+        for t, row in enumerate(report["trial_rows"]):
+            codes = sample_type_assignment(
+                motivating_prior, "A", 12, experiments.derive_seed(5, t)
+            ).tolist()
+            triangle = [v for v in range(3) if codes[v] == 1]
+            expected = codes[3:].count(1) + (len(triangle) if len(triangle) > 1 else 0)
+            assert row["n_candidates"] == expected
+
+    def test_context_key_guard(self, monkeypatch):
+        # Keys (d*M + a)*M + c stay below 2^63 iff M = max degree + 1 < 2^21.
+        # A one-vertex stand-in for a graph with such a hub; revolting_contexts
+        # and the sampling are patched to keep the test cheap.
+        def sampled(*_args):
+            raise LookupError("sampled")
+
+        monkeypatch.setattr(experiments, "revolting_contexts", lambda *_a: ({"A": F(1)}, []))
+        monkeypatch.setattr(experiments, "sample_type_assignment", sampled)
+        dist = TypeDistribution(F(0), F(1), F(0))
+        prior = two_state_prior(F(1, 2), F(1, 2), dist, dist)
+        for d, error in ((2**21 - 2, LookupError), (2**21 - 1, SpaceTooLargeError)):
+            hub = SimpleNamespace(
+                n=1, degree_sequence=lambda: [d], neighbors=lambda _v: range(d)
+            )
+            with pytest.raises(error):
+                run_validate(hub, prior, "A", trials=1, seed=0)
 
     def test_forced_type_has_zero_deviation(self):
         dist = TypeDistribution(F(0), F(1), F(0))

@@ -1,8 +1,9 @@
 """Property tests for the candidate-state fixpoint that every largest-revolt
 entry point shares (random two-state priors on an eighths grid and short
 random degree sequences), for the integer degree-table kernel against
-Bayes' rule in plain Fractions, and for the concrete-graph oracle against a
-brute force over every type assignment."""
+Bayes' rule in plain Fractions, for the concrete-graph oracle against a
+brute force over every type assignment, and for the validator's array
+counts against a per-vertex count."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -35,9 +36,12 @@ from factional_belief import (
 from factional_belief.algorithms import (
     _candidate_mass,
     high_degree_cutoff,
+    multistate_fixpoint,
     revolting_contexts,
 )
 from factional_belief.errors import ImpossibleContextError, MislabeledStatesError
+from factional_belief.experiments import run_validate, sample_type_assignment
+from factional_belief.netgen import derive_seed
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -81,7 +85,8 @@ def test_algorithm1_matches_multistate(prior, degseq):
 @given(two_state_priors(), degseqs)
 def test_sizes_are_alpha_plus_revolting_context_mass(prior, degseq):
     sizes = label_consistent_sizes(degseq, prior)
-    contexts = revolting_contexts(degseq, prior)
+    returned, contexts = revolting_contexts(degseq, prior)
+    assert returned == sizes
     for s in ("A", "B"):
         alpha = prior.type_prob(s, AgentType.ALPHA)
         assert sizes[s] == alpha + expected_context_fraction(s, contexts, prior, degseq)
@@ -263,4 +268,89 @@ def test_oracle_matches_brute_force(graph, prior, mu_star):
         (p for p, types in brute.worlds
          if brute.revolters(types, greatest.cells) >= mu_star * graph.n),
         F(0),
+    )
+
+
+# Two-state priors for the validator, one per survivor regime: alpha = 0,
+# alpha > 0, no candidate state survives, every state survives.
+REGIME_PRIORS = {
+    "alpha0": two_state_prior(
+        F(2, 5), F(1, 2), TypeDistribution(F(0), F(4, 5), F(1, 5)),
+        TypeDistribution(F(0), F(1, 5), F(4, 5)),
+    ),
+    "alpha": two_state_prior(
+        F(2, 5), F(1, 2), TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+        TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+    ),
+    "none": two_state_prior(
+        F(1, 2), F(7, 8), TypeDistribution(F(1, 8), F(1, 2), F(3, 8)),
+        TypeDistribution(F(1, 8), F(1, 4), F(5, 8)),
+    ),
+    "all": two_state_prior(
+        F(1, 2), F(1, 8), TypeDistribution(F(1, 4), F(1, 2), F(1, 4)),
+        TypeDistribution(F(1, 8), F(1, 4), F(5, 8)), F(1, 3),
+    ),
+}
+
+
+def test_regime_priors_cover_survivor_cases():
+    survivors = {k: multistate_fixpoint([0, 1, 1, 2, 2, 2], p)[1] for k, p in REGIME_PRIORS.items()}
+    assert survivors == {
+        "alpha0": {"A"}, "alpha": {"A"}, "none": set(), "all": {"A", "B"},
+    }
+    assert REGIME_PRIORS["alpha"].type_prob("B", AgentType.ALPHA) > 0
+
+
+@st.composite
+def graphs_with_isolated(draw):
+    """Up to 9 vertices with random edges, then up to 3 isolated vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    isolated = draw(st.integers(0, 3))
+    return ConcreteGraph(n + isolated, [e for e, k in zip(pairs, keep) if k])
+
+
+def per_vertex_counts(graph, prior, state, seed, trials):
+    """Each trial's (alpha, chi, candidate) agent counts, one vertex at a
+    time: a chi vertex is a candidate iff its degree and alpha, chi and nu
+    neighbor counts are those of a revolting context."""
+    _sizes, contexts = revolting_contexts(graph.degree_sequence(), prior)
+    revolting = {
+        (c.degree, c.alpha_neighbors, c.chi_neighbors, c.nu_neighbors)
+        for c in contexts
+    }
+    out = []
+    for t in range(trials):
+        types = sample_type_assignment(prior, state, graph.n, derive_seed(seed, t)).tolist()
+        candidates = 0
+        for v in range(graph.n):
+            if types[v] != 1:
+                continue
+            seen = [0, 0, 0]
+            for u in graph.neighbors(v):
+                seen[types[u]] += 1
+            candidates += (graph.degree(v), *seen) in revolting
+        out.append((types.count(0), types.count(1), candidates))
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    graphs_with_isolated(),
+    st.one_of(st.sampled_from(list(REGIME_PRIORS.values())), two_state_priors()),
+    st.sampled_from(["A", "B"]),
+    st.integers(0, 2**32),
+)
+def test_validate_counts_match_per_vertex_count(graph, prior, state, seed):
+    degseq = graph.degree_sequence()
+    try:
+        report = run_validate(graph, prior, state, trials=3, seed=seed)
+    except MislabeledStatesError:
+        assume(False)
+    rows = [(r["n_alpha"], r["n_chi"], r["n_candidates"]) for r in report["trial_rows"]]
+    assert rows == per_vertex_counts(graph, prior, state, seed, 3)
+    _sizes, contexts = revolting_contexts(degseq, prior)
+    assert F(report["expected_candidate_fraction"]) == expected_context_fraction(
+        state, contexts, prior, degseq
     )
