@@ -189,10 +189,9 @@ def _degree_table(
     return scale, tuple(rows)
 
 
-def _tables(states: tuple[StatePrior, ...], degrees: Iterable[int]):
-    """(degree, scale, rows) of the degree table of every distinct degree,
-    in increasing order. Raises SpaceTooLargeError, before building any
-    table, when their rows sum past TABLE_ROW_GUARD."""
+def _check_table_rows(states: tuple[StatePrior, ...], degrees: Iterable[int]) -> list[int]:
+    """The distinct degrees, in increasing order. Raises SpaceTooLargeError
+    when the rows of their degree tables sum past TABLE_ROW_GUARD."""
     distinct = sorted(set(degrees))
     dists = tuple(s.types for s in states)
     rows = sum(_table_rows(dists, d) for d in distinct)
@@ -201,7 +200,13 @@ def _tables(states: tuple[StatePrior, ...], degrees: Iterable[int]):
             f"degree tables limited to {TABLE_ROW_GUARD} rows; "
             f"{len(distinct)} distinct degrees up to {distinct[-1]} need {rows}"
         )
-    return [(d, *_degree_table(states, d)) for d in distinct]
+    return distinct
+
+
+def _tables(states: tuple[StatePrior, ...], degrees: Iterable[int]):
+    """(degree, scale, rows) of the degree table of every distinct degree,
+    in increasing order, after the TABLE_ROW_GUARD check."""
+    return [(d, *_degree_table(states, d)) for d in _check_table_rows(states, degrees)]
 
 
 def _prob_weights(prior: Prior) -> list[int]:
@@ -297,19 +302,34 @@ def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
     return _check_order(sizes)
 
 
+def revolting_rule(
+    degseq: DegreeSequence, prior: Prior
+) -> tuple[dict[str, Fraction], Optional[list[ContextClass]]]:
+    """`revolting_contexts`, except that the contexts are None when every
+    state survives: every chi agent then revolts, so no degree table is
+    built (TABLE_ROW_GUARD still applies). Used by the Monte-Carlo
+    validator to count realized candidates."""
+    prior.require_two_states()
+    seq = validate_degree_sequence(degseq)
+    _check_labels(prior)
+    sizes, survivors = multistate_fixpoint(seq, prior)
+    if len(survivors) == len(prior.labels):
+        _check_table_rows(prior.states, seq)
+        return sizes, None
+    return sizes, (candidate_contexts(prior, seq, survivors) if survivors else [])
+
+
 def revolting_contexts(
     degseq: DegreeSequence, prior: Prior
 ) -> tuple[dict[str, Fraction], list[ContextClass]]:
     """The fixpoint's per-state sizes (alpha mass plus the mass of these
     contexts), and the chi-centered contexts that revolt under the two-state
     largest-revolt reasoning: the candidate contexts of the surviving
-    candidate states, or none when no state survives. Used by the
-    Monte-Carlo validator to count realized candidates."""
-    prior.require_two_states()
-    seq = validate_degree_sequence(degseq)
-    _check_labels(prior)
-    sizes, survivors = multistate_fixpoint(seq, prior)
-    return sizes, (candidate_contexts(prior, seq, survivors) if survivors else [])
+    candidate states, or none when no state survives."""
+    sizes, contexts = revolting_rule(degseq, prior)
+    if contexts is None:
+        contexts = candidate_contexts(prior, degseq, prior.labels)
+    return sizes, contexts
 
 
 def swap_state_labels(prior: Prior) -> Prior:

@@ -6,6 +6,10 @@ plain frozensets of outcome labels. Two characterizations of common belief
 are implemented: the hierarchy fixpoint and an exhaustive search over
 witness events; agreement between them is what makes the fixpoint
 machine-checkable.
+
+Inside, every public call builds one `_BeliefKernel` for its (model, p):
+outcome i is bit i, so an event is an int mask, and beliefs are decided by
+integer cross-multiplication and memoized for the rest of the call.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Callable, Hashable, Iterable, Mapping
+from math import comb, lcm
+from typing import Hashable, Iterable, Mapping
 
 from .errors import InvalidAgentError, SpaceTooLargeError, ValidationError
 
@@ -58,13 +62,6 @@ class FiniteProbSpace:
     def uniform(cls, outcomes: Iterable[Outcome]) -> "FiniteProbSpace":
         outs = tuple(outcomes)
         return cls(outs, tuple(Fraction(1, len(outs)) for _ in outs))
-
-    def prob_of(self, event: Iterable[Outcome]) -> Fraction:
-        members = set(event)
-        return sum(
-            (p for o, p in zip(self.outcomes, self.probs) if o in members),
-            Fraction(0),
-        )
 
     def universe(self) -> Event:
         return frozenset(self.outcomes)
@@ -139,9 +136,9 @@ class EpistemicModel:
         )
         return cls(space, agents, parts)
 
-    def partition(self, agent: str) -> AgentPartition:
+    def agent_index(self, agent: str) -> int:
         try:
-            return self.partitions[self.agents.index(agent)]
+            return self.agents.index(agent)
         except ValueError:
             raise InvalidAgentError(f"unknown agent {agent!r}") from None
 
@@ -152,22 +149,67 @@ class EpistemicModel:
         return e
 
 
+class _BeliefKernel:
+    """Integer belief kernel of one (model, p). Outcome i is bit i of an
+    event mask, outcome weights are the probabilities as ints over their
+    common denominator, and each agent has a list of (cell mask, p.num times
+    the cell weight). B_j(e) is memoized per (agent index, event mask) for
+    the kernel's lifetime, which is one public call."""
+
+    def __init__(self, model: EpistemicModel, p) -> None:
+        p = Fraction(p)
+        if not 0 <= p <= 1:
+            raise ValidationError("p must lie in [0, 1]")
+        self.den = p.denominator
+        self.outcomes = model.space.outcomes
+        self.full = (1 << len(self.outcomes)) - 1
+        self._bit = {o: 1 << i for i, o in enumerate(self.outcomes)}
+        probs = model.space.probs
+        common = lcm(*(q.denominator for q in probs))
+        self._weights = [q.numerator * (common // q.denominator) for q in probs]
+        self.cells = []
+        for part in model.partitions:
+            masks = [self.mask(c) for c in part.cells]
+            self.cells.append([(c, p.numerator * self.weight(c)) for c in masks])
+        self._memo = [{} for _ in model.partitions]
+
+    def mask(self, event: Iterable[Outcome]) -> int:
+        """The mask of an event of known outcomes."""
+        return sum(self._bit[o] for o in event)
+
+    def event(self, mask: int) -> Event:
+        return frozenset(o for o, b in self._bit.items() if mask & b)
+
+    def weight(self, mask: int) -> int:
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += self._weights[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    def belief(self, j: int, e: int) -> int:
+        """B_j(e): the union of agent j's cells c with Pr[e | c] >= p,
+        tested as den * w(e & c) >= num * w(c) in integers."""
+        memo = self._memo[j]
+        b = memo.get(e)
+        if b is None:
+            b = 0
+            for cell, threshold in self.cells[j]:
+                if self.den * self.weight(e & cell) >= threshold:
+                    b |= cell
+            memo[e] = b
+        return b
+
+
 def belief_operator(
     model: EpistemicModel, agent: str, p: Fraction, event: Iterable[Outcome]
 ) -> Event:
     """Outcomes at which the agent assigns conditional probability >= p to
     the event, given her partition cell. Exact comparison."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
-    e = model.check_event(event)
-    part = model.partition(agent)
-    believed: set = set()
-    for cell in part.cells:
-        # Pr[e | cell] >= p, cross-multiplied to avoid a division.
-        if model.space.prob_of(e & cell) >= p * model.space.prob_of(cell):
-            believed |= cell
-    return frozenset(believed)
+    kernel = _BeliefKernel(model, p)
+    e = kernel.mask(model.check_event(event))
+    return kernel.event(kernel.belief(model.agent_index(agent), e))
 
 
 def _check_mu(mu) -> Fraction:
@@ -178,18 +220,13 @@ def _check_mu(mu) -> Fraction:
     return mu
 
 
-def _fraction_believers_at_least(
-    model: EpistemicModel, mu: Fraction, per_agent: list[Event]
-) -> Event:
-    """Outcomes where at least a mu fraction of agents are in their
-    respective believed events."""
-    need = mu * len(model.agents)
-    out = set()
-    for o in model.space.outcomes:
-        count = sum(1 for ev in per_agent if o in ev)
-        if count >= need:
-            out.add(o)
-    return frozenset(out)
+def _ceil_fraction(x: Fraction) -> int:
+    return -((-x.numerator) // x.denominator)
+
+
+def _need(model: EpistemicModel, mu: Fraction) -> int:
+    """The least whole number of agents that makes up a mu fraction."""
+    return _ceil_fraction(mu * len(model.agents))
 
 
 def is_evident_belief(
@@ -199,36 +236,29 @@ def is_evident_belief(
     least a mu fraction of agents. Returns the maximal witness agent set."""
     mu = _check_mu(mu)
     e = model.check_event(event)
+    kernel = _BeliefKernel(model, p)
+    m = kernel.mask(e)
     witnesses = frozenset(
-        a for a in model.agents if e <= belief_operator(model, a, p, e)
+        a for j, a in enumerate(model.agents) if not m & ~kernel.belief(j, m)
     )
-    return len(witnesses) >= mu * len(model.agents), witnesses
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+    return len(witnesses) >= _need(model, mu), witnesses
 
 
 def _witness_chain(
-    model: EpistemicModel,
-    p: Fraction,
-    believers: tuple[str, ...],
-    anchor: Event,
-) -> list[Event]:
-    """Decreasing chain to the largest event E inside `anchor` with
-    E <= B_j(E) for every j in `believers`: iterate
-    E -> anchor & intersection of B_j(E) from E = anchor until stable.
-    Stabilizes within |outcomes| + 1 steps (each strict step drops an
-    outcome); exceeding the cap signals a bug, not bad input."""
-    chain = [anchor]
+    kernel: _BeliefKernel, believers: tuple[int, ...], anchor: int
+) -> int:
+    """The largest event E inside `anchor` with E <= B_j(E) for every j in
+    `believers`: iterate E -> anchor & intersection of B_j(E) from
+    E = anchor until stable. Stabilizes within |outcomes| + 1 steps (each
+    strict step drops an outcome); exceeding the cap signals a bug, not bad
+    input."""
     current = anchor
-    for _ in range(len(model.space.outcomes) + 1):
+    for _ in range(len(kernel.outcomes) + 1):
         nxt = anchor
         for j in believers:
-            nxt &= belief_operator(model, j, p, current)
-        chain.append(nxt)
+            nxt &= kernel.belief(j, current)
         if nxt == current:
-            return chain
+            return current
         current = nxt
     raise AssertionError("witness chain failed to stabilize within the cap")
 
@@ -240,14 +270,51 @@ def hierarchy_levels(
     fraction of agents p-believe level n-1". Exposed for study; note the raw
     level sequence need not be monotone, because the believing fraction may
     be a different set of agents at different outcomes."""
-    mu = _check_mu(mu)
-    current = model.check_event(f)
+    need = _need(model, _check_mu(mu))
+    f = model.check_event(f)
+    kernel = _BeliefKernel(model, p)
+    current = kernel.mask(f)
+    bits = [1 << i for i in range(len(kernel.outcomes))]
     levels = []
     for _ in range(depth):
-        per_agent = [belief_operator(model, a, p, current) for a in model.agents]
-        current = _fraction_believers_at_least(model, mu, per_agent)
-        levels.append(current)
+        per_agent = [kernel.belief(j, current) for j in range(len(model.agents))]
+        current = sum(
+            b for b in bits if sum(1 for held in per_agent if held & b) >= need
+        )
+        levels.append(kernel.event(current))
     return levels
+
+
+def _fixpoint(kernel: _BeliefKernel, mu: Fraction, f: int) -> int:
+    """`common_belief_fixpoint` on masks. The J1 chains depend on J2 only
+    through the anchor, the intersection of B_j(f) over j in J2, so they
+    run once per distinct nonempty anchor, and stop once the anchor is
+    already covered (each chain's event lies inside its anchor)."""
+    agents = range(len(kernel.cells))
+    need = _ceil_fraction(mu * len(agents))
+    if need == 0:
+        return kernel.full
+    pairs = comb(len(agents), need) ** 2
+    if pairs > FIXPOINT_GUARD:
+        raise SpaceTooLargeError(
+            f"common-belief fixpoint limited to {FIXPOINT_GUARD} witness-set "
+            f"pairs; {len(agents)} agents at mu={mu} need {pairs}"
+        )
+    belief_of_f = [kernel.belief(j, f) for j in agents]
+    anchors = set()
+    for j2 in combinations(agents, need):
+        anchor = kernel.full
+        for j in j2:
+            anchor &= belief_of_f[j]
+        if anchor:
+            anchors.add(anchor)
+    result = 0
+    for anchor in anchors:
+        for j1 in combinations(agents, need):
+            if not anchor & ~result:
+                break
+            result |= _witness_chain(kernel, j1, anchor)
+    return result
 
 
 def common_belief_fixpoint(
@@ -273,64 +340,36 @@ def common_belief_fixpoint(
     """
     mu = _check_mu(mu)
     f = model.check_event(f)
-    agents = model.agents
-    need = _ceil_fraction(mu * len(agents))
-    if need == 0:
-        return model.space.universe()
-    pairs = comb(len(agents), need) ** 2
-    if pairs > FIXPOINT_GUARD:
-        raise SpaceTooLargeError(
-            f"common-belief fixpoint limited to {FIXPOINT_GUARD} witness-set "
-            f"pairs; {len(agents)} agents at mu={mu} need {pairs}"
-        )
-    result: set = set()
-    belief_of_f = {a: belief_operator(model, a, p, f) for a in agents}
-    for j2 in combinations(agents, need):
-        anchor = model.space.universe()
-        for j in j2:
-            anchor &= belief_of_f[j]
-        if not anchor:
-            continue
-        for j1 in combinations(agents, need):
-            best = _witness_chain(model, p, j1, anchor)[-1]
-            result |= best
-    return frozenset(result)
+    kernel = _BeliefKernel(model, p)
+    return kernel.event(_fixpoint(kernel, mu, kernel.mask(f)))
 
 
-def _events(model: EpistemicModel) -> list[Event]:
-    """All 2^|outcomes| events of the model, smallest bit patterns first.
-    Raises SpaceTooLargeError past SEARCH_GUARD outcomes."""
-    outcomes = model.space.outcomes
-    m = len(outcomes)
+def _events(model: EpistemicModel) -> range:
+    """The masks of all 2^|outcomes| events of the model, in increasing
+    order. Raises SpaceTooLargeError past SEARCH_GUARD outcomes."""
+    m = len(model.space.outcomes)
     if m > SEARCH_GUARD:
         raise SpaceTooLargeError(
             f"exhaustive event search limited to {SEARCH_GUARD} outcomes; "
             f"model has {m}"
         )
-    return [
-        frozenset(outcomes[i] for i in range(m) if bits >> i & 1)
-        for bits in range(1 << m)
-    ]
+    return range(1 << m)
 
 
-def _search(
-    events: list[Event],
-    beliefs: Callable[[Event], list[Event]],
-    need: Fraction,
-    f: Event,
-) -> Event:
+def _search(events: range, kernel: _BeliefKernel, need: int, f: int) -> int:
     """Union of the witness events: every event e that at least `need`
     agents p-believe f on (e <= B_a(f)) and at least `need` agents find
-    evident (e <= B_a(e)). `beliefs(e)` returns each agent's B_a(e). The
-    cheap test on f runs first, and an event already inside the union can
-    add nothing, so neither pays for its own belief sets. The empty event is
-    vacuously a witness but contains no outcome."""
-    believe_f = beliefs(f)
-    result: Event = frozenset()
+    evident (e <= B_a(e)). The cheap test on f runs first, and an event
+    already inside the union can add nothing, so neither pays for its own
+    belief sets. The empty event is vacuously a witness but contains no
+    outcome."""
+    agents = range(len(kernel.cells))
+    believe_f = [kernel.belief(j, f) for j in agents]
+    result = 0
     for e in events:
-        if e <= result or sum(1 for b in believe_f if e <= b) < need:
+        if not e & ~result or sum(1 for b in believe_f if not e & ~b) < need:
             continue
-        if sum(1 for b in beliefs(e) if e <= b) >= need:
+        if sum(1 for j in agents if not e & ~kernel.belief(j, e)) >= need:
             result |= e
     return result
 
@@ -343,14 +382,11 @@ def common_belief_search_set(
     unions every evident event whose occurrence forces a mu fraction to
     p-believe f. Belief sets are computed only for the events the search
     reaches."""
-    mu = _check_mu(mu)
+    need = _need(model, _check_mu(mu))
     events = _events(model)
     f = model.check_event(f)
-
-    def beliefs(e: Event) -> list[Event]:
-        return [belief_operator(model, a, p, e) for a in model.agents]
-
-    return _search(events, beliefs, mu * len(model.agents), f)
+    kernel = _BeliefKernel(model, p)
+    return kernel.event(_search(events, kernel, need, kernel.mask(f)))
 
 
 def common_belief_by_search(
@@ -370,33 +406,29 @@ def check_fixpoint_search_agreement(
     model: EpistemicModel, p: Fraction, mu: Fraction
 ) -> bool:
     """Verify, for every event f, that search-certified common belief agrees
-    with membership in the hierarchy fixpoint. The search side builds the
-    table of every agent's belief in every event once and shares it across
-    all f, so the full sweep is feasible for the small models this is meant
-    for."""
+    with membership in the hierarchy fixpoint. Both sides share one kernel,
+    so every agent's belief in an event is computed once for the whole
+    sweep, which is feasible for the small models this is meant for."""
     events = _events(model)
-    need = _check_mu(mu) * len(model.agents)
-    table = {
-        e: [belief_operator(model, a, p, e) for a in model.agents] for e in events
-    }
+    mu = _check_mu(mu)
+    kernel = _BeliefKernel(model, p)
+    need = _need(model, mu)
     return all(
-        _search(events, table.__getitem__, need, f)
-        == common_belief_fixpoint(model, p, mu, f)
-        for f in events
+        _search(events, kernel, need, f) == _fixpoint(kernel, mu, f) for f in events
     )
 
 
 def check_operator_laws(model: EpistemicModel, p: Fraction) -> bool:
     """Verify monotonicity and idempotence of the belief operator over all
     event pairs of the model (guarded exhaustive sweep)."""
-    all_events = _events(model)
-    for a in model.agents:
-        b = {e: belief_operator(model, a, p, e) for e in all_events}
-        for e in all_events:
-            if b[b[e]] != b[e]:
-                return False
-        for e in all_events:
-            for f in all_events:
-                if e <= f and not b[e] <= b[f]:
+    events = _events(model)
+    kernel = _BeliefKernel(model, p)
+    for j in range(len(model.agents)):
+        b = [kernel.belief(j, e) for e in events]
+        if any(b[b[e]] != b[e] for e in events):
+            return False
+        for e in events:
+            for f in events:
+                if not e & ~f and b[e] & ~b[f]:
                     return False
     return True

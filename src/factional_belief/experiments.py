@@ -23,11 +23,17 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import bounds as bounds_mod
-from .algorithms import algorithm1_auto, equilibria_map, revolting_contexts
+from .algorithms import algorithm1_auto, equilibria_map, revolting_rule
 from .errors import SpaceTooLargeError, ValidationError
 from .fileio import format_decimal, format_rational
 from .model import ConcreteGraph, Prior
-from .netgen import FAMILIES, GenSpec, derive_seed, generate_sequence
+from .netgen import (
+    FAMILIES,
+    GenSpec,
+    check_vertex_count,
+    derive_seed,
+    generate_sequence,
+)
 
 SWEEP_COLUMNS = (
     "param",
@@ -43,6 +49,7 @@ SWEEP_COLUMNS = (
 )
 
 GRID_POINT_GUARD = 100_000  # points one sweep or promise-map grid may hold
+TRIAL_GUARD = 100_000  # trials one sweep point or validate run may take
 
 MAP_COLUMNS = ("mu_star", "mu_star_decimal", "outcome")
 
@@ -72,10 +79,17 @@ class SweepConfig:
             raise ValidationError("axis must be 'param' or 'p'")
         if not self.values:
             raise ValidationError("sweep range is empty")
-        if self.trials < 1:
-            raise ValidationError("trials must be at least 1")
+        check_vertex_count(self.n)
+        _check_trials(self.trials)
         if self.axis == "p" and self.fixed_param is None:
             raise ValidationError("a p sweep needs the family parameter fixed")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
+    if trials > TRIAL_GUARD:
+        raise SpaceTooLargeError(f"trials limited to {TRIAL_GUARD}, not {trials}")
 
 
 def grid(start, stop, step) -> tuple[Fraction, ...]:
@@ -224,25 +238,25 @@ def run_validate(
     expectations and the dependent-Chernoff envelope.
 
     The expected candidate fraction is the fixpoint's size less the alpha
-    mass. A chi vertex of degree d with a alpha and c chi neighbors is a
+    mass. When every state survives, every chi vertex is a candidate;
+    otherwise a chi vertex of degree d with a alpha and c chi neighbors is a
     candidate iff its key (d*M + a)*M + c, M = max degree + 1, is a
     revolting context's.
 
     The envelope is the deviation at which the union bound over all trials
     of the two-sided tail reaches `level`: sqrt(chi* n ln(2 trials / level) / 2).
     """
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    _check_trials(trials)
     degseq = graph.degree_sequence()
     n = graph.n
-    sizes, contexts = revolting_contexts(degseq, prior)
+    sizes, contexts = revolting_rule(degseq, prior)
     dist = prior.state(state).types
     exp_candidate = sizes[state] - dist.alpha
 
     m = max(degseq) + 1
     if m**3 >= 2**63:  # the largest key, M^3 - 1, must fit in an int64
         raise SpaceTooLargeError(f"validate needs max degree < {2**21 - 1}, not {m - 1}")
-    cand_keys = np.array(
+    cand_keys = None if contexts is None else np.array(
         [(c.degree * m + c.alpha_neighbors) * m + c.chi_neighbors for c in contexts],
         np.int64,
     )
@@ -260,12 +274,15 @@ def run_validate(
     cand_sum = 0
     for t in range(trials):
         codes = sample_type_assignment(prior, state, n, derive_seed(seed, t))
-        tail_codes = codes[tails]
-        alpha_nbrs = np.bincount(heads[tail_codes == 0], minlength=n)
-        chi_nbrs = np.bincount(heads[tail_codes == 1], minlength=n)
         chi = codes == 1
-        keys = (deg[chi] * m + alpha_nbrs[chi]) * m + chi_nbrs[chi]
-        n_cand = int(np.count_nonzero(np.isin(keys, cand_keys)))
+        if cand_keys is None:
+            n_cand = int(np.count_nonzero(chi))
+        else:
+            tail_codes = codes[tails]
+            alpha_nbrs = np.bincount(heads[tail_codes == 0], minlength=n)
+            chi_nbrs = np.bincount(heads[tail_codes == 1], minlength=n)
+            keys = (deg[chi] * m + alpha_nbrs[chi]) * m + chi_nbrs[chi]
+            n_cand = int(np.count_nonzero(np.isin(keys, cand_keys)))
         dev = abs(n_cand - float(exp_candidate) * n)
         max_dev = max(max_dev, dev)
         cand_sum += n_cand

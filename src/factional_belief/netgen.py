@@ -15,11 +15,17 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GenerationError, NotGraphicalError, ValidationError
+from .errors import (
+    GenerationError,
+    NotGraphicalError,
+    SpaceTooLargeError,
+    ValidationError,
+)
 from .model import ConcreteGraph, DegreeSequence, validate_degree_sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+VERTEX_GUARD = 1_000_000  # vertices one generated sequence, graph or torus may have
 
 
 def splitmix64(x: int) -> int:
@@ -224,17 +230,24 @@ def realize_graph(degseq: DegreeSequence, seed: int) -> ConcreteGraph:
     return ConcreteGraph(n, edges)
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise SpaceTooLargeError past VERTEX_GUARD vertices."""
+    if n > VERTEX_GUARD:
+        raise SpaceTooLargeError(f"graphs limited to {VERTEX_GUARD} vertices, not {n}")
+
+
 def torus_grid(rows: int, cols: int) -> ConcreteGraph:
     """4-regular wrap-around grid; needs both dimensions >= 3 so the wrap
     edges stay simple."""
     if rows < 3 or cols < 3:
         raise ValidationError("torus dimensions must both be at least 3")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            edges.append((v, r * cols + (c + 1) % cols))
-            edges.append((v, ((r + 1) % rows) * cols + c))
+    check_vertex_count(rows * cols)
+    edges = (
+        (r * cols + c, w)
+        for r in range(rows)
+        for c in range(cols)
+        for w in (r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c)
+    )
     return ConcreteGraph(rows * cols, edges)
 
 
@@ -258,6 +271,7 @@ class GenSpec:
             )
         if self.n < 1:
             raise ValidationError("n must be at least 1")
+        check_vertex_count(self.n)
         if not 0 <= self.seed <= _MASK64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
 

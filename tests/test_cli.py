@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from factional_belief import algorithms, cli
+from factional_belief import algorithms, cli, experiments, netgen
 from factional_belief.cli import HANDLERS, build_parser, main
 from factional_belief.fileio import dump_edge_list
 from factional_belief.model import ConcreteGraph
@@ -162,6 +162,56 @@ def test_table_row_guard_exits_2(doc, task, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "501501" in captured.err and not captured.out
+
+
+def test_validate_all_survive_builds_no_table(tmp_path, monkeypatch, capsys):
+    # Every state survives, so every chi vertex is a candidate and no degree
+    # table is built; a star's leaves and degree-1000 hub still trip the row
+    # guard, at 3 + 501,501 rows.
+    def built(*_args):
+        raise AssertionError("built a degree table")
+
+    monkeypatch.setattr(algorithms, "_degree_table", built)
+    prior = tmp_path / "both.json"
+    prior.write_text(json.dumps(BOTH_SURVIVE_PRIOR))
+    path = tmp_path / "path.txt"
+    dump_edge_list(ConcreteGraph(4, [(0, 1), (1, 2), (2, 3)]), path)
+    star = tmp_path / "star.txt"
+    dump_edge_list(ConcreteGraph(1001, [(0, v) for v in range(1, 1001)]), star)
+    argv = ["validate", "--prior", str(prior), "--trials", "2", "--graph"]
+    assert main([*argv, str(path)]) == 0
+    capsys.readouterr()
+    assert main([*argv, str(star)]) == 2
+    captured = capsys.readouterr()
+    assert "501504" in captured.err and not captured.out
+
+
+VERTICES, TRIALS = netgen.VERTEX_GUARD + 1, experiments.TRIAL_GUARD + 1
+
+
+@pytest.mark.parametrize("argv, count, expensive", [
+    (f"gen --family constant --n {VERTICES} --param 2", VERTICES, "cli.generate_sequence"),
+    (f"gen --family ba --n {VERTICES} --param 2 --kind graph", VERTICES,
+     "cli.generate_graph"),
+    (f"sweep --prior {{prior}} --family ba --n {VERTICES} --start 1 --stop 2 --step 1",
+     VERTICES, "cli.run_sweep"),
+    (f"sweep --prior {{prior}} --family ba --trials {TRIALS} --start 1 --stop 2 --step 1",
+     TRIALS, "cli.run_sweep"),
+    (f"validate --prior {{prior}} --family ba --n {VERTICES} --param 2", VERTICES,
+     "cli.generate_graph"),
+    ("validate --prior {prior} --torus 1001 1000", 1001000, "netgen.ConcreteGraph"),
+    (f"validate --prior {{prior}} --torus 3 3 --trials {TRIALS}", TRIALS,
+     "experiments.revolting_rule"),
+])
+def test_size_guards_exit_2(argv, count, expensive, prior_file, monkeypatch, capsys):
+    # Refused before the sequence, graph, edges or trials are made.
+    def made(*_args):
+        raise AssertionError("made past the guard")
+
+    monkeypatch.setattr(f"factional_belief.{expensive}", made)
+    assert main(shlex.split(argv.format(prior=prior_file))) == 2
+    captured = capsys.readouterr()
+    assert str(count) in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("task", [

@@ -93,7 +93,7 @@ class TestCommonBeliefFixpoint:
         def enumerated(*_args):
             raise AssertionError("enumerated past the guard")
 
-        monkeypatch.setattr(epistemic, "belief_operator", enumerated)
+        monkeypatch.setattr(epistemic._BeliefKernel, "belief", enumerated)
         monkeypatch.setattr(epistemic, "_witness_chain", enumerated)
         model = EpistemicModel.make(
             {i: F(1, 2) for i in range(2)}, {f"a{j}": [[0], [1]] for j in range(20)}
@@ -192,6 +192,25 @@ def test_mu_outside_unit_interval_rejected(query, mu):
     model, p, _mu = random_epistemic_model(1)
     with pytest.raises(ValidationError, match=r"mu must lie in \[0, 1\]"):
         query(model, p, mu, model.space.outcomes[:1])
+
+
+P_QUERIES = dict(
+    MU_QUERIES,
+    fixpoint=lambda m, p, mu, f: common_belief_fixpoint(m, p, mu, f),
+    evident=lambda m, p, mu, f: is_evident_belief(m, p, mu, f),
+    belief_operator=lambda m, p, mu, f: belief_operator(m, m.agents[0], p, f),
+    operator_laws=lambda m, p, mu, f: check_operator_laws(m, p),
+)
+
+
+@pytest.mark.parametrize("p", [F(3), F(-1, 2)])
+@pytest.mark.parametrize("query", P_QUERIES.values(), ids=P_QUERIES.keys())
+def test_p_outside_unit_interval_rejected_at_mu_zero(query, p):
+    # At mu = 0 the fixpoint used to return the whole space without reading
+    # p, while the search rejected it.
+    model = EpistemicModel.make({0: F(1, 2), 1: F(1, 2)}, {"a": [[0], [1]]})
+    with pytest.raises(ValidationError, match=r"p must lie in \[0, 1\]"):
+        query(model, p, F(0), {0})
 
 
 class TestBattery:

@@ -8,6 +8,7 @@ import pytest
 from factional_belief import ConcreteGraph, torus_grid, two_state_prior, TypeDistribution
 from factional_belief import experiments
 from factional_belief.errors import SpaceTooLargeError, ValidationError
+from factional_belief.netgen import VERTEX_GUARD
 from factional_belief.experiments import (
     SweepConfig,
     grid,
@@ -46,6 +47,28 @@ class TestGrid:
         assert grid(start, stop, step) == tuple(points)
         with pytest.raises(ValidationError, match="empty grid"):
             grid(stop, start, step)
+
+
+class TestSizeGuards:
+    def test_sweep_config(self, motivating_prior):
+        cfg = dict(family="ba", axis="param", values=(F(2),), prior=motivating_prior)
+        SweepConfig(n=VERTEX_GUARD, trials=experiments.TRIAL_GUARD, **cfg)
+        with pytest.raises(SpaceTooLargeError, match=str(VERTEX_GUARD + 1)):
+            SweepConfig(n=VERTEX_GUARD + 1, **cfg)
+        with pytest.raises(SpaceTooLargeError, match=str(experiments.TRIAL_GUARD + 1)):
+            SweepConfig(n=10, trials=experiments.TRIAL_GUARD + 1, **cfg)
+
+    def test_validate_trials(self, motivating_prior, monkeypatch):
+        # Refused before the contexts are computed or any trial is drawn.
+        def computed(*_args):
+            raise LookupError("computed")
+
+        monkeypatch.setattr(experiments, "revolting_rule", computed)
+        graph = torus_grid(3, 3)
+        with pytest.raises(LookupError):
+            run_validate(graph, motivating_prior, "A", experiments.TRIAL_GUARD, 0)
+        with pytest.raises(SpaceTooLargeError, match=str(experiments.TRIAL_GUARD + 1)):
+            run_validate(graph, motivating_prior, "A", experiments.TRIAL_GUARD + 1, 0)
 
 
 class TestSweep:
@@ -196,12 +219,12 @@ class TestValidate:
 
     def test_context_key_guard(self, monkeypatch):
         # Keys (d*M + a)*M + c stay below 2^63 iff M = max degree + 1 < 2^21.
-        # A one-vertex stand-in for a graph with such a hub; revolting_contexts
+        # A one-vertex stand-in for a graph with such a hub; revolting_rule
         # and the sampling are patched to keep the test cheap.
         def sampled(*_args):
             raise LookupError("sampled")
 
-        monkeypatch.setattr(experiments, "revolting_contexts", lambda *_a: ({"A": F(1)}, []))
+        monkeypatch.setattr(experiments, "revolting_rule", lambda *_a: ({"A": F(1)}, []))
         monkeypatch.setattr(experiments, "sample_type_assignment", sampled)
         dist = TypeDistribution(F(0), F(1), F(0))
         prior = two_state_prior(F(1, 2), F(1, 2), dist, dist)

@@ -17,8 +17,14 @@ from factional_belief import (
     realize_graph,
     torus_grid,
 )
-from factional_belief.errors import NotGraphicalError, ValidationError
-from factional_belief.netgen import generate_graph, generate_sequence, splitmix64
+from factional_belief import netgen
+from factional_belief.errors import NotGraphicalError, SpaceTooLargeError, ValidationError
+from factional_belief.netgen import (
+    VERTEX_GUARD,
+    generate_graph,
+    generate_sequence,
+    splitmix64,
+)
 
 
 class TestSeeding:
@@ -181,11 +187,29 @@ class TestTorus:
         with pytest.raises(ValidationError):
             torus_grid(2, 5)
 
+    def test_vertex_guard(self, monkeypatch):
+        # Refused before any edge is made; at the bound the (stubbed) graph
+        # is built.
+        def built(n, _edges):
+            raise LookupError(n)
+
+        monkeypatch.setattr(netgen, "ConcreteGraph", built)
+        rows = VERTEX_GUARD // 4
+        with pytest.raises(LookupError):
+            torus_grid(rows, 4)
+        with pytest.raises(SpaceTooLargeError, match=str(4 * rows + 4)):
+            torus_grid(rows + 1, 4)
+
 
 class TestGenSpec:
     def test_family_checked(self):
         with pytest.raises(ValidationError):
             GenSpec("ring", 10, 1)
+
+    def test_vertex_guard(self):
+        assert GenSpec("ba", VERTEX_GUARD, 2).n == VERTEX_GUARD
+        with pytest.raises(SpaceTooLargeError, match=str(VERTEX_GUARD + 1)):
+            GenSpec("ba", VERTEX_GUARD + 1, 2)
 
     def test_sequence_dispatch_deterministic(self):
         spec = GenSpec("er", 200, F(1, 50), 77)

@@ -2,12 +2,14 @@
 entry point shares (random two-state priors on an eighths grid and short
 random degree sequences), for the integer degree-table kernel against
 Bayes' rule in plain Fractions, for the concrete-graph oracle against a
-brute force over every type assignment, and for the validator's array
-counts against a per-vertex count."""
+brute force over every type assignment, for the validator's array
+counts against a per-vertex count, and for the epistemic belief kernel
+against the plain-Fraction belief operator and (J1, J2) loop."""
 
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import ceil
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from factional_belief import (
     AgentType,
     ConcreteGraph,
+    EpistemicModel,
     Prior,
     RevoltInstance,
     StatePrior,
@@ -23,6 +26,7 @@ from factional_belief import (
     algorithm1_general,
     algorithm1_multistate,
     candidate_contexts,
+    common_belief_fixpoint,
     context_likelihood,
     enumerate_contexts,
     expected_context_fraction,
@@ -33,6 +37,7 @@ from factional_belief import (
     threshold_probabilities,
     two_state_prior,
 )
+from factional_belief import epistemic
 from factional_belief.algorithms import (
     _candidate_mass,
     high_degree_cutoff,
@@ -354,3 +359,94 @@ def test_validate_counts_match_per_vertex_count(graph, prior, state, seed):
     assert F(report["expected_candidate_fraction"]) == expected_context_fraction(
         state, contexts, prior, degseq
     )
+
+
+@st.composite
+def epistemic_instances(draw):
+    """A model with up to 6 int- or string-labelled outcomes and up to 3
+    agents, an event f (possibly empty), mu on the eighths (0 and 1
+    included), and p in {0, 1}, on the eighths, or exactly some cell's
+    conditional probability of some event (a tie)."""
+    m = draw(st.integers(1, 6))
+    labels = draw(st.one_of(
+        st.lists(st.integers(-9, 99), min_size=m, max_size=m, unique=True),
+        st.lists(st.text("ab1 ", max_size=3), min_size=m, max_size=m, unique=True),
+    ))
+    weights = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
+    prob = {o: F(w, sum(weights)) for o, w in zip(labels, weights)}
+    partitions = {}
+    for a in range(draw(st.integers(1, 3))):
+        cell_of = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        partitions[f"a{a}"] = [
+            [o for o, c in zip(labels, cell_of) if c == k] for k in set(cell_of)
+        ]
+    model = EpistemicModel.make(prob, partitions)
+    subsets = st.lists(st.booleans(), min_size=m, max_size=m).map(
+        lambda keep: frozenset(o for o, k in zip(labels, keep) if k)
+    )
+    f = draw(subsets)
+    kind = draw(st.sampled_from(["tie", "eighth", "one", "zero"]))
+    if kind == "tie":
+        largest = max(model.partitions[0].cells, key=len)
+        cell = [o for o in labels if o in largest]
+        k = draw(st.integers(1, max(1, len(cell) - 1)))
+        p = sum(prob[o] for o in cell[:k]) / sum(prob[o] for o in cell)
+    elif kind == "eighth":
+        p = F(draw(st.integers(0, 8)), 8)
+    else:
+        p = F(kind == "one")
+    mu = F(draw(st.sampled_from([4, 8, 0, 1, 2, 3, 5, 6, 7])), 8)
+    return model, p, mu, f
+
+
+def fraction_belief(model, agent, p, event):
+    """B_agent(event) in plain Fractions over frozensets."""
+    prob = dict(zip(model.space.outcomes, model.space.probs))
+    believed = set()
+    for cell in model.partitions[model.agents.index(agent)].cells:
+        inside = sum((prob[o] for o in event & cell), F(0))
+        if inside >= p * sum((prob[o] for o in cell), F(0)):
+            believed |= cell
+    return frozenset(believed)
+
+
+def pairwise_fixpoint(model, p, mu, f):
+    """The common-belief event by the plain loop over every (J1, J2) pair
+    of witness sets, one witness chain per pair."""
+    universe = frozenset(model.space.outcomes)
+    need = ceil(mu * len(model.agents))
+    if need == 0:
+        return universe
+    result = set()
+    for j2 in combinations(model.agents, need):
+        anchor = universe
+        for j in j2:
+            anchor &= fraction_belief(model, j, p, f)
+        if not anchor:
+            continue
+        for j1 in combinations(model.agents, need):
+            current = anchor
+            while True:
+                nxt = anchor
+                for j in j1:
+                    nxt &= fraction_belief(model, j, p, current)
+                if nxt == current:
+                    break
+                current = nxt
+            result |= current
+    return frozenset(result)
+
+
+@SETTINGS
+@given(epistemic_instances())
+def test_belief_kernel_matches_fraction_reference(instance):
+    model, p, mu, f = instance
+    kernel = epistemic._BeliefKernel(model, p)
+    outcomes = model.space.outcomes
+    for bits in range(1 << len(outcomes)):
+        e = frozenset(o for i, o in enumerate(outcomes) if bits >> i & 1)
+        assert kernel.mask(e) == bits
+        for j, agent in enumerate(model.agents):
+            got = kernel.event(kernel.belief(j, bits))
+            assert got == fraction_belief(model, agent, p, e), (agent, e)
+    assert common_belief_fixpoint(model, p, mu, f) == pairwise_fixpoint(model, p, mu, f)
