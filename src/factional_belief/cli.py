@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -213,6 +214,24 @@ def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
         else:
             extra.extend([flag, str(value)])
     return argv[:1] + extra + argv[1:], path
+
+
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+
+
+def _join_negative_fractions(argv: list[str]) -> list[str]:
+    """Glue a word like -1/2 to the flag before it (--mu -1/2 becomes
+    --mu=-1/2): argparse takes -1 and -0.5 as values but reads -1/2 as an
+    option, so the value would never reach the option's own range check."""
+    out: list[str] = []
+    for word in argv:
+        flag = out[-1] if out else ""
+        bare_flag = flag.startswith("--") and "=" not in flag
+        if bare_flag and _NEGATIVE_FRACTION.fullmatch(word):
+            out[-1] = f"{flag}={word}"
+        else:
+            out.append(word)
+    return out
 
 
 def _reject_unread(args, owner: str, chosen: str, *dests: str) -> None:
@@ -560,7 +579,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv, config = _apply_config(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_fractions(argv))
         # The pre-scan matches --config only in full; an abbreviation would
         # otherwise be accepted and its file silently ignored.
         if args.config != config:

@@ -110,12 +110,28 @@ def dump_prior(prior: Prior, path: PathLike) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _labels(items) -> list[str]:
+    """Outcome labels as strings, spelled as JSON spells an object key (the
+    `prob` keys are always strings, so an int outcome 1 is the key "1")."""
+    labels = [o if isinstance(o, str) else json.dumps(o) for o in items]
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise ParseError(
+                f"outcome label {label!r} appears twice when read as a string"
+            )
+        seen.add(label)
+    return labels
+
+
 def epistemic_model_from_dict(doc: Mapping) -> EpistemicModel:
+    """Read a model document; every outcome label, in `outcomes` and in the
+    partitions, is read as a string."""
     try:
-        outcomes = list(doc["outcomes"])
+        outcomes = _labels(doc["outcomes"])
         prob = {o: parse_rational(doc["prob"][o]) for o in outcomes}
         partitions = {
-            agent: [list(cell) for cell in cells]
+            agent: [_labels(cell) for cell in cells]
             for agent, cells in doc["partitions"].items()
         }
     except KeyError as exc:

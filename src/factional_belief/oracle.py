@@ -16,10 +16,14 @@ denominator.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import ceil, lcm
+
+import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .model import (
@@ -95,24 +99,106 @@ class StrategyProfile:
         return cell in self.cells
 
 
+TYPES = tuple(AgentType)  # type code -> type: alpha 0, chi 1, nu 2
+CHI_CODE = TYPES.index(AgentType.CHI)
+
+
+def _weigh(keys, classes, counts, weights, out) -> None:
+    """out[key] += count * weights[class] for each nonzero (key, class)
+    count: the one place where int64 counts meet big-int class weights."""
+    for key, k, m in zip(keys.tolist(), classes.tolist(), counts.tolist()):
+        out[key] += m * weights[k]
+
+
+class _Support:
+    """Every assignment over one support (a tuple of type codes), as an
+    int8 array enumerated once, reduced to what a profile needs: each row's
+    alpha count and class index (class = (#alpha, #chi), the only thing a
+    row's weight depends on), and one entry per chi vertex of a row with its
+    cell id and its (cell, class) pair index."""
+
+    def __init__(self, codes, n, nbr_table, pow_table, offsets):
+        k = len(codes)
+        self.rows = rows = k**n
+        # Column n is what the neighbor table's padding slots read; their
+        # power is 0, so its value never counts.
+        types = np.zeros((rows, n + 1), np.int8)
+        row = np.arange(rows, dtype=np.int64)
+        code_of = np.asarray(codes, np.int8)
+        for v in range(n):
+            types[:, v] = code_of[row // k ** (n - 1 - v) % k]
+        alpha = np.count_nonzero(types[:, :n] == 0, axis=1)
+        chi = types[:, :n] == CHI_CODE
+        class_keys, self.cls = np.unique(
+            alpha * (n + 1) + np.count_nonzero(chi, axis=1), return_inverse=True
+        )
+        self.alpha = alpha.astype(np.int64)
+        self.classes = [divmod(int(key), n + 1) for key in class_keys]
+        n_cls = len(self.classes)
+
+        self.e_row, e_v = np.nonzero(chi)
+        self.e_id = offsets[e_v]
+        for i in range(nbr_table.shape[1]):
+            digit = types[self.e_row, nbr_table[e_v, i]]
+            self.e_id = self.e_id + digit * pow_table[e_v, i]
+        pair_keys, self.e_pair, self.pair_counts = np.unique(
+            self.e_id * n_cls + self.cls[self.e_row],
+            return_inverse=True,
+            return_counts=True,
+        )
+        self.pair_cell, self.pair_cls = np.divmod(pair_keys, n_cls)
+        self.n_cls = n_cls
+        self.weights = [0] * n_cls  # per class, summed over the states here
+
+    def revolt_counts(self, revolting: np.ndarray) -> np.ndarray:
+        """Realized revolt count of every row under the profile."""
+        chi = np.bincount(self.e_row, weights=revolting[self.e_id], minlength=self.rows)
+        return self.alpha + chi.astype(np.int64)
+
+    def add_threshold_weights(self, revolting: np.ndarray, need: int, out) -> None:
+        """Add, per chi cell, the weight of the rows in which the cell,
+        forced to revolt with everyone else on the profile, brings the
+        revolt count to `need`. A count already there reaches it for every
+        chi cell; a count one short, only for the cells that are not
+        revolting."""
+        count = self.revolt_counts(revolting)[self.e_row]
+        take = (count >= need) | ((count == need - 1) & ~revolting[self.e_id])
+        hits = np.bincount(self.e_pair[take], minlength=len(self.pair_cell))
+        nz = np.flatnonzero(hits)
+        _weigh(self.pair_cell[nz], self.pair_cls[nz], hits[nz], self.weights, out)
+
+    def count_classes(self, revolting: np.ndarray):
+        """(revolt count, class, number of rows) for every pair that occurs."""
+        keys, rows = np.unique(
+            self.revolt_counts(revolting) * self.n_cls + self.cls, return_counts=True
+        )
+        counts, classes = np.divmod(keys, self.n_cls)
+        return counts, classes, rows
+
+
 class _Enumeration:
     """Every positive-probability type assignment of one (graph, prior)
-    pair. Weights are integers over a per-state common denominator: an
-    assignment in state s has probability state_scale[s] * weight. Each
-    entry keeps the assignment's alpha count and its chi cells, which is all
-    a profile needs to fix the realized revolt count."""
+    pair, on arrays. Types are coded alpha 0, chi 1, nu 2; the chi cell of
+    vertex v is the integer offset[v] + the base-3 code of its neighbors'
+    types (first neighbor most significant), with offset[v] the sum of
+    3^deg(u) over u < v, and a profile is a bool array over cell ids. States
+    with the same support share one `_Support`. All weights are integers
+    over the common denominator `den`: a row of class (a, c) in state s
+    weighs `state_weight(s, a, c)`."""
 
     def __init__(self, graph: ConcreteGraph, prior: Prior, budget: OracleBudget):
         n = graph.n
-        cell_cost = sum(3 ** (graph.degree(v) + 1) for v in range(n))
+        degrees = graph.degree_sequence()
+        cell_cost = sum(3 ** (d + 1) for d in degrees)
         if cell_cost > budget.max_cell_cost:
             raise BudgetExceededError(
                 f"decision-cell cost {cell_cost} exceeds budget "
                 f"{budget.max_cell_cost}"
             )
-        supports = []
-        for s in prior.states:
-            supports.append(tuple(t for t in AgentType if s.types.prob(t) > 0))
+        supports = [
+            tuple(code for code, t in enumerate(TYPES) if s.types.prob(t) > 0)
+            for s in prior.states
+        ]
         total_assignments = sum(len(sup) ** n for sup in supports)
         if total_assignments > budget.max_assignments:
             raise BudgetExceededError(
@@ -122,102 +208,145 @@ class _Enumeration:
 
         self.prior = prior
         self.n = n
-        self.state_labels = prior.labels
-        # entries: (state index, weight int, alpha count, chi cell tuple)
-        self.entries = []
-        self.state_scale: list[Fraction] = []  # prob_s / den_s^n
-        neighbor_lists = [graph.neighbors(v) for v in range(n)]
-        for si, s in enumerate(prior.states):
+        self.need = ceil(prior.mu * n)
+        self.neighbors = [graph.neighbors(v) for v in range(n)]
+        self.offsets = [0]
+        for d in degrees:
+            self.offsets.append(self.offsets[-1] + 3**d)
+        self.n_ids = self.offsets[-1]
+
+        # Per state: the type numerators over the state's own denominator,
+        # and the factor that brings prob_s / den_s^n to the common `den`.
+        self._nums = []
+        scales = []
+        for s in prior.states:
             dist = s.types
-            den = lcm(*(dist.prob(t).denominator for t in AgentType))
-            nums = {t: int(dist.prob(t) * den) for t in AgentType}
-            self.state_scale.append(s.prob / Fraction(den**n))
-            for types in product(supports[si], repeat=n):
-                w = 1
-                for t in types:
-                    w *= nums[t]
-                if w == 0:
-                    continue
-                alpha_count = sum(1 for t in types if t is AgentType.ALPHA)
-                chis = tuple(
-                    (v, AgentType.CHI, tuple(types[u] for u in neighbor_lists[v]))
-                    for v in range(n)
-                    if types[v] is AgentType.CHI
-                )
-                self.entries.append((si, w, alpha_count, chis))
+            den_s = lcm(*(dist.prob(t).denominator for t in TYPES))
+            self._nums.append([int(dist.prob(t) * den_s) for t in TYPES])
+            scales.append(s.prob / den_s**n)
+        self.den = lcm(*(f.denominator for f in scales))
+        self._scales = [int(f * self.den) for f in scales]
 
-        # Per-cell occurrence weight by state (profile-independent).
-        totals: dict[Cell, list[int]] = {}
-        for si, w, _ac, chis in self.entries:
-            for cell in chis:
-                totals.setdefault(cell, [0] * len(prior.states))[si] += w
-        self.cell_mass = {cell: self._mass(ws) for cell, ws in totals.items()}
-        self.possible_chi_cells = frozenset(totals)
+        width = max(degrees, default=0)
+        nbr_table = np.full((n, width), n, np.int64)
+        pow_table = np.zeros((n, width), np.int64)
+        for v, nbrs in enumerate(self.neighbors):
+            d = len(nbrs)
+            nbr_table[v, :d] = nbrs
+            pow_table[v, :d] = [3 ** (d - 1 - i) for i in range(d)]
+        offsets = np.asarray(self.offsets[:-1], np.int64)
 
-    def _mass(self, weights: list[int]) -> Fraction:
-        """Probability of a per-state list of integer weights."""
-        return sum((s * w for s, w in zip(self.state_scale, weights)), ZERO)
+        self.supports: list[_Support] = []
+        self.state_support: list[_Support] = []
+        built: dict[tuple, _Support] = {}
+        for si, codes in enumerate(supports):
+            if codes not in built:
+                built[codes] = _Support(codes, n, nbr_table, pow_table, offsets)
+                self.supports.append(built[codes])
+            sup = built[codes]
+            for k, (a, c) in enumerate(sup.classes):
+                sup.weights[k] += self.state_weight(si, a, c)
+            self.state_support.append(sup)
 
-    def _counts(self, revolting: frozenset):
-        """(state index, weight, chi cells, realized revolt count) of every
-        assignment under the profile."""
-        for si, w, alpha_count, chis in self.entries:
-            yield si, w, chis, alpha_count + sum(1 for c in chis if c in revolting)
+        # Per-cell occurrence weight (profile-independent).
+        self.cell_mass = [0] * self.n_ids
+        possible = np.zeros(self.n_ids, bool)
+        for sup in self.supports:
+            _weigh(
+                sup.pair_cell, sup.pair_cls, sup.pair_counts, sup.weights, self.cell_mass
+            )
+            possible[sup.pair_cell] = True
+        self.possible = possible
+        self.possible_ids = np.flatnonzero(possible).tolist()
+        self._cells: dict[int, Cell] = {}
 
-    def _threshold_weights(self, revolting: frozenset) -> dict[Cell, list[int]]:
-        """Per chi cell and state, the weight of the assignments in which the
-        cell, forced to revolt with everyone else on the profile, brings the
-        revolt count to mu*n. A count already there reaches it for every chi
-        cell; a count one short, only for the cells that are not revolting."""
-        need = ceil(self.prior.mu * self.n)
-        weights = {cell: [0] * len(self.state_scale) for cell in self.cell_mass}
-        for si, w, chis, count in self._counts(revolting):
-            if count == need - 1:
-                chis = [c for c in chis if c not in revolting]
-            elif count < need:
-                continue
-            for cell in chis:
-                weights[cell][si] += w
+    def state_weight(self, si: int, a: int, c: int) -> int:
+        """Weight over `den` of one assignment with a alpha and c chi agents
+        in state si."""
+        na, nc, nn = self._nums[si]
+        return self._scales[si] * na**a * nc**c * nn ** (self.n - a - c)
+
+    def threshold_weights(self, revolting: np.ndarray) -> list[int]:
+        """Per cell id, the weight of the assignments in which the cell,
+        forced to revolt with everyone else on the profile, reaches mu*n."""
+        weights = [0] * self.n_ids
+        for sup in self.supports:
+            sup.add_threshold_weights(revolting, self.need, weights)
         return weights
 
-    def best_response(self, revolting: frozenset) -> frozenset:
+    def best_response(self, revolting: np.ndarray) -> np.ndarray:
         """One monotone step: the chi cells whose forced-revolt threshold
         probability reaches p under the given profile."""
         p = self.prior.p
-        return frozenset(
-            cell
-            for cell, ws in self._threshold_weights(revolting).items()
-            if self._mass(ws) >= p * self.cell_mass[cell]
-        )
+        thr, mass = self.threshold_weights(revolting), self.cell_mass
+        out = np.zeros(self.n_ids, bool)
+        out[[
+            i for i in self.possible_ids
+            if p.denominator * thr[i] >= p.numerator * mass[i]
+        ]] = True
+        return out
 
-    def revolt_size_distribution(self, revolting: frozenset) -> dict[int, Fraction]:
+    def revolt_size_distribution(self, revolting: np.ndarray) -> dict[int, Fraction]:
         """Ex ante distribution of the realized revolt count under the
         profile (summed over states and assignments)."""
-        weights: dict[int, list[int]] = {}
-        for si, w, _chis, count in self._counts(revolting):
-            weights.setdefault(count, [0] * len(self.state_scale))[si] += w
-        return {count: self._mass(ws) for count, ws in weights.items()}
+        weights: dict[int, int] = defaultdict(int)
+        for sup in self.supports:
+            counts, classes, rows = sup.count_classes(revolting)
+            _weigh(counts, classes, rows, sup.weights, weights)
+        return {count: Fraction(w, self.den) for count, w in weights.items()}
 
-    def expected_fraction(self, revolting: frozenset, state: str) -> Fraction:
-        si_want = self.state_labels.index(state)
-        total = sum(
-            w * count for si, w, _chis, count in self._counts(revolting) if si == si_want
-        )
-        # state_scale / prob_s is 1 / den_s^n, the weights' denominator.
-        scale = self.state_scale[si_want] / self.prior.states[si_want].prob
-        return scale * total / self.n
+    def expected_fraction(self, revolting: np.ndarray, state: str) -> Fraction:
+        si = self.prior.labels.index(state)
+        counts, classes, rows = self.state_support[si].count_classes(revolting)
+        class_of = self.state_support[si].classes
+        total = 0
+        for count, k, m in zip(counts.tolist(), classes.tolist(), rows.tolist()):
+            total += m * count * self.state_weight(si, *class_of[k])
+        return Fraction(total, self.den) / self.prior.states[si].prob / self.n
+
+    def profile_mask(self, cells) -> np.ndarray:
+        """A profile's cells as a bool array over cell ids; anything that is
+        not a chi cell of this graph matches no assignment and is dropped."""
+        mask = np.zeros(self.n_ids, bool)
+        for v, own, ntypes in cells:
+            if own is not AgentType.CHI or not 0 <= v < self.n:
+                continue
+            if len(ntypes) == len(self.neighbors[v]):
+                code = 0
+                for t in ntypes:
+                    code = 3 * code + TYPES.index(t)
+                mask[self.offsets[v] + code] = True
+        return mask
+
+    def cell(self, i: int) -> Cell:
+        """The `Cell` tuple of a cell id."""
+        if i not in self._cells:
+            v = bisect_right(self.offsets, i) - 1
+            code, digits = i - self.offsets[v], []
+            for _ in self.neighbors[v]:
+                code, t = divmod(code, 3)
+                digits.append(TYPES[t])
+            self._cells[i] = (v, AgentType.CHI, tuple(reversed(digits)))
+        return self._cells[i]
+
+    def cells(self, mask: np.ndarray) -> frozenset:
+        return frozenset(self.cell(i) for i in np.flatnonzero(mask).tolist())
 
 
-def _iterate(enum: _Enumeration, start: frozenset) -> StrategyProfile:
+def _iterate(enum: _Enumeration, start: np.ndarray) -> list[np.ndarray]:
+    """The best-response trace from `start` to its fixpoint (the last two
+    entries are equal)."""
     trace = [start]
-    current = start
-    for _ in range(len(enum.possible_chi_cells) + 2):
-        nxt = enum.best_response(current)
-        trace.append(nxt)
-        if nxt == current:
-            return StrategyProfile(cells=current, trace=tuple(trace))
-        current = nxt
+    for _ in range(len(enum.possible_ids) + 2):
+        trace.append(enum.best_response(trace[-1]))
+        if np.array_equal(trace[-1], trace[-2]):
+            return trace
     raise AssertionError("threshold best-response iteration failed to converge")
+
+
+def _profile(enum: _Enumeration, start: np.ndarray) -> StrategyProfile:
+    trace = tuple(enum.cells(mask) for mask in _iterate(enum, start))
+    return StrategyProfile(cells=trace[-1], trace=trace)
 
 
 def greatest_equilibrium(
@@ -227,7 +356,7 @@ def greatest_equilibrium(
     possible chi cell revolting and remove chi cells whose exact conditional
     revolt probability falls below p, until stable."""
     enum = _Enumeration(graph, prior, budget)
-    return _iterate(enum, enum.possible_chi_cells)
+    return _profile(enum, enum.possible)
 
 
 def least_equilibrium(
@@ -236,7 +365,7 @@ def least_equilibrium(
     """Least fixpoint: start from no chi cell revolting (alpha agents only)
     and add chi cells whose threshold is met, until stable."""
     enum = _Enumeration(graph, prior, budget)
-    return _iterate(enum, frozenset())
+    return _profile(enum, np.zeros(enum.n_ids, bool))
 
 
 def threshold_probabilities(
@@ -250,11 +379,11 @@ def threshold_probabilities(
     observation], with the cell itself forced to revolt and everyone else on
     the profile (for fixpoint soundness audits)."""
     enum = _Enumeration(graph, prior, budget)
-    weights = enum._threshold_weights(profile.cells)
-    return {
-        cell: enum._mass(weights[cell]) / enum.cell_mass[cell]
-        for cell in sorted(enum.possible_chi_cells, key=repr)
+    weights = enum.threshold_weights(enum.profile_mask(profile.cells))
+    probs = {
+        enum.cell(i): Fraction(weights[i], enum.cell_mass[i]) for i in enum.possible_ids
     }
+    return {cell: probs[cell] for cell in sorted(probs, key=repr)}
 
 
 def expected_revolt_fraction(
@@ -267,7 +396,7 @@ def expected_revolt_fraction(
     """Expected realized revolt fraction in the given state under the
     profile."""
     enum = _Enumeration(graph, prior, budget)
-    return enum.expected_fraction(profile.cells, state)
+    return enum.expected_fraction(enum.profile_mask(profile.cells), state)
 
 
 def revolt_decision(
@@ -277,11 +406,10 @@ def revolt_decision(
     at least mu_star * n realized with probability at least q_star? Returns
     the verdict and the exact probability."""
     enum = _Enumeration(inst.graph, inst.prior, budget)
-    profile = _iterate(enum, enum.possible_chi_cells)
-    n = inst.graph.n
-    threshold = inst.mu_star * n
+    cells = _iterate(enum, enum.possible)[-1]
+    threshold = inst.mu_star * inst.graph.n
     prob = ZERO
-    for count, mass in enum.revolt_size_distribution(profile.cells).items():
+    for count, mass in enum.revolt_size_distribution(cells).items():
         if count >= threshold:
             prob += mass
     return prob >= inst.q_star, prob
@@ -343,8 +471,6 @@ def nonisomorphic_graphs(n: int) -> list[ConcreteGraph]:
     canonicalizing every edge mask to its minimum over vertex permutations."""
     if not 1 <= n <= 6:
         raise ValidationError("isomorphism-reduced catalog limited to n <= 6")
-    import numpy as np
-
     pairs = list(combinations(range(n), 2))
     index = {pair: i for i, pair in enumerate(pairs)}
     bits = len(pairs)

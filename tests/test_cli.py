@@ -397,6 +397,27 @@ class TestEpistemicCommand:
         assert doc["common_belief_event"] == ["1", "2", "3", "4", "5", "6"]
         assert doc["common_at_omega_fixpoint"] and doc["common_at_omega_search"]
 
+    def test_int_labelled_model(self, tmp_path, capsys):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({
+            "outcomes": [1, 2],
+            "prob": {"1": "1/2", "2": "1/2"},
+            "partitions": {"i": [[1], [2]]},
+        }))
+        assert main(["epistemic", "--model", str(path), "--event", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["beliefs"] == {"i": ["1"]} and doc["common_belief_event"] == ["1"]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--mu", "-1/2", "mu must lie in [0, 1]"), ("--p", "-1/3", "p must lie in [0, 1]")],
+    )
+    def test_negative_fraction_reaches_range_check(self, flag, value, message, files, capsys):
+        argv = ["epistemic", "--model", files["model"], "--event", "1", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_verify_prop1(self, capsys):
         assert main(["epistemic", "--verify-prop1", "8", "--seed", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)

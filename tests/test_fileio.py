@@ -85,6 +85,40 @@ class TestEpistemicDocument:
         assert back["prob"] == doc["prob"]
         assert back["partitions"]["a"] == [["w1", "w2"], ["w3"]]
 
+    def test_int_labels_are_read_as_strings(self):
+        doc = {
+            "outcomes": [1, 2],
+            "prob": {"1": "1/2", "2": "1/2"},
+            "partitions": {"a": [[1], [2]]},
+        }
+        model = epistemic_model_from_dict(doc)
+        assert model == EpistemicModel.make(
+            {"1": F(1, 2), "2": F(1, 2)}, {"a": [["1"], ["2"]]}
+        )
+
+    def test_labels_that_collide_as_strings(self):
+        doc = {
+            "outcomes": [1, "1"],
+            "prob": {"1": "1/2"},
+            "partitions": {"a": [[1, "1"]]},
+        }
+        with pytest.raises(ParseError, match="'1' appears twice"):
+            epistemic_model_from_dict(doc)
+
+    def test_int_labelled_model_round_trips_through_json(self):
+        model = EpistemicModel.make(
+            {1: F(1, 2), 2: F(1, 4), 10: F(1, 4)}, {"a": [[1, 2], [10]], "b": [[1, 2, 10]]}
+        )
+        loaded = epistemic_model_from_dict(
+            json.loads(json.dumps(epistemic_model_to_dict(model)))
+        )
+        assert loaded == EpistemicModel.make(
+            {"1": F(1, 2), "2": F(1, 4), "10": F(1, 4)},
+            {"a": [["1", "2"], ["10"]], "b": [["1", "2", "10"]]},
+        )
+        again = json.loads(json.dumps(epistemic_model_to_dict(loaded)))
+        assert epistemic_model_from_dict(again) == loaded
+
 
 class TestDegreeFiles:
     def test_plain_lines(self):

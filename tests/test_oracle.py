@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +88,25 @@ class TestGreatestEquilibrium:
         big = ConcreteGraph(30, [(i, (i + 1) % 30) for i in range(30)])
         with pytest.raises(BudgetExceededError):
             greatest_equilibrium(big, motivating_prior)
+
+    def test_single_type_supports_on_a_large_edgeless_graph(self):
+        # 3,000 isolated vertices fit both budgets: 9,000 cell cost and one
+        # assignment per state. Nothing may be sized by cells x classes.
+        graph = ConcreteGraph(3000, [])
+        prior = two_state_prior(
+            F(1, 2), F(1, 2), TypeDistribution(0, 1, 0), TypeDistribution(0, 0, 1)
+        )
+        tracemalloc.start()
+        try:
+            decision = revolt_decision(RevoltInstance(graph, prior, F(1, 2), F(1, 2)))
+            profile = greatest_equilibrium(graph, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decision == (True, F(1, 2))
+        assert profile.cells == {(v, CHI, ()) for v in range(3000)}
+        assert len(profile.trace) == 2
+        assert peak < 16 * 2**20
 
     def test_cell_budget_exceeded(self):
         star = ConcreteGraph(10, [(0, i) for i in range(1, 10)])
@@ -223,6 +243,13 @@ class TestCatalog:
     def test_guard(self):
         with pytest.raises(ValidationError):
             nonisomorphic_graphs(7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    def test_reduction_equivalence(self, n):
+        for g in nonisomorphic_graphs(n):
+            for k in range(1, n + 1):
+                dec, _prob = revolt_decision(clique_reduction(g, k))
+                assert dec == clique_exists(g, k), (sorted(g.edges), k)
 
     def test_reduction_equivalence_n4(self):
         for g in nonisomorphic_graphs(4):

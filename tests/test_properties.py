@@ -2,16 +2,17 @@
 entry point shares (random two-state priors on an eighths grid and short
 random degree sequences), for the integer degree-table kernel against
 Bayes' rule in plain Fractions, for the concrete-graph oracle against a
-brute force over every type assignment, for the validator's array
-counts against a per-vertex count, and for the epistemic belief kernel
-against the plain-Fraction belief operator and (J1, J2) loop."""
+brute force over every type assignment and against the per-assignment
+reference enumeration, for the validator's array counts against a
+per-vertex count, and for the epistemic belief kernel against the
+plain-Fraction belief operator and (J1, J2) loop."""
 
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import ceil
+from math import ceil, lcm
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factional_belief import (
@@ -30,6 +31,7 @@ from factional_belief import (
     context_likelihood,
     enumerate_contexts,
     expected_context_fraction,
+    expected_revolt_fraction,
     greatest_equilibrium,
     least_equilibrium,
     revolt_decision,
@@ -190,40 +192,44 @@ def test_kernel_matches_fraction_reference(instance):
 
 class BruteOracle:
     """The oracle's answers from first principles, in plain Fractions: every
-    type assignment with its probability, and a chi agent's cell as its
-    vertex plus the types of its neighbors in sorted order."""
+    type assignment with its probability and its chi agents' cells, a cell
+    being the vertex plus the types of its neighbors in sorted order."""
 
     def __init__(self, graph, prior):
         self.graph, self.prior = graph, prior
-        self.worlds = []
+        self.worlds = []  # (probability, alpha count, chi cells)
         for s in prior.states:
             for types in product(AgentType, repeat=graph.n):
                 prob = s.prob
                 for t in types:
                     prob *= s.types.prob(t)
                 if prob:
-                    self.worlds.append((prob, types))
-        self.possible = {c for _, types in self.worlds for c in self.chi_cells(types)}
+                    alpha = sum(1 for t in types if t is AgentType.ALPHA)
+                    self.worlds.append((prob, alpha, self.chi_cells(types)))
+        self.possible = {c for _, _, cells in self.worlds for c in cells}
 
     def chi_cells(self, types):
-        return [
+        return frozenset(
             (v, AgentType.CHI, tuple(types[u] for u in self.graph.neighbors(v)))
             for v in range(self.graph.n)
             if types[v] is AgentType.CHI
-        ]
-
-    def revolters(self, types, profile):
-        alpha = sum(1 for t in types if t is AgentType.ALPHA)
-        return alpha + sum(1 for c in self.chi_cells(types) if c in profile)
+        )
 
     def threshold_probability(self, profile, cell):
         hit = seen = F(0)
-        for prob, types in self.worlds:
-            if cell in self.chi_cells(types):
+        for prob, alpha, cells in self.worlds:
+            if cell in cells:
                 seen += prob
-                if self.revolters(types, profile | {cell}) >= self.prior.mu * self.graph.n:
+                if alpha + len(cells & (profile | {cell})) >= self.prior.mu * self.graph.n:
                     hit += prob
         return hit / seen
+
+    def decision_probability(self, profile, mu_star):
+        return sum(
+            (p for p, alpha, cells in self.worlds
+             if alpha + len(cells & profile) >= mu_star * self.graph.n),
+            F(0),
+        )
 
     def equilibrium(self, start):
         profile = frozenset(start)
@@ -258,7 +264,7 @@ def alpha_priors(draw):
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(small_graphs(), alpha_priors(), st.integers(0, 8).map(lambda k: F(k, 8)))
 def test_oracle_matches_brute_force(graph, prior, mu_star):
     brute = BruteOracle(graph, prior)
@@ -269,11 +275,178 @@ def test_oracle_matches_brute_force(graph, prior, mu_star):
         c: brute.threshold_probability(greatest.cells, c) for c in brute.possible
     }
     _ok, prob = revolt_decision(RevoltInstance(graph, prior, mu_star, F(1, 2)))
-    assert prob == sum(
-        (p for p, types in brute.worlds
-         if brute.revolters(types, greatest.cells) >= mu_star * graph.n),
-        F(0),
+    assert prob == brute.decision_probability(greatest.cells, mu_star)
+
+
+class ReferenceOracle:
+    """The oracle on one Python tuple per type assignment, the reference for
+    the array enumeration: weights are integers over a per-state denominator
+    (an assignment in state s has probability state_scale[s] * weight), and
+    each entry keeps the assignment's alpha count and its chi cells."""
+
+    def __init__(self, graph, prior):
+        n = graph.n
+        self.prior, self.n = prior, n
+        supports = [tuple(t for t in AgentType if s.types.prob(t) > 0) for s in prior.states]
+        self.entries = []  # (state index, weight, alpha count, chi cells)
+        self.state_scale = []  # prob_s / den_s^n
+        neighbor_lists = [graph.neighbors(v) for v in range(n)]
+        for si, s in enumerate(prior.states):
+            dist = s.types
+            den = lcm(*(dist.prob(t).denominator for t in AgentType))
+            nums = {t: int(dist.prob(t) * den) for t in AgentType}
+            self.state_scale.append(s.prob / F(den**n))
+            for types in product(supports[si], repeat=n):
+                w = 1
+                for t in types:
+                    w *= nums[t]
+                alpha_count = sum(1 for t in types if t is AgentType.ALPHA)
+                chis = tuple(
+                    (v, AgentType.CHI, tuple(types[u] for u in neighbor_lists[v]))
+                    for v in range(n)
+                    if types[v] is AgentType.CHI
+                )
+                self.entries.append((si, w, alpha_count, chis))
+        totals = {}
+        for si, w, _ac, chis in self.entries:
+            for cell in chis:
+                totals.setdefault(cell, [0] * len(prior.states))[si] += w
+        self.cell_mass = {cell: self.mass(ws) for cell, ws in totals.items()}
+        self.possible = frozenset(totals)
+
+    def mass(self, weights):
+        return sum((s * w for s, w in zip(self.state_scale, weights)), F(0))
+
+    def counts(self, revolting):
+        for si, w, alpha_count, chis in self.entries:
+            yield si, w, chis, alpha_count + sum(1 for c in chis if c in revolting)
+
+    def threshold_probabilities(self, revolting):
+        need = ceil(self.prior.mu * self.n)
+        weights = {cell: [0] * len(self.state_scale) for cell in self.cell_mass}
+        for si, w, chis, count in self.counts(revolting):
+            if count == need - 1:
+                chis = [c for c in chis if c not in revolting]
+            elif count < need:
+                continue
+            for cell in chis:
+                weights[cell][si] += w
+        return {c: self.mass(ws) / self.cell_mass[c] for c, ws in weights.items()}
+
+    def iterate(self, start):
+        trace = [frozenset(start)]
+        while True:
+            probs = self.threshold_probabilities(trace[-1])
+            trace.append(frozenset(c for c, q in probs.items() if q >= self.prior.p))
+            if trace[-1] == trace[-2]:
+                return tuple(trace)
+
+    def decision_probability(self, revolting, mu_star):
+        weights = [0] * len(self.state_scale)
+        for si, w, _chis, count in self.counts(revolting):
+            if count >= mu_star * self.n:
+                weights[si] += w
+        return self.mass(weights)
+
+    def expected_fraction(self, revolting, state):
+        si_want = self.prior.labels.index(state)
+        total = sum(w * count for si, w, _c, count in self.counts(revolting) if si == si_want)
+        return self.state_scale[si_want] / self.prior.states[si_want].prob * total / self.n
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Up to 5 vertices: random edges on the first ones, the rest isolated."""
+    n = draw(st.integers(1, 5))
+    core = draw(st.integers(1, n))
+    pairs = list(combinations(range(core), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return ConcreteGraph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def oracle_dists(draw):
+    """A type distribution: a single type, alpha = 0, or all three types."""
+    kind = draw(st.sampled_from(["one", "no_alpha", "mixed"]))
+    if kind == "one":
+        one = draw(st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        return TypeDistribution(*(F(x) for x in one))
+    dist = draw(mixed_dists())
+    if kind == "no_alpha":
+        return TypeDistribution(F(0), dist.chi, dist.nu + dist.alpha)
+    return dist
+
+
+@st.composite
+def oracle_instances(draw):
+    """A graph and a 2- or 3-state prior, with mu in {0, 1} or on the
+    quarters, and p in {0, 1}, on the quarters, or exactly some cell's
+    threshold probability strictly between 0 and 1 in the greatest
+    iteration's first step (a tie).
+    mu_star is on the quarters; q_star is the decision probability itself
+    half the time."""
+    graph = draw(oracle_graphs())
+    k = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    states = tuple(
+        StatePrior(f"s{i}", F(w, sum(weights)), draw(oracle_dists()))
+        for i, w in enumerate(weights)
     )
+    mu = F(draw(st.sampled_from([0, 4, 1, 2, 3])), 4)
+    prior = Prior(F(1, 2), mu, states)
+    reference = ReferenceOracle(graph, prior)
+    ties = sorted(
+        {q for q in reference.threshold_probabilities(reference.possible).values() if 0 < q < 1}
+    )
+    kind = draw(st.sampled_from(["tie", "quarter", "zero", "one"]))
+    if kind == "tie" and ties:
+        p = draw(st.sampled_from(ties))
+    elif kind in ("zero", "one"):
+        p = F(kind == "one")
+    else:
+        p = F(draw(st.integers(0, 4)), 4)
+    prior = replace(prior, p=p)
+    mu_star = F(draw(st.integers(0, 4)), 4)
+    return graph, prior, mu_star, draw(st.booleans())
+
+
+@SETTINGS
+@given(oracle_instances())
+@example((  # vertex 4 sees neighbors 1 and 3 of unequal degree: digit order matters
+    ConcreteGraph(5, [(1, 4), (2, 3), (2, 4), (3, 4)]),
+    Prior(F(1), F(1, 2), (
+        StatePrior("s0", F(1, 2), TypeDistribution(F(1), F(0), F(0))),
+        StatePrior("s1", F(1, 2), TypeDistribution(F(0), F(1, 2), F(1, 2))),
+    )),
+    F(1, 2),
+    False,
+))
+def test_oracle_matches_reference(instance):
+    graph, prior, mu_star, tie_q = instance
+    reference = ReferenceOracle(graph, prior)
+    greatest = greatest_equilibrium(graph, prior)
+    least = least_equilibrium(graph, prior)
+    assert greatest.trace == reference.iterate(reference.possible)
+    assert least.trace == reference.iterate(())
+    assert (greatest.cells, least.cells) == (greatest.trace[-1], least.trace[-1])
+    for profile in (greatest, least):
+        probs = threshold_probabilities(graph, prior, profile)
+        assert probs == reference.threshold_probabilities(profile.cells)
+        assert list(probs) == sorted(probs, key=repr)
+        for s in prior.labels:
+            assert expected_revolt_fraction(graph, prior, profile, s) == (
+                reference.expected_fraction(profile.cells, s)
+            )
+    want = reference.decision_probability(greatest.cells, mu_star)
+    q_star = want if tie_q else F(1, 2)
+    assert revolt_decision(RevoltInstance(graph, prior, mu_star, q_star)) == (
+        want >= q_star, want
+    )
+    if graph.n <= 3:
+        brute = BruteOracle(graph, prior)
+        assert greatest.cells == brute.equilibrium(brute.possible)
+        assert least.cells == brute.equilibrium(())
+        assert want == brute.decision_probability(greatest.cells, mu_star)
 
 
 # Two-state priors for the validator, one per survivor regime: alpha = 0,
