@@ -99,11 +99,13 @@ def dependency_chi_star_bound(degseq: DegreeSequence) -> int:
 def dependency_chi_star_bound_graph(graph: ConcreteGraph) -> int:
     """Graph form of the same bound: exact maximum 2-ball size (excluding
     the center) plus one."""
+    ptr, ids = graph.indptr.tolist(), graph.indices.tolist()
     best = 0
     for v in range(graph.n):
-        ball = set(graph.neighbors(v))
-        for u in graph.neighbors(v):
-            ball.update(graph.neighbors(u))
+        nbrs = ids[ptr[v] : ptr[v + 1]]
+        ball = set(nbrs)
+        for u in nbrs:
+            ball.update(ids[ptr[u] : ptr[u + 1]])
         ball.discard(v)
         best = max(best, len(ball))
     return best + 1

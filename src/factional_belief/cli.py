@@ -80,15 +80,7 @@ def _add_common(sub: argparse.ArgumentParser, seed=False, fmt=False) -> None:
     sub.add_argument("--out", help="output path (stdout when omitted)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="revolt",
-        description="Belief-threshold revolt games on networks: exact "
-        "equilibrium-size algorithms, oracle checks, and experiments.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("analyze", help="largest/smallest supported revolt sizes")
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", required=True)
     p.add_argument("--degrees", required=True)
     variant = p.add_mutually_exclusive_group()
@@ -100,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", help="least hub fraction, with --general (default 1/100)")
     _add_common(p, fmt=True)
 
-    p = subs.add_parser("promise", help="promise decision / region map")
+
+def _promise_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", required=True)
     p.add_argument("--degrees", required=True)
     point = p.add_mutually_exclusive_group(required=True)
@@ -112,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-thresholds", action="store_true")
     _add_common(p, fmt=True)
 
-    p = subs.add_parser("sweep", help="parameter sweeps with seeded trials")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", required=True)
     p.add_argument("--family", required=True, choices=("constant", "powerlaw", "ba", "er"))
     p.add_argument("--n", type=int, default=1000)
@@ -125,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_common(p, seed=True, fmt=True)
 
-    p = subs.add_parser("validate", help="Monte-Carlo concentration check")
+
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", required=True)
     p.add_argument("--state", default="A")
     p.add_argument("--trials", type=int, default=200)
@@ -138,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param")
     _add_common(p, seed=True, fmt=True)
 
-    p = subs.add_parser("oracle", help="exact small-instance revolt decision")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", help="edge-list file")
     source.add_argument(
@@ -154,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-assignments", type=int, default=200_000)
     _add_common(p)
 
-    p = subs.add_parser("epistemic", help="belief operators and common belief")
+
+def _epistemic_args(p: argparse.ArgumentParser) -> None:
     task = p.add_mutually_exclusive_group(required=True)
     task.add_argument("--model")
     task.add_argument("--verify-prop1", type=int, metavar="COUNT")
@@ -165,14 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(seed=None)  # read by --verify-prop1 alone, default 0
 
-    p = subs.add_parser("gen", help="degree-sequence / graph generators")
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=("constant", "powerlaw", "ba", "er"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--kind", choices=("sequence", "graph"), default="sequence")
     _add_common(p, seed=True)
 
-    p = subs.add_parser("bounds", help="closed-form probability bounds")
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", required=True)
     p.add_argument("--degrees")
     p.add_argument("--n", type=int)
@@ -181,6 +180,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default="1")
     _add_common(p, fmt=True)
 
+
+# Each subcommand: its help line and the function that adds its options.
+SUBCOMMANDS = {
+    "analyze": ("largest/smallest supported revolt sizes", _analyze_args),
+    "promise": ("promise decision / region map", _promise_args),
+    "sweep": ("parameter sweeps with seeded trials", _sweep_args),
+    "validate": ("Monte-Carlo concentration check", _validate_args),
+    "oracle": ("exact small-instance revolt decision", _oracle_args),
+    "epistemic": ("belief operators and common belief", _epistemic_args),
+    "gen": ("degree-sequence / graph generators", _gen_args),
+    "bounds": ("closed-form probability bounds", _bounds_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argparse tree: every subcommand, or only `command`'s. The
+    top-level usage lists every subcommand either way."""
+    parser = argparse.ArgumentParser(
+        prog="revolt",
+        description="Belief-threshold revolt games on networks: exact "
+        "equilibrium-size algorithms, oracle checks, and experiments.",
+    )
+    # The full tree keeps argparse's own metavar, which also names the
+    # missing subcommand "command" in its error.
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in SUBCOMMANDS if command is None else (command,):
+        help_text, add_arguments = SUBCOMMANDS[name]
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -190,6 +218,8 @@ def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
     sees, so explicit flags, which come later, win; and config values get
     the same conversions, choices and required-option checks as flags.
     Returns the new argv and the config path found."""
+    if not any(word.startswith("--config") for word in argv):
+        return argv, None
     pre = argparse.ArgumentParser(prog="revolt", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -475,10 +505,8 @@ def cmd_gen(args) -> int:
         if args.out:
             fileio.dump_edge_list(graph, args.out)
         else:
-            sys.stdout.write(
-                "".join(f"{u} {v}\n" for u, v in sorted(graph.edges))
-            )
-        meta["edges"] = len(graph.edges)
+            sys.stdout.write("".join(f"{u} {v}\n" for u, v in graph.edge_list()))
+        meta["edges"] = len(graph.indices) // 2
     else:
         seq = generate_sequence(spec)
         if args.out:
@@ -576,9 +604,11 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv, config = _apply_config(argv)
+        # Only the named subcommand's parser is built; a call that names
+        # none (help, a typo, nothing) gets the whole tree.
+        parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
         args = parser.parse_args(_join_negative_fractions(argv))
         # The pre-scan matches --config only in full; an abbreviation would
         # otherwise be accepted and its file silently ignored.

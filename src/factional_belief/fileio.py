@@ -52,11 +52,19 @@ def format_decimal(x) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ParseError(f"{what} must be a JSON object")
+    return value
+
+
 def prior_from_dict(doc: Mapping) -> Prior:
     try:
         states = []
-        for label, body in doc["states"].items():
-            types = body["types"]
+        doc = _object(doc, "prior document")
+        for label, body in _object(doc["states"], "prior states").items():
+            body = _object(body, f"prior state {label!r}")
+            types = _object(body["types"], f"types of prior state {label!r}")
             states.append(
                 StatePrior(
                     label=str(label),
@@ -241,7 +249,7 @@ def load_edge_list(path: PathLike) -> ConcreteGraph:
 
 def dump_edge_list(graph: ConcreteGraph, path: PathLike) -> None:
     lines = [f"# n {graph.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
+    lines.extend(f"{u} {v}" for u, v in graph.edge_list())
     Path(path).write_text("".join(line + "\n" for line in lines))
 
 

@@ -1,8 +1,8 @@
 """Revolt-game model primitives.
 
 Types, common priors, identity-agnostic contexts, exact context likelihoods
-and state posteriors, payoff evaluation, and the concrete-graph container.
-All probabilities are exact `fractions.Fraction` values and every comparison
+and state posteriors, payoff evaluation, and the concrete-graph container
+(CSR integer arrays). All probabilities are exact `fractions.Fraction` values and every comparison
 is exact; nothing here touches floating point.
 """
 
@@ -14,9 +14,12 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     ImpossibleContextError,
     NotTwoStatesError,
+    SpaceTooLargeError,
     UnknownStateError,
     ValidationError,
 )
@@ -257,37 +260,95 @@ def payoff(
     return ZERO
 
 
-class ConcreteGraph:
-    """Simple undirected graph on vertices 0..n-1 (immutable by convention)."""
+VERTEX_GUARD = 1_000_000  # vertices one graph, generated sequence or torus may have
 
-    __slots__ = ("n", "edges", "_neighbors")
+
+def check_vertex_count(n: int) -> None:
+    """Raise SpaceTooLargeError past VERTEX_GUARD vertices."""
+    if n > VERTEX_GUARD:
+        raise SpaceTooLargeError(f"graphs limited to {VERTEX_GUARD} vertices, not {n}")
+
+
+def _edge_array(n: int, edges) -> np.ndarray:
+    """The edges as an (m, 2) int64 array. An endpoint past int64 is out of
+    range for every n, so when one is present the first bad edge is found
+    by a scan in input order, with the same messages."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        for u, v in edges:
+            if u == v:
+                raise ValidationError(f"self-loop at vertex {u}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge ({u}, {v}) out of range for n={n}") from None
+        raise
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError("edges must be vertex pairs")
+    return pairs
+
+
+class ConcreteGraph:
+    """Simple undirected graph on vertices 0..n-1 (immutable by convention),
+    held as CSR arrays: the neighbors of v, ascending, are
+    indices[indptr[v]:indptr[v + 1]]. The edge set, neighbor tuples and
+    repr are built from them when first read."""
+
+    __slots__ = ("n", "indptr", "indices", "_edges", "_neighbors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValidationError("graph size must be nonnegative")
+        check_vertex_count(n)
         self.n = n
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.add((min(u, v), max(u, v)))
-        self.edges = frozenset(canon)
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(self.edges):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self._neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
+        pairs = _edge_array(n, edges)
+        u, v = pairs[:, 0], pairs[:, 1]
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            a, b = pairs[int(bad.argmax())].tolist()
+            if a == b:
+                raise ValidationError(f"self-loop at vertex {a}")
+            raise ValidationError(f"edge ({a}, {b}) out of range for n={n}")
+        # Sorted unique codes lo*n + hi, then both directions sorted by
+        # (head, tail): the CSR rows with ascending neighbors.
+        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        lo, hi = np.divmod(codes, n)
+        arcs = np.sort(np.concatenate((codes, hi * n + lo)))
+        heads, self.indices = np.divmod(arcs, n)
+        self.indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(heads, minlength=n), out=self.indptr[1:])
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        self._edges = self._neighbors = None
+
+    def edge_list(self) -> list[tuple[int, int]]:
+        """The edges (u, v), u < v, in ascending order."""
+        heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        up = self.indices > heads
+        return list(zip(heads[up].tolist(), self.indices[up].tolist()))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(self.edge_list())
+        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if self._neighbors is None:
+            ids, ptr = self.indices.tolist(), self.indptr.tolist()
+            self._neighbors = tuple(
+                tuple(ids[ptr[w] : ptr[w + 1]]) for w in range(self.n)
+            )
         return self._neighbors[v]
 
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degree_sequence(self) -> list[int]:
-        return [len(ns) for ns in self._neighbors]
+        return np.diff(self.indptr).tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -296,14 +357,15 @@ class ConcreteGraph:
         return (
             isinstance(other, ConcreteGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.indptr, other.indptr)
         )
 
     def __hash__(self):
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        return f"ConcreteGraph(n={self.n}, edges={sorted(self.edges)})"
+        return f"ConcreteGraph(n={self.n}, edges={self.edge_list()})"
 
 
 DegreeSequence = Sequence[int]

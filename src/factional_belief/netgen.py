@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Union
 
 import numpy as np
@@ -21,11 +22,18 @@ from .errors import (
     SpaceTooLargeError,
     ValidationError,
 )
-from .model import ConcreteGraph, DegreeSequence, validate_degree_sequence
+from .model import (  # VERTEX_GUARD stays importable as netgen.VERTEX_GUARD
+    VERTEX_GUARD,
+    ConcreteGraph,
+    DegreeSequence,
+    check_vertex_count,
+    validate_degree_sequence,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-VERTEX_GUARD = 1_000_000  # vertices one generated sequence, graph or torus may have
+EDGE_GUARD = 5_000_000  # edges, or expected edges for G(n, p), one generator may make
+ER_BLOCK = 1 << 16  # most uniforms er_graph draws at once
 
 
 def splitmix64(x: int) -> int:
@@ -120,16 +128,22 @@ def powerlaw_sequence(
     )
 
 
-def ba_graph(n: int, m: int, seed: int) -> ConcreteGraph:
-    """Preferential attachment: m isolated seed vertices, each arriving
-    vertex draws m distinct targets with probability proportional to current
-    degree (the first arrival connects to all seed vertices). Edge count is
-    exactly m * (n - m)."""
+def check_edge_count(count: int, what: str = "edges") -> None:
+    """Raise SpaceTooLargeError past EDGE_GUARD edges."""
+    if count > EDGE_GUARD:
+        raise SpaceTooLargeError(f"graphs limited to {EDGE_GUARD} {what}, not {count}")
+
+
+def _ba_endpoints(n: int, m: int, seed: int) -> list[int]:
+    """Preferential attachment as a flat endpoint list: edge i is
+    (ends[2i], ends[2i + 1]). m isolated seed vertices; each arriving vertex
+    draws m distinct targets with probability proportional to current degree
+    (the first arrival connects to all seed vertices)."""
     if not 1 <= m < n:
         raise ValidationError(f"need 1 <= m < n, got m={m}, n={n}")
+    check_edge_count(m * (n - m))
     rng = _rng(seed)
-    edges: list[tuple[int, int]] = []
-    repeated: list[int] = []  # one entry per endpoint, so draws ~ degree
+    ends: list[int] = []  # one entry per endpoint, so draws ~ degree
     for new in range(m, n):
         if new == m:
             targets = list(range(m))
@@ -137,50 +151,72 @@ def ba_graph(n: int, m: int, seed: int) -> ConcreteGraph:
             targets = []
             chosen: set[int] = set()
             while len(targets) < m:
-                t = repeated[int(rng.integers(len(repeated)))]
+                t = ends[int(rng.integers(len(ends)))]
                 if t not in chosen:
                     chosen.add(t)
                     targets.append(t)
         for t in targets:
-            edges.append((new, t))
-            repeated.append(new)
-            repeated.append(t)
-    return ConcreteGraph(n, edges)
+            ends.append(new)
+            ends.append(t)
+    return ends
+
+
+def ba_graph(n: int, m: int, seed: int) -> ConcreteGraph:
+    """Preferential-attachment graph; edge count is exactly m * (n - m)."""
+    return ConcreteGraph(n, np.reshape(_ba_endpoints(n, m, seed), (-1, 2)))
 
 
 def ba_sequence(n: int, m: int, seed: int) -> list[int]:
-    return ba_graph(n, m, seed).degree_sequence()
+    return np.bincount(_ba_endpoints(n, m, seed), minlength=n).tolist()
 
 
-def er_graph(n: int, p_edge, seed: int) -> ConcreteGraph:
-    """G(n, p): every vertex pair is an edge independently with probability
-    p_edge. Sampled with geometric gap-skipping, which draws the same
-    distribution in O(edges) time."""
+def _er_pairs(n: int, p_edge, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (v, w), v > w, of G(n, p_edge) by geometric gap-skipping
+    (Batagelj & Brandes 2005) over the pair index v(v - 1)/2 + w. The gaps
+    are drawn in blocks of uniforms, which are the doubles the one-at-a-time
+    draws give; each gap is clamped to the pair count, which ends the walk
+    either way, so a tiny p cannot overflow an int64."""
     if not 0 <= Fraction(p_edge) <= 1:
         raise ValidationError("p_edge must lie in [0, 1]")
     p = float(Fraction(p_edge))
     if n < 0:
         raise ValidationError("n must be nonnegative")
+    pairs = n * (n - 1) // 2
+    check_edge_count(ceil(Fraction(p_edge) * pairs), "expected edges")
     if p == 0:
-        return ConcreteGraph(n, [])
-    if p == 1:
-        return ConcreteGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    rng = _rng(seed)
-    edges = []
-    log_q = np.log1p(-p)
-    v, w = 1, -1
-    while v < n:
-        w += 1 + int(np.log(1.0 - rng.random()) / log_q)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            edges.append((v, w))
-    return ConcreteGraph(n, edges)
+        index = np.empty(0, np.int64)
+    elif p == 1:
+        index = np.arange(pairs, dtype=np.int64)
+    else:
+        rng = _rng(seed)
+        log_q = np.log1p(-p)
+        found = []
+        last = -1
+        while True:
+            k = min(ER_BLOCK, int((pairs - last) * p) + 64)
+            gaps = np.minimum(np.log(1.0 - rng.random(k)) / log_q, pairs)
+            ahead = last + np.cumsum(gaps.astype(np.int64) + 1)
+            stop = int(np.searchsorted(ahead, pairs))
+            found.append(ahead[:stop])
+            if stop < k:
+                break
+            last = int(ahead[-1])
+        index = np.concatenate(found)
+    row_start = np.cumsum(np.arange(n, dtype=np.int64))  # v(v + 1)/2
+    v = np.searchsorted(row_start, index, side="right")
+    return v, index - row_start[v - 1]
+
+
+def er_graph(n: int, p_edge, seed: int) -> ConcreteGraph:
+    """G(n, p): every vertex pair is an edge independently with probability
+    p_edge, sampled in O(edges) time; refused past EDGE_GUARD expected
+    edges."""
+    v, w = _er_pairs(n, p_edge, seed)
+    return ConcreteGraph(n, np.stack((w, v), axis=1))
 
 
 def er_sequence(n: int, p_edge, seed: int) -> list[int]:
-    return er_graph(n, p_edge, seed).degree_sequence()
+    return np.bincount(np.concatenate(_er_pairs(n, p_edge, seed)), minlength=n).tolist()
 
 
 def realize_graph(degseq: DegreeSequence, seed: int) -> ConcreteGraph:
@@ -188,6 +224,7 @@ def realize_graph(degseq: DegreeSequence, seed: int) -> ConcreteGraph:
     double-edge-swap attempts (degree-preserving shuffling; approximate, not
     uniform, sampling of graphs with this degree sequence)."""
     seq = validate_degree_sequence(degseq)
+    check_edge_count(sum(seq) // 2)
     if not is_graphical(seq):
         raise NotGraphicalError(f"degree sequence {seq} is not graphical")
     n = len(seq)
@@ -230,24 +267,15 @@ def realize_graph(degseq: DegreeSequence, seed: int) -> ConcreteGraph:
     return ConcreteGraph(n, edges)
 
 
-def check_vertex_count(n: int) -> None:
-    """Raise SpaceTooLargeError past VERTEX_GUARD vertices."""
-    if n > VERTEX_GUARD:
-        raise SpaceTooLargeError(f"graphs limited to {VERTEX_GUARD} vertices, not {n}")
-
-
 def torus_grid(rows: int, cols: int) -> ConcreteGraph:
     """4-regular wrap-around grid; needs both dimensions >= 3 so the wrap
     edges stay simple."""
     if rows < 3 or cols < 3:
         raise ValidationError("torus dimensions must both be at least 3")
     check_vertex_count(rows * cols)
-    edges = (
-        (r * cols + c, w)
-        for r in range(rows)
-        for c in range(cols)
-        for w in (r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c)
-    )
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right, down = np.roll(ids, -1, axis=1), np.roll(ids, -1, axis=0)
+    edges = np.stack((np.tile(ids.ravel(), 2), np.concatenate((right, down), None)), 1)
     return ConcreteGraph(rows * cols, edges)
 
 

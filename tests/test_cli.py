@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -731,3 +734,143 @@ class TestHugeNumbers:
         assert main(["gen", "--family", family, "--n", "5", "--param", "1e400"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("states", [
+    [{"label": "A", "prob": "1"}],
+    {"A": {"prob": "1/2", "types": "chi"}, "B": {"prob": "1/2", "types": {"nu": "1"}}},
+])
+def test_malformed_prior_exits_2(states, const4_file, tmp_path, capsys):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps(dict(MOTIVATING, states=states)))
+    assert main(["analyze", "--prior", str(prior), "--degrees", const4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "JSON object" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("argv, count, allocation", [
+    ("validate --prior {prior} --graph {header}", 500000000, "model._edge_array"),
+    ("oracle --graph {header} --clique-reduce 2", 500000000, "model._edge_array"),
+    ("oracle --edges 0-1 --n 2000000 --clique-reduce 2", 2000000, "model._edge_array"),
+    ("oracle --edges 0-1999999 --clique-reduce 2", 2000000, "model._edge_array"),
+    ("gen --family er --n 1000000 --param 1/2 --kind graph", 249999750000, "netgen._rng"),
+    ("validate --prior {prior} --family er --n 1000000 --param 1/3", 166666500000,
+     "netgen._rng"),
+    ("sweep --prior {prior} --family er --n 1000000 --start 1/100 --stop 1/100 --step 1",
+     4999995000, "netgen._rng"),
+    ("gen --family ba --n 1000000 --param 600000", 240000000000, "netgen._rng"),
+    ("gen --family constant --n 4000 --param 3999 --kind graph", 7998000,
+     "netgen.is_graphical"),
+])
+def test_graph_guards_exit_2(argv, count, allocation, prior_file, tmp_path, monkeypatch,
+                             capsys):
+    # Every graph source refuses past VERTEX_GUARD vertices or EDGE_GUARD
+    # (expected) edges before the graph or its draws are made.
+    def made(*_args):
+        raise AssertionError("made past the guard")
+
+    header = tmp_path / "header.txt"
+    header.write_text("# n 500000000\n0 1\n")
+    monkeypatch.setattr(f"factional_belief.{allocation}", made)
+    assert main(shlex.split(argv.format(prior=prior_file, header=header))) == 2
+    captured = capsys.readouterr()
+    assert str(count) in captured.err and not captured.out
+
+
+def _called(line, capsys):
+    """(exit code, stdout, stderr) of one call, usage errors included."""
+    try:
+        code = main(shlex.split(line))
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+SUBCOMMAND_CALLS = {  # a success and a usage error the subparser reports
+    "analyze": (ANALYZE, ANALYZE + "--smallest --general"),
+    "promise": (PROMISE + "--mu-star 3/5", PROMISE),
+    "sweep": ("sweep --prior {prior} --family constant --n 10 --start 2 --stop 4 --step 2",
+              "sweep --prior {prior} --family ring --start 1 --stop 2 --step 1"),
+    "validate": (VALIDATE + "--torus 5 5", VALIDATE),
+    "oracle": (ORACLE, "oracle --graph {tri}"),
+    "epistemic": ("epistemic --model {model} --event 1", "epistemic --event 1"),
+    "gen": ("gen --family ba --n 20 --param 2 --kind graph", "gen --family ba --n x"),
+    "bounds": ("bounds --prior {prior} --degrees {degrees}", "bounds --n 5"),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_CALLS)
+def test_one_subparser_answers_as_the_full_tree(command, files, monkeypatch, capsys):
+    # Help, a subparser's usage error, an unknown flag (reported with the
+    # top-level usage, which lists every subcommand) and a success are
+    # byte-identical whether main builds one subparser or all of them.
+    success, usage = SUBCOMMAND_CALLS[command]
+    lines = [f"{command} --help", usage, success + " --bogus 1", success]
+    built, partial = [], []
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or
+                        build_parser(name))
+    for line in lines:
+        partial.append(_called(line.format(**files), capsys))
+    assert built == [command] * len(lines)
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: build_parser())
+    for line, got in zip(lines, partial):
+        assert _called(line.format(**files), capsys) == got
+    assert [code for code, _out, _err in partial] == [0, 2, 2, 0]
+    subs = next(
+        a for a in build_parser(command)._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(subs.choices) == [command]
+
+
+@pytest.mark.parametrize("line", ["--help", "", "bogus --n 1", "--n 1 analyze"])
+def test_unnamed_subcommand_builds_the_full_tree(line, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or
+                        build_parser(name))
+    code, out, err = _called(line, capsys)
+    assert built == [None] and code in (0, 2)
+    assert "{analyze,promise,sweep,validate,oracle,epistemic,gen,bounds}" in out + err
+
+
+def test_config_prescan_only_with_a_config_flag(monkeypatch):
+    def built(*_args, **_kwargs):
+        raise AssertionError("built the --config pre-parser")
+
+    argv = ["analyze", "--prior", "p.json", "--degrees", "d.txt"]
+    monkeypatch.setattr(argparse, "ArgumentParser", built)
+    assert cli._apply_config(argv) == (argv, None)
+
+
+NUMPY_MA_PROBE = """
+import json, sys
+from factional_belief.cli import main
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+def test_jobs_do_not_import_numpy_ma(prior_file, tmp_path):
+    # numpy.ma costs tens of ms to import in a fresh process; a plain
+    # np.unique (and np.isin on wide keys) imports it.
+    lines = [
+        "validate --prior {prior} --family ba --n 1000 --param 2 --trials 2",
+        "validate --prior {prior} --torus 10 10 --trials 2 --format json",
+        "oracle --edges 0-1,1-2,2-0,2-3 --clique-reduce 3",
+        "sweep --prior {prior} --family er --n 100 --start 1/50 --stop 2/50 --step 1/50 "
+        "--trials 3",
+        "sweep --prior {prior} --family ba --n 100 --start 1 --stop 2 --step 1 --trials 3",
+        "gen --family er --n 100 --param 1/20 --kind graph",
+        "gen --family ba --n 100 --param 2 --kind graph",
+        "gen --family powerlaw --n 100 --param 5/2 --kind graph",
+    ]
+    argvs = [shlex.split(line.format(prior=prior_file)) for line in lines]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -229,9 +229,7 @@ class TestValidate:
         dist = TypeDistribution(F(0), F(1), F(0))
         prior = two_state_prior(F(1, 2), F(1, 2), dist, dist)
         for d, error in ((2**21 - 2, LookupError), (2**21 - 1, SpaceTooLargeError)):
-            hub = SimpleNamespace(
-                n=1, degree_sequence=lambda: [d], neighbors=lambda _v: range(d)
-            )
+            hub = SimpleNamespace(n=1, indptr=np.array([0, d]), indices=np.arange(d))
             with pytest.raises(error):
                 run_validate(hub, prior, "A", trials=1, seed=0)
 

@@ -67,6 +67,20 @@ class TestPriorDocument:
         with pytest.raises(ParseError):
             prior_from_dict({"p": "1/2"})
 
+    @pytest.mark.parametrize("doc, where", [
+        (dict(MOTIVATING_DOC, states=[{"label": "A"}]), "prior states"),
+        (
+            dict(MOTIVATING_DOC, states=dict(MOTIVATING_DOC["states"], A={
+                "prob": "1/2", "types": "chi"})),
+            "types of prior state 'A'",
+        ),
+        (dict(MOTIVATING_DOC, states={"A": 3}), "prior state 'A'"),
+        ([MOTIVATING_DOC], "prior document"),
+    ])
+    def test_wrong_json_kind(self, doc, where):
+        with pytest.raises(ParseError, match=f"^{where} must be a JSON object$"):
+            prior_from_dict(doc)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_prior(tmp_path / "absent.json")

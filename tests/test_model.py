@@ -16,8 +16,10 @@ from factional_belief import (
     state_posterior,
     two_state_prior,
 )
+from factional_belief import model
 from factional_belief.errors import (
     ImpossibleContextError,
+    SpaceTooLargeError,
     UnknownStateError,
     ValidationError,
 )
@@ -213,3 +215,31 @@ class TestConcreteGraph:
     def test_duplicate_edges_collapse(self):
         g = ConcreteGraph(2, [(0, 1), (1, 0)])
         assert len(g.edges) == 1
+
+    def test_csr_arrays(self):
+        g = ConcreteGraph(5, [(3, 0), (1, 0), (2, 1), (0, 1)])
+        assert g.indptr.tolist() == [0, 2, 4, 5, 6, 6]
+        assert g.indices.tolist() == [1, 3, 0, 2, 1, 0]
+        assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+        assert g.edge_list() == [(0, 1), (0, 3), (1, 2)]
+
+    def test_endpoint_past_int64_is_out_of_range(self):
+        with pytest.raises(ValidationError, match=rf"^edge \(0, {2**63}\) out of range for n=3$"):
+            ConcreteGraph(3, [(0, 1), (0, 2**63), (2, 2)])
+        with pytest.raises(ValidationError, match="^self-loop at vertex 2$"):
+            ConcreteGraph(3, [(2, 2), (0, 2**63)])
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(ValidationError, match="vertex pairs"):
+            ConcreteGraph(3, [(0, 1, 2), (0, 1, 2)])
+
+    def test_vertex_guard(self, monkeypatch):
+        # Refused before the edges are read; at the bound they are read.
+        def read(*_args):
+            raise LookupError("read the edges")
+
+        monkeypatch.setattr(model, "_edge_array", read)
+        with pytest.raises(LookupError):
+            ConcreteGraph(model.VERTEX_GUARD, [])
+        with pytest.raises(SpaceTooLargeError, match=str(model.VERTEX_GUARD + 1)):
+            ConcreteGraph(model.VERTEX_GUARD + 1, [(0, 1)])

@@ -201,6 +201,24 @@ class TestTorus:
             torus_grid(rows + 1, 4)
 
 
+class TestEdgeGuard:
+    def test_boundaries(self, monkeypatch):
+        # Each generator refuses one edge past the guard, and makes a graph
+        # at it (for G(n, p), the expected count C(n, 2) p is guarded).
+        monkeypatch.setattr(netgen, "EDGE_GUARD", 12)
+        er_graph(9, F(1, 3), 0)
+        with pytest.raises(SpaceTooLargeError, match="12 expected edges, not 13"):
+            er_graph(9, F(37, 108), 0)
+        with pytest.raises(SpaceTooLargeError, match="not 13"):
+            er_sequence(9, F(37, 108), 0)
+        assert len(ba_graph(8, 2, 0).edges) == 12 and sum(ba_sequence(8, 2, 0)) == 24
+        with pytest.raises(SpaceTooLargeError, match="12 edges, not 14"):
+            ba_sequence(9, 2, 0)
+        assert len(realize_graph([3] * 8, 0).edges) == 12
+        with pytest.raises(SpaceTooLargeError, match="not 15"):
+            realize_graph([3] * 10, 0)
+
+
 class TestGenSpec:
     def test_family_checked(self):
         with pytest.raises(ValidationError):

@@ -4,14 +4,18 @@ random degree sequences), for the integer degree-table kernel against
 Bayes' rule in plain Fractions, for the concrete-graph oracle against a
 brute force over every type assignment and against the per-assignment
 reference enumeration, for the validator's array counts against a
-per-vertex count, and for the epistemic belief kernel against the
-plain-Fraction belief operator and (J1, J2) loop."""
+per-vertex count, for the epistemic belief kernel against the
+plain-Fraction belief operator and (J1, J2) loop, and for the CSR concrete
+graph and the array generators against the tuple-built graph and the
+one-draw-at-a-time samplers."""
 
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import ceil, lcm
 
+import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -46,9 +50,19 @@ from factional_belief.algorithms import (
     multistate_fixpoint,
     revolting_contexts,
 )
-from factional_belief.errors import ImpossibleContextError, MislabeledStatesError
+from factional_belief.errors import (
+    ImpossibleContextError,
+    MislabeledStatesError,
+    ValidationError,
+)
 from factional_belief.experiments import run_validate, sample_type_assignment
-from factional_belief.netgen import derive_seed
+from factional_belief.netgen import (
+    ba_graph,
+    ba_sequence,
+    derive_seed,
+    er_graph,
+    er_sequence,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -623,3 +637,176 @@ def test_belief_kernel_matches_fraction_reference(instance):
             got = kernel.event(kernel.belief(j, bits))
             assert got == fraction_belief(model, agent, p, e), (agent, e)
     assert common_belief_fixpoint(model, p, mu, f) == pairwise_fixpoint(model, p, mu, f)
+
+
+class ReferenceGraph:
+    """The tuple-built graph: canonical pairs in a frozenset and sorted
+    neighbor tuples, validated one edge at a time in input order."""
+
+    def __init__(self, n, edges):
+        if n < 0:
+            raise ValidationError("graph size must be nonnegative")
+        self.n = n
+        canon = set()
+        for u, v in edges:
+            if u == v:
+                raise ValidationError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
+            canon.add((min(u, v), max(u, v)))
+        self.edges = frozenset(canon)
+        nbrs = [[] for _ in range(n)]
+        for u, v in sorted(self.edges):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self._neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
+
+    def neighbors(self, v):
+        return self._neighbors[v]
+
+    def degree_sequence(self):
+        return [len(ns) for ns in self._neighbors]
+
+    def has_edge(self, u, v):
+        return (min(u, v), max(u, v)) in self.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"ConcreteGraph(n={self.n}, edges={sorted(self.edges)})"
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+endpoints = st.one_of(
+    st.integers(-1, 9),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 + 5, -(2**63) - 1]),
+)
+
+
+@st.composite
+def edge_inputs(draw):
+    """n in 0..9 and up to 20 pairs, mostly in range, with duplicates,
+    reversed pairs, self-loops, out-of-range and past-int64 endpoints."""
+    n = draw(st.integers(0, 9))
+    in_range = st.integers(0, max(n - 1, 0))
+    pair = st.tuples(in_range, in_range) if n else st.tuples(endpoints, endpoints)
+    pairs = draw(st.lists(
+        st.one_of(pair, pair.map(lambda e: (e[1], e[0])), st.tuples(endpoints, endpoints)),
+        max_size=20,
+    ))
+    if draw(st.booleans()):
+        pairs = [e for e in pairs if e[0] != e[1] and all(0 <= x < n for x in e)]
+    return n, pairs
+
+
+@SETTINGS
+@example((0, []))
+@example((3, [(0, 1), (1, 0), (0, 1)]))
+@example((3, [(0, 2**63), (1, 1)]))
+@example((3, [(2, 2), (0, 2**64)]))
+@example((4, [(-(2**63) - 1, 0)]))
+@given(edge_inputs())
+def test_csr_graph_matches_reference(instance):
+    n, pairs = instance
+    ref = outcome(ReferenceGraph, n, pairs)
+    graph = outcome(ConcreteGraph, n, pairs)
+    if isinstance(ref, str):
+        assert graph == ref
+        return
+    assert graph.n == n and graph.edges == ref.edges
+    assert graph.degree_sequence() == ref.degree_sequence()
+    for v in range(n):
+        assert graph.neighbors(v) == ref.neighbors(v)
+        assert graph.degree(v) == len(ref.neighbors(v))
+        assert graph.indices[graph.indptr[v] : graph.indptr[v + 1]].tolist() == list(
+            ref.neighbors(v)
+        )
+    for u, v in product(range(-1, n + 1), repeat=2):
+        assert graph.has_edge(u, v) == ref.has_edge(u, v)
+    assert repr(graph) == repr(ref) and hash(graph) == hash(ref)
+    assert graph.edge_list() == sorted(ref.edges)
+    twin = ConcreteGraph(n, [(v, u) for u, v in reversed(pairs)])
+    assert twin == graph and hash(twin) == hash(graph)
+    if ref.edges:
+        assert ConcreteGraph(n, sorted(ref.edges)[1:]) != graph
+    assert ConcreteGraph(n + 1, pairs) != graph
+
+
+def reference_er_edges(n, p_edge, seed):
+    """G(n, p) by gap-skipping with one uniform per draw."""
+    p = float(F(p_edge))
+    if p == 0:
+        return []
+    if p == 1:
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = []
+    log_q = np.log1p(-p)
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(np.log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((v, w))
+    return edges
+
+
+def reference_ba_edges(n, m, seed):
+    """Preferential attachment with one scalar draw per target."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges, repeated = [], []
+    for new in range(m, n):
+        if new == m:
+            targets = list(range(m))
+        else:
+            targets, chosen = [], set()
+            while len(targets) < m:
+                t = repeated[int(rng.integers(len(repeated)))]
+                if t not in chosen:
+                    chosen.add(t)
+                    targets.append(t)
+        for t in targets:
+            edges.append((new, t))
+            repeated += [new, t]
+    return edges
+
+
+def assert_same_graph(graph, reference):
+    assert repr(graph) == repr(reference)
+    assert graph.degree_sequence() == reference.degree_sequence()
+
+
+@pytest.mark.parametrize("n", [1, 2, 250])
+@pytest.mark.parametrize(
+    "p_edge", [F(0), F(1, 10**300), F(1, 10**9), F(1, 100), F(1, 2), F(1)]
+)
+def test_er_matches_scalar_sampler(n, p_edge):
+    for seed in (0, 1, 2**63 + 7):
+        reference = ReferenceGraph(n, reference_er_edges(n, p_edge, seed))
+        assert_same_graph(er_graph(n, p_edge, seed), reference)
+        assert er_sequence(n, p_edge, seed) == reference.degree_sequence()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 120), st.integers(1, 999).map(lambda k: F(k, 1000)), st.integers(0, 2**64 - 1))
+def test_er_matches_scalar_sampler_at_random_p(n, p_edge, seed):
+    reference = ReferenceGraph(n, reference_er_edges(n, p_edge, seed))
+    assert_same_graph(er_graph(n, p_edge, seed), reference)
+    assert er_sequence(n, p_edge, seed) == reference.degree_sequence()
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (250, 1), (250, 2), (250, 3)])
+def test_ba_matches_scalar_sampler(n, m):
+    for seed in (0, 1, 2**63 + 7):
+        reference = ReferenceGraph(n, reference_ba_edges(n, m, seed))
+        assert_same_graph(ba_graph(n, m, seed), reference)
+        assert ba_sequence(n, m, seed) == reference.degree_sequence()
