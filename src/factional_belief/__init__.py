@@ -12,6 +12,7 @@ from .algorithms import (
     PromiseOutcome,
     algorithm1,
     algorithm1_auto,
+    algorithm1_auto_grid,
     algorithm1_general,
     algorithm1_multistate,
     algorithm2,

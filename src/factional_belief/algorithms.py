@@ -9,6 +9,7 @@ with the same degrees cannot change a result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -128,12 +129,24 @@ def expected_fraction(
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(dists, degree: int) -> int:
+def _type_key(states: Iterable[StatePrior]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The degree tables' cache key: D, the lcm of every type probability's
+    denominator over the states, and each state's (alpha, chi, nu)
+    numerators over D. Integers hash without a gcd, unlike Fractions."""
+    dists = [s.types for s in states]
+    common = lcm(*(x.denominator for t in dists for x in (t.alpha, t.chi, t.nu)))
+    return common, tuple(
+        tuple(x.numerator * (common // x.denominator) for x in (t.alpha, t.chi, t.nu))
+        for t in dists
+    )
+
+
+def _table_rows(nums, degree: int) -> int:
     """Rows `_degree_table` iterates over at this degree: none without chi
     agents, and neighbor counts only of the types some state has."""
-    if not any(t.chi for t in dists):
+    if not any(c for _a, c, _n in nums):
         return 0
-    alpha, nu = any(t.alpha for t in dists), any(t.nu for t in dists)
+    alpha, nu = any(a for a, _c, _n in nums), any(v for _a, _c, v in nums)
     if alpha and nu:
         return (degree + 1) * (degree + 2) // 2
     return degree + 1 if alpha or nu else 1
@@ -141,38 +154,35 @@ def _table_rows(dists, degree: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _degree_table(
-    states: tuple[StatePrior, ...], degree: int
-) -> tuple[int, tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]]:
+    key: tuple[int, tuple[tuple[int, int, int], ...]], degree: int
+) -> tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]:
     """Per-degree table of possible chi-centered contexts, in integers over
-    one common scale: returns (scale, rows), each row holding the neighbor
-    counts and one integer weight per state, and a state's likelihood of
-    the context is its weight / scale. With D the lcm of every type
-    probability's denominator over all states, the scale is D^(degree+1)
-    for every state, so weights add and compare as integers and no row
-    pays a gcd. Contexts with zero likelihood in every state are omitted
-    (they never occur and have no posterior). The table does not depend on
-    p or mu, so threshold sweeps share it."""
-    dists = tuple(s.types for s in states)
-    common = lcm(*(x.denominator for t in dists for x in (t.alpha, t.chi, t.nu)))
-    scale = common ** (degree + 1)
-    if not any(t.chi for t in dists):
-        return scale, ()
-    # Per state, the powers 0..degree+1 of its alpha, chi and nu numerators
-    # over the common denominator; a row's weight is
-    # C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v (the own type is chi).
+    one common scale: each row holds the neighbor counts and one integer
+    weight per state, and a state's likelihood of the context is its weight
+    / D^(degree+1), with D and the type numerators from `_type_key`. The
+    scale is the same for every state, so weights add and compare as
+    integers and no row pays a gcd. Contexts with zero likelihood in every
+    state are omitted (they never occur and have no posterior). The table
+    does not depend on p or mu, so threshold sweeps share it."""
+    _common, nums = key
+    if not any(c for _a, c, _n in nums):
+        return ()
+    # Per state, the powers 0..degree+1 of its alpha, chi and nu numerators;
+    # a row's weight is C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v (the own
+    # type is chi).
     powers = []
-    for t in dists:
+    for state in nums:
         per_type = []
-        for x in (t.alpha, t.chi, t.nu):
-            base, acc = x.numerator * (common // x.denominator), [1]
+        for base in state:
+            acc = [1]
             for _ in range(degree + 1):
                 acc.append(acc[-1] * base)
             per_type.append(acc)
         powers.append(per_type)
     # Types with zero mass in every state cannot occur; skipping them keeps
     # high-degree tables linear instead of quadratic in the degree.
-    alpha_possible = any(t.alpha for t in dists)
-    nu_possible = any(t.nu for t in dists)
+    alpha_possible = any(a for a, _c, _n in nums)
+    nu_possible = any(v for _a, _c, v in nums)
     rows = []
     for a in range(degree + 1 if alpha_possible else 1):
         heads = [comb(degree, a) * pa[a] for pa, _px, _pn in powers]
@@ -186,15 +196,14 @@ def _degree_table(
             )
             if any(weights):
                 rows.append(((a, c, v), weights))
-    return scale, tuple(rows)
+    return tuple(rows)
 
 
-def _check_table_rows(states: tuple[StatePrior, ...], degrees: Iterable[int]) -> list[int]:
+def _check_table_rows(key, degrees: Iterable[int]) -> list[int]:
     """The distinct degrees, in increasing order. Raises SpaceTooLargeError
     when the rows of their degree tables sum past TABLE_ROW_GUARD."""
     distinct = sorted(set(degrees))
-    dists = tuple(s.types for s in states)
-    rows = sum(_table_rows(dists, d) for d in distinct)
+    rows = sum(_table_rows(key[1], d) for d in distinct)
     if rows > TABLE_ROW_GUARD:
         raise SpaceTooLargeError(
             f"degree tables limited to {TABLE_ROW_GUARD} rows; "
@@ -203,10 +212,10 @@ def _check_table_rows(states: tuple[StatePrior, ...], degrees: Iterable[int]) ->
     return distinct
 
 
-def _tables(states: tuple[StatePrior, ...], degrees: Iterable[int]):
-    """(degree, scale, rows) of the degree table of every distinct degree,
-    in increasing order, after the TABLE_ROW_GUARD check."""
-    return [(d, *_degree_table(states, d)) for d in _check_table_rows(states, degrees)]
+def _tables(key, degrees: Iterable[int]):
+    """(degree, rows) of the degree table of every distinct degree, in
+    increasing order, after the TABLE_ROW_GUARD check."""
+    return [(d, _degree_table(key, d)) for d in _check_table_rows(key, degrees)]
 
 
 def _prob_weights(prior: Prior) -> list[int]:
@@ -215,54 +224,88 @@ def _prob_weights(prior: Prior) -> list[int]:
     return [s.prob.numerator * (common // s.prob.denominator) for s in prior.states]
 
 
-def _candidates(prior: Prior, degrees: Iterable[int], states: Iterable[str]):
-    """The candidacy scan: yields (degree, scale, rows) for every distinct
-    degree, in increasing order, keeping the table rows whose posterior
-    mass on `states` is at least p. Exact and division-free: with S and R
-    the probability-weighted row weights inside and outside `states`, the
-    mass S / (S + R) >= p = num/den iff (den - num) S >= num R."""
+def _split_weights(prior: Prior, states: Iterable[str]) -> tuple[list[int], list[int]]:
+    """The integer state probabilities inside and outside `states`, zero
+    elsewhere: a row's probability-weighted weight on either side is one
+    dot product with its weights."""
     sel = {prior.labels.index(s) for s in states}
     probs = _prob_weights(prior)
     inside = [pi if i in sel else 0 for i, pi in enumerate(probs)]
     outside = [0 if i in sel else pi for i, pi in enumerate(probs)]
-    num, den = prior.p.numerator, prior.p.denominator
-    for d, scale, rows in _tables(prior.states, degrees):
-        yield d, scale, [
-            (counts, w)
-            for counts, w in rows
-            if (den - num) * sum(map(int.__mul__, inside, w))
-            >= num * sum(map(int.__mul__, outside, w))
-        ]
+    return inside, outside
 
 
 def candidate_contexts(
     prior: Prior, degrees: Iterable[int], candidate_states: Iterable[str]
 ) -> list[ContextClass]:
     """Chi-centered contexts (over the given degrees) whose posterior mass on
-    the candidate-state set is at least p."""
-    return [
-        ContextClass(AgentType.CHI, *counts)
-        for _d, _scale, rows in _candidates(prior, degrees, candidate_states)
-        for counts, _weights in rows
-    ]
+    the candidate-state set is at least p = num/den. Exact and
+    division-free: with S and R a row's probability-weighted weights inside
+    and outside the set, its mass S / (S + R) >= p iff num (S + R) <= den S."""
+    inside, outside = _split_weights(prior, candidate_states)
+    num, den = prior.p.numerator, prior.p.denominator
+    out = []
+    for _d, rows in _tables(_type_key(prior.states), degrees):
+        for counts, w in rows:
+            s = sum(map(int.__mul__, inside, w))
+            if num * (s + sum(map(int.__mul__, outside, w))) <= den * s:
+                out.append(ContextClass(AgentType.CHI, *counts))
+    return out
 
 
-def _candidate_mass(
+def _candidate_masses(
     prior: Prior,
     degrees: Iterable[int],
-    candidate_states: frozenset,
+    candidate_states: Iterable[str],
+    levels: list[Fraction],
     total_n: int,
-) -> dict[str, Fraction]:
+) -> list[dict[str, Fraction]]:
     """Per-state expected fraction (relative to total_n agents) of agents
-    whose context is a candidate context over the given degree entries.
-    The candidate rows' integer weights are summed per degree and state and
-    divided by the table's scale once."""
+    whose context is a candidate context over the given degree entries, at
+    each of the ascending distinct thresholds p in `levels`: one pass over
+    the table rows for all of them. Each row's integer sums S (inside the
+    candidate states) and T = S + R (all states) are taken once; a
+    bisection over the levels, by the test num T <= den S of
+    `candidate_contexts`, puts the row in the bin of the levels it reaches.
+    The bins are summed per degree, lifted to the top degree's scale
+    D^(top+1) with one multiply per degree, summed from the highest level
+    down, and divided by the scale once per level and state."""
+    key = _type_key(prior.states)
+    common = key[0]
     counts = Counter(degrees)
-    mass = [ZERO] * len(prior.states)
-    for d, scale, rows in _candidates(prior, counts, candidate_states):
-        for i in range(len(mass)):
-            mass[i] += Fraction(counts[d] * sum(w[i] for _c, w in rows), scale)
-    return {s.label: mass[i] / total_n for i, s in enumerate(prior.states)}
+    inside, outside = _split_weights(prior, candidate_states)
+    bounds = [(p.numerator, p.denominator) for p in levels]
+    k = len(bounds)
+    top = max(counts, default=0)
+    totals = [[0] * len(inside) for _ in range(k)]
+    for d, rows in _tables(key, counts):
+        bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
+        for _counts, w in rows:
+            s = sum(map(int.__mul__, inside, w))
+            t = s + sum(map(int.__mul__, outside, w))
+            lo, hi = 0, k
+            while lo < hi:
+                mid = (lo + hi) // 2
+                num, den = bounds[mid]
+                if num * t <= den * s:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo:
+                bins[lo].append(w)
+        lift = counts[d] * common ** (top - d)
+        for b in range(1, k + 1):
+            if bins[b]:
+                total = totals[b - 1]
+                for i, column in enumerate(zip(*bins[b])):
+                    total[i] += lift * sum(column)
+    for j in range(k - 2, -1, -1):
+        totals[j] = list(map(int.__add__, totals[j], totals[j + 1]))
+    scale = common ** (top + 1) * total_n
+    return [
+        {s.label: Fraction(x, scale) for s, x in zip(prior.states, total)}
+        for total in totals
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +357,7 @@ def revolting_rule(
     _check_labels(prior)
     sizes, survivors = multistate_fixpoint(seq, prior)
     if len(survivors) == len(prior.labels):
-        _check_table_rows(prior.states, seq)
+        _check_table_rows(_type_key(prior.states), seq)
         return sizes, None
     return sizes, (candidate_contexts(prior, seq, survivors) if survivors else [])
 
@@ -352,11 +395,39 @@ def algorithm1_auto(
 ) -> tuple[dict[str, Fraction], bool]:
     """algorithm1 with relabel-and-retry: returns sizes keyed by the caller's
     original labels plus whether a relabel was needed."""
+    return algorithm1_auto_grid(degseq, prior, (prior.p,))[0]
+
+
+def algorithm1_auto_grid(
+    degseq: DegreeSequence, prior: Prior, p_values: Iterable[Fraction]
+) -> list[tuple[dict[str, Fraction], bool]]:
+    """`algorithm1_auto` at each belief threshold p of `p_values` (mu from
+    the prior), in order, from one pass over each degree table. The label
+    check depends only on mu, so it runs once; the swapped labels are
+    tried only at the p whose computed sizes came out reversed, and raise
+    what algorithm1_auto raises at the first such p."""
+    prior.require_two_states()
+    ps = [Fraction(p) for p in p_values]
+    if not all(0 <= p <= 1 for p in ps):
+        raise ValidationError("p values must lie in [0, 1]")
     try:
-        return algorithm1(degseq, prior), False
+        _check_labels(prior)
     except MislabeledStatesError:
-        swapped = algorithm1(degseq, swap_state_labels(prior))
-        return {"A": swapped["B"], "B": swapped["A"]}, True
+        out, retry = [None] * len(ps), range(len(ps))
+    else:
+        out = [
+            (sizes, False)
+            for sizes, _survivors in _fixpoints(degseq, prior, [(p, prior.mu) for p in ps])
+        ]
+        retry = [i for i, (sizes, _relabeled) in enumerate(out) if sizes["A"] < sizes["B"]]
+    if retry:
+        swapped = swap_state_labels(prior)
+        _check_labels(swapped)
+        fixed = _fixpoints(degseq, swapped, [(ps[i], prior.mu) for i in retry])
+        for i, (sizes, _survivors) in zip(retry, fixed):
+            _check_order(sizes)
+            out[i] = ({"A": sizes["B"], "B": sizes["A"]}, True)
+    return out
 
 
 def algorithm2(sizes: dict[str, Fraction], mu_star) -> PromiseOutcome:
@@ -443,7 +514,7 @@ def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fracti
     posts = sorted(
         {
             Fraction(probs[a] * w[a], sum(pi * wi for pi, wi in zip(probs, w)))
-            for _d, _scale, rows in _tables(prior.states, seq)
+            for _d, rows in _tables(_type_key(prior.states), seq)
             for _c, w in rows
         }
     )
@@ -538,6 +609,22 @@ def multistate_fixpoint(
     `revealed` counts further agents, outside `degseq`, whose contexts
     reveal the true state: a chi agent among them believes the candidate
     set, and revolts, exactly in the states inside it."""
+    return _fixpoints(degseq, prior, [(prior.p, prior.mu)], revealed=revealed)[0]
+
+
+def _fixpoints(
+    degseq: DegreeSequence,
+    prior: Prior,
+    thresholds: Iterable[tuple[Fraction, Fraction]],
+    *,
+    revealed: int = 0,
+) -> list[tuple[dict[str, Fraction], frozenset]]:
+    """`multistate_fixpoint` at each (p, mu) of `thresholds`, in order; the
+    prior's own p and mu are not read. Thresholds with the same candidate
+    set share one pass over the degree tables, at all their distinct p.
+    A set only shrinks from round to round, so handling the largest
+    pending set first reaches each set once, with every threshold that
+    will ever hold it."""
     if revealed < 0:
         raise ValidationError("revealed agent count must be nonnegative")
     # Revealed agents alone make a nonempty population.
@@ -546,23 +633,40 @@ def multistate_fixpoint(
     labels = prior.labels
     e_alpha = {s: prior.type_prob(s, AgentType.ALPHA) for s in labels}
     chi = {s: prior.type_prob(s, AgentType.CHI) for s in labels}
-    survivors = frozenset(s for s in labels if e_alpha[s] + chi[s] >= prior.mu)
-    if len(survivors) == len(labels):
-        # Every context puts posterior 1 >= p on the full state set (states
-        # have positive probability, so no possible context is left out), so
-        # every chi agent revolts and no degree table is needed.
-        return {s: e_alpha[s] + chi[s] for s in labels}, survivors
-    while survivors:
-        mass = _candidate_mass(prior, seq, survivors, n)
-        x = {s: e_alpha[s] + mass[s] for s in labels}
-        if revealed:
-            for s in survivors:
-                x[s] += chi[s] * revealed / n
-        failing = {s for s in survivors if x[s] < prior.mu}
-        if not failing:
-            return x, survivors
-        survivors -= failing
-    return e_alpha, survivors
+    thresholds = list(thresholds)
+    out: list = [None] * len(thresholds)
+    pending: dict[frozenset, list[int]] = {}
+    for i, (_p, mu) in enumerate(thresholds):
+        survivors = frozenset(s for s in labels if e_alpha[s] + chi[s] >= mu)
+        if len(survivors) == len(labels):
+            # Every context puts posterior 1 >= p on the full state set
+            # (states have positive probability, so no possible context is
+            # left out), so every chi agent revolts and no table is needed.
+            out[i] = ({s: e_alpha[s] + chi[s] for s in labels}, survivors)
+        else:
+            pending.setdefault(survivors, []).append(i)
+    while pending:
+        survivors = max(pending, key=len)
+        group = pending.pop(survivors)
+        if not survivors:
+            for i in group:
+                out[i] = (dict(e_alpha), survivors)
+            continue
+        levels = sorted({thresholds[i][0] for i in group})
+        masses = _candidate_masses(prior, seq, survivors, levels, n)
+        for i in group:
+            p, mu = thresholds[i]
+            mass = masses[bisect_left(levels, p)]
+            x = {s: e_alpha[s] + mass[s] for s in labels}
+            if revealed:
+                for s in survivors:
+                    x[s] += chi[s] * revealed / n
+            failing = {s for s in survivors if x[s] < mu}
+            if failing:
+                pending.setdefault(survivors - failing, []).append(i)
+            else:
+                out[i] = (x, survivors)
+    return out
 
 
 def algorithm1_multistate(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:

@@ -14,16 +14,23 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from statistics import stdev
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .algorithms import algorithm1_auto, equilibria_map, revolting_rule
-from .errors import SpaceTooLargeError, ValidationError
+from .algorithms import (
+    algorithm1_auto,
+    algorithm1_auto_grid,
+    equilibria_map,
+    revolting_rule,
+)
+from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
 from .fileio import format_decimal, format_rational
 from .model import ConcreteGraph, Prior
 from .netgen import (
@@ -49,6 +56,7 @@ SWEEP_COLUMNS = (
 
 GRID_POINT_GUARD = 100_000  # points one sweep or promise-map grid may hold
 TRIAL_GUARD = 100_000  # trials one sweep point or validate run may take
+SWEEP_RESULT_BUDGET = 1 << 15  # per-trial results a p sweep holds at once
 
 MAP_COLUMNS = ("mu_star", "mu_star_decimal", "outcome")
 
@@ -82,6 +90,8 @@ class SweepConfig:
         _check_trials(self.trials)
         if self.axis == "p" and self.fixed_param is None:
             raise ValidationError("a p sweep needs the family parameter fixed")
+        if self.axis == "p" and not all(0 <= v <= 1 for v in self.values):
+            raise ValidationError("p sweep values must lie in [0, 1]")
 
 
 def _check_trials(trials: int) -> None:
@@ -111,6 +121,15 @@ def _run_pair(args) -> tuple[Fraction, Fraction, bool]:
     return sizes["A"], sizes["B"], relabeled
 
 
+def _run_p_grid(args) -> list[tuple[Fraction, Fraction, bool]]:
+    """`_run_pair` at every p of the grid, for one trial's sequence."""
+    seq, prior, values = args
+    return [
+        (sizes["A"], sizes["B"], relabeled)
+        for sizes, relabeled in algorithm1_auto_grid(seq, prior, values)
+    ]
+
+
 def worker_count(jobs: int, items: int, cpus: int) -> int:
     """Pool size for `items` tasks at a time: at most `jobs`, the `cpus`
     the process may run on, and `items`; 1 means run in-process."""
@@ -138,19 +157,6 @@ def _sequences(cfg: SweepConfig, param, *index: int) -> list[list[int]]:
     ]
 
 
-def _grid_points(cfg: SweepConfig):
-    """(axis value, [(sequence, prior), ...]) per grid point, one point at a
-    time."""
-    if cfg.axis == "param":
-        for vi, value in enumerate(cfg.values):
-            yield value, [(seq, cfg.prior) for seq in _sequences(cfg, value, vi)]
-    else:
-        seqs = _sequences(cfg, cfg.fixed_param)
-        for value in cfg.values:
-            prior = replace(cfg.prior, p=Fraction(value))
-            yield value, [(seq, prior) for seq in seqs]
-
-
 def _aggregate(value: Fraction, results) -> dict:
     xa = [r[0] for r in results]
     xb = [r[1] for r in results]
@@ -174,21 +180,43 @@ def _aggregate(value: Fraction, results) -> dict:
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """Rows of mean largest-revolt sizes along the sweep axis. With
-    cfg.jobs > 1 the grid points share one process pool."""
+    """Rows of mean largest-revolt sizes along the sweep axis. A p sweep
+    computes a span of grid points of a trial's sequence in one call, the
+    span sized so that at most SWEEP_RESULT_BUDGET per-trial results are
+    held before they are aggregated into rows. With cfg.jobs > 1 the grid
+    points (or the trials of a p sweep) share one process pool."""
     per_point = 1 if cfg.family == "constant" else cfg.trials
     workers = worker_count(cfg.jobs, per_point, _usable_cpus())
-    if workers == 1:
-        return [
-            _aggregate(value, [_run_pair(item) for item in items])
-            for value, items in _grid_points(cfg)
-        ]
     chunksize = max(1, per_point // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [
-            _aggregate(value, list(pool.map(_run_pair, items, chunksize=chunksize)))
-            for value, items in _grid_points(cfg)
-        ]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else partial(pool.map, chunksize=chunksize)
+        if cfg.axis == "param":
+            return [
+                _aggregate(value, list(run(_run_pair, [
+                    (seq, cfg.prior) for seq in _sequences(cfg, value, vi)
+                ])))
+                for vi, value in enumerate(cfg.values)
+            ]
+        seqs = _sequences(cfg, cfg.fixed_param)
+        span = max(1, SWEEP_RESULT_BUDGET // len(seqs))
+        rows = []
+        for lo in range(0, len(cfg.values), span):
+            values = cfg.values[lo:lo + span]
+            try:
+                per_trial = list(run(_run_p_grid, [(seq, cfg.prior, values) for seq in seqs]))
+            except MislabeledStatesError:
+                # Raise the first error in (p, trial) order, as one call per
+                # point would: a later trial's table guard comes first when
+                # this trial's relabel error is at a larger p.
+                for value in values:
+                    for seq in seqs:
+                        algorithm1_auto(seq, replace(cfg.prior, p=value))
+                raise
+            rows += [
+                _aggregate(value, [results[j] for results in per_trial])
+                for j, value in enumerate(values)
+            ]
+        return rows
 
 
 def run_promise_map(

@@ -132,15 +132,26 @@ def _labels(items) -> list[str]:
     return labels
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON array")
+    return value
+
+
 def epistemic_model_from_dict(doc: Mapping) -> EpistemicModel:
     """Read a model document; every outcome label, in `outcomes` and in the
     partitions, is read as a string."""
     try:
-        outcomes = _labels(doc["outcomes"])
-        prob = {o: parse_rational(doc["prob"][o]) for o in outcomes}
+        doc = _object(doc, "model document")
+        outcomes = _labels(_array(doc["outcomes"], "model outcomes"))
+        probs = _object(doc["prob"], "model prob")
+        prob = {o: parse_rational(probs[o]) for o in outcomes}
         partitions = {
-            agent: [_labels(cell) for cell in cells]
-            for agent, cells in doc["partitions"].items()
+            agent: [
+                _labels(_array(cell, f"cell of agent {agent!r}"))
+                for cell in _array(cells, f"partition of agent {agent!r}")
+            ]
+            for agent, cells in _object(doc["partitions"], "model partitions").items()
         }
     except KeyError as exc:
         raise ParseError(f"model document missing field {exc}") from None

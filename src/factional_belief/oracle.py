@@ -209,7 +209,7 @@ class _Enumeration:
         self.prior = prior
         self.n = n
         self.need = ceil(prior.mu * n)
-        self.neighbors = [graph.neighbors(v) for v in range(n)]
+        self.degrees = degrees
         self.offsets = [0]
         for d in degrees:
             self.offsets.append(self.offsets[-1] + 3**d)
@@ -227,13 +227,17 @@ class _Enumeration:
         self.den = lcm(*(f.denominator for f in scales))
         self._scales = [int(f * self.den) for f in scales]
 
+        # Row v lists v's neighbors (CSR order, ascending) and the base-3
+        # place value of each, 3^(d-1) for the first; pads are vertex n.
         width = max(degrees, default=0)
+        deg = np.diff(graph.indptr)
+        heads = np.repeat(np.arange(n), deg)
+        slots = np.arange(len(heads)) - graph.indptr[heads]
         nbr_table = np.full((n, width), n, np.int64)
         pow_table = np.zeros((n, width), np.int64)
-        for v, nbrs in enumerate(self.neighbors):
-            d = len(nbrs)
-            nbr_table[v, :d] = nbrs
-            pow_table[v, :d] = [3 ** (d - 1 - i) for i in range(d)]
+        nbr_table[heads, slots] = graph.indices
+        places = np.array([3**i for i in range(width)], np.int64)
+        pow_table[heads, slots] = places[deg[heads] - 1 - slots]
         offsets = np.asarray(self.offsets[:-1], np.int64)
 
         self.supports: list[_Support] = []
@@ -311,7 +315,7 @@ class _Enumeration:
         for v, own, ntypes in cells:
             if own is not AgentType.CHI or not 0 <= v < self.n:
                 continue
-            if len(ntypes) == len(self.neighbors[v]):
+            if len(ntypes) == self.degrees[v]:
                 code = 0
                 for t in ntypes:
                     code = 3 * code + TYPES.index(t)
@@ -323,7 +327,7 @@ class _Enumeration:
         if i not in self._cells:
             v = bisect_right(self.offsets, i) - 1
             code, digits = i - self.offsets[v], []
-            for _ in self.neighbors[v]:
+            for _ in range(self.degrees[v]):
                 code, t = divmod(code, 3)
                 digits.append(TYPES[t])
             self._cells[i] = (v, AgentType.CHI, tuple(reversed(digits)))

@@ -14,6 +14,7 @@ from factional_belief import (
     TypeDistribution,
     algorithm1,
     algorithm1_auto,
+    algorithm1_auto_grid,
     algorithm1_general,
     algorithm1_multistate,
     algorithm2,
@@ -33,7 +34,7 @@ from factional_belief import (
     swap_state_labels,
     two_state_prior,
 )
-from factional_belief.algorithms import _candidate_mass, high_degree_cutoff
+from factional_belief.algorithms import _candidate_masses, high_degree_cutoff
 from factional_belief.errors import (
     ImpossibleContextError,
     MislabeledStatesError,
@@ -147,14 +148,14 @@ class TestCandidacyTies:
         dist = TypeDistribution(F(1, 6), F(1, 2), F(1, 3))
         prior = two_state_prior(F(1, 3), F(1, 2), dist, dist, F(1, 3))
         assert candidate_contexts(prior, [5], ("A",)) == enumerate_contexts(5, CHI)
-        assert _candidate_mass(prior, [5], frozenset({"A"}), 1) == {
+        assert _candidate_masses(prior, [5], {"A"}, [prior.p], 1) == [{
             "A": F(1, 2), "B": F(1, 2),
-        }
+        }]
         above = replace(prior, p=F(1, 3) + F(1, 10**30))
         assert candidate_contexts(above, [5], ("A",)) == []
-        assert _candidate_mass(above, [5], frozenset({"A"}), 1) == {
+        assert _candidate_masses(above, [5], {"A"}, [above.p], 1) == [{
             "A": F(0), "B": F(0),
-        }
+        }]
 
 
 class TestAlgorithm1:
@@ -188,6 +189,10 @@ class TestAlgorithm1:
         sizes, relabeled = algorithm1_auto(CONST4, swap_state_labels(motivating_prior))
         assert relabeled
         assert sizes == {"A": X_B, "B": X_A}
+
+    def test_auto_grid_rejects_p_outside_unit_interval(self, motivating_prior):
+        with pytest.raises(ValidationError, match=r"^p values must lie in \[0, 1\]$"):
+            algorithm1_auto_grid(CONST4, motivating_prior, [F(1, 2), F(3, 2)])
 
     def test_two_state_labels_required(self, motivating_prior):
         bad = Prior(
@@ -313,6 +318,19 @@ class TestAlgorithm3:
         )
         assert up is PromiseOutcome.A and down is PromiseOutcome.OMEGA
         assert algorithm3(inst) is PromiseOutcome.NULL
+
+    def test_nudged_up_check_fails_before_nudged_down_table_guard(self):
+        # At mu + epsilon/3 no state is a candidate, so the nudged-up run
+        # builds no table and its sizes (the alpha masses) come out
+        # reversed; only the nudged-down run (A a candidate) would build the
+        # degree-1000 table past TABLE_ROW_GUARD.
+        prior = two_state_prior(
+            F(1, 2), F(3, 5), TypeDistribution(F(1, 10), F(1, 2), F(2, 5)),
+            TypeDistribution(F(1, 5), F(1, 5), F(3, 5)),
+        )
+        inst = PromiseInstance((1000,), prior, F(1, 2), F(3, 100), F(3, 100))
+        with pytest.raises(MislabeledStatesError, match="computed X_A < X_B"):
+            algorithm3(inst)
 
     def test_perturbation_must_stay_inside_unit_interval(self, motivating_prior):
         with pytest.raises(ValidationError):

@@ -283,6 +283,19 @@ class TestPromise:
         assert main(args + ["--strict"]) == 4
 
 
+def test_p_sweep_range_checked_before_sampling(prior_file, monkeypatch, capsys):
+    def sampled(*_args):
+        raise AssertionError("sampled a sequence")
+
+    monkeypatch.setattr(experiments, "generate_sequence", sampled)
+    argv = (f"sweep --prior {prior_file} --family er --axis p --param 1/30 "
+            "--start 1/2 --stop 3/2 --step 1/2 --n 50 --trials 3")
+    assert main(shlex.split(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p sweep values must lie in [0, 1]\n"
+
+
 class TestSweepDeterminism:
     def test_same_seed_byte_identical(self, prior_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -410,6 +423,20 @@ class TestEpistemicCommand:
         assert main(["epistemic", "--model", str(path), "--event", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["beliefs"] == {"i": ["1"]} and doc["common_belief_event"] == ["1"]
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"outcomes": ["1"]}], "model document must be a JSON object"),
+        ({"outcomes": ["1"], "prob": ["1"], "partitions": {"i": [["1"]]}},
+         "model prob must be a JSON object"),
+        ({"outcomes": ["1"], "prob": {"1": "1"}, "partitions": [["1"]]},
+         "model partitions must be a JSON object"),
+    ])
+    def test_malformed_model_exits_2(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["epistemic", "--model", str(path), "--event", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -100,6 +100,24 @@ class TestSweep:
                 seed=0,
             )
 
+    def test_p_axis_raises_first_error_in_point_order(self, monkeypatch):
+        # Trial 0 fails its relabel retry at p = 1 only (state A survives
+        # at p = 0, and at p = 1 the swapped labels leave only B' a
+        # candidate); trial 1's degree-1000 table is past TABLE_ROW_GUARD at
+        # every p. Point by point, p = 0 meets the guard first.
+        prior = two_state_prior(
+            F(1, 2), F(1, 2), TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+            TypeDistribution(F(1, 5), F(1, 5), F(3, 5)),
+        )
+        seqs = iter([[2, 2, 2], [1000]])
+        monkeypatch.setattr(experiments, "generate_sequence", lambda _spec: next(seqs))
+        cfg = SweepConfig(
+            family="er", n=3, axis="p", values=(F(0), F(1)), prior=prior,
+            fixed_param=F(1, 2), trials=2,
+        )
+        with pytest.raises(SpaceTooLargeError, match="need 501501"):
+            run_sweep(cfg)
+
     def test_p_axis_reuses_graphs_across_values(self, motivating_prior):
         cfg = SweepConfig(
             family="er",
@@ -117,6 +135,25 @@ class TestSweep:
         eb = [F(r["mean_eB_exact"]) for r in rows]
         assert all(a >= b for a, b in zip(ea, ea[1:]))
         assert all(a >= b for a, b in zip(eb, eb[1:]))
+
+    def test_p_axis_holds_at_most_the_result_budget(self, motivating_prior, monkeypatch):
+        cfg = SweepConfig(
+            family="er", n=60, axis="p", values=grid("1/6", "5/6", "1/6"),
+            prior=motivating_prior, fixed_param=F(1, 30), trials=3, seed=4,
+        )
+        whole = run_sweep(cfg)
+        spans = []
+        run_p_grid = experiments._run_p_grid
+
+        def recording(args):
+            spans.append(len(args[2]))
+            return run_p_grid(args)
+
+        monkeypatch.setattr(experiments, "_run_p_grid", recording)
+        monkeypatch.setattr(experiments, "SWEEP_RESULT_BUDGET", 7)
+        assert run_sweep(cfg) == whole
+        # 7 // 3 trials = 2 points a span: spans of 2, 2 and 1 per trial
+        assert spans == [2] * 3 + [2] * 3 + [1] * 3
 
     def test_rows_deterministic(self, motivating_prior):
         cfg = SweepConfig(

@@ -86,6 +86,13 @@ class TestPriorDocument:
             load_prior(tmp_path / "absent.json")
 
 
+MODEL_DOC = {
+    "outcomes": ["w1", "w2"],
+    "prob": {"w1": "1/2", "w2": "1/2"},
+    "partitions": {"a": [["w1"], ["w2"]]},
+}
+
+
 class TestEpistemicDocument:
     def test_round_trip(self):
         doc = {
@@ -117,6 +124,19 @@ class TestEpistemicDocument:
             "partitions": {"a": [[1, "1"]]},
         }
         with pytest.raises(ParseError, match="'1' appears twice"):
+            epistemic_model_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, where, kind", [
+        ([MODEL_DOC], "model document", "object"),
+        (dict(MODEL_DOC, prob=["1/2", "1/2"]), "model prob", "object"),
+        (dict(MODEL_DOC, partitions=[["w1"], ["w2"]]), "model partitions", "object"),
+        (dict(MODEL_DOC, outcomes="w1"), "model outcomes", "array"),
+        (dict(MODEL_DOC, outcomes=2), "model outcomes", "array"),
+        (dict(MODEL_DOC, partitions={"a": "w1"}), "partition of agent 'a'", "array"),
+        (dict(MODEL_DOC, partitions={"a": ["w1", "w2"]}), "cell of agent 'a'", "array"),
+    ])
+    def test_wrong_json_kind(self, doc, where, kind):
+        with pytest.raises(ParseError, match=f"^{where} must be a JSON {kind}$"):
             epistemic_model_from_dict(doc)
 
     def test_int_labelled_model_round_trips_through_json(self):

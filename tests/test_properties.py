@@ -1,14 +1,17 @@
 """Property tests for the candidate-state fixpoint that every largest-revolt
 entry point shares (random two-state priors on an eighths grid and short
 random degree sequences), for the integer degree-table kernel against
-Bayes' rule in plain Fractions, for the concrete-graph oracle against a
-brute force over every type assignment and against the per-assignment
-reference enumeration, for the validator's array counts against a
-per-vertex count, for the epistemic belief kernel against the
-plain-Fraction belief operator and (J1, J2) loop, and for the CSR concrete
-graph and the array generators against the tuple-built graph and the
-one-draw-at-a-time samplers."""
+Bayes' rule in plain Fractions, for the many-threshold table pass against
+the one-threshold fixpoint loop (and the p grid, the promise pair and
+p-axis sweep rows against their per-point answers), for the
+concrete-graph oracle against a brute force over every type assignment
+and against the per-assignment reference enumeration, for the
+validator's array counts against a per-vertex count, for the epistemic
+belief kernel against the plain-Fraction belief operator and (J1, J2)
+loop, and for the CSR concrete graph and the array generators against
+the tuple-built graph and the one-draw-at-a-time samplers."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -44,18 +47,32 @@ from factional_belief import (
     two_state_prior,
 )
 from factional_belief import epistemic
+from factional_belief import experiments
 from factional_belief.algorithms import (
-    _candidate_mass,
+    PromiseInstance,
+    _candidate_masses,
+    _fixpoints,
+    _perturbed_sizes,
+    _tables,
+    _type_key,
+    algorithm1_auto_grid,
     high_degree_cutoff,
     multistate_fixpoint,
     revolting_contexts,
+    swap_state_labels,
 )
 from factional_belief.errors import (
     ImpossibleContextError,
     MislabeledStatesError,
     ValidationError,
 )
-from factional_belief.experiments import run_validate, sample_type_assignment
+from factional_belief.experiments import (
+    SweepConfig,
+    grid,
+    run_sweep,
+    run_validate,
+    sample_type_assignment,
+)
 from factional_belief.netgen import (
     ba_graph,
     ba_sequence,
@@ -201,7 +218,160 @@ def test_kernel_matches_fraction_reference(instance):
         ) / len(degrees)
         for s in prior.labels
     }
-    assert _candidate_mass(prior, degrees, frozenset(chosen), len(degrees)) == mass
+    assert _candidate_masses(prior, degrees, chosen, [prior.p], len(degrees)) == [mass]
+
+
+def reference_candidate_mass(prior, degrees, states, total_n):
+    """The candidate mass of the one-threshold scan: each degree table's
+    rows tested one by one against prior.p, their weights summed per state
+    and divided by the table's own scale D^(d+1)."""
+    key = _type_key(prior.states)
+    probs = [s.prob for s in prior.states]
+    inside = [s.label in states for s in prior.states]
+    counts = Counter(degrees)
+    mass = [F(0)] * len(probs)
+    for d, rows in _tables(key, counts):
+        kept = [
+            w for _c, w in rows
+            if sum(pi * wi for pi, wi, i in zip(probs, w, inside) if i)
+            >= prior.p * sum(pi * wi for pi, wi in zip(probs, w))
+        ]
+        for i in range(len(mass)):
+            mass[i] += F(counts[d] * sum(w[i] for w in kept), key[0] ** (d + 1))
+    return {s.label: mass[i] / total_n for i, s in enumerate(prior.states)}
+
+
+def reference_fixpoint(degseq, prior, revealed=0):
+    """The candidate-state fixpoint one threshold at a time: the per-round
+    loop over the reference candidate mass."""
+    seq = list(degseq)
+    n = len(seq) + revealed
+    e_alpha = {s: prior.type_prob(s, AgentType.ALPHA) for s in prior.labels}
+    chi = {s: prior.type_prob(s, AgentType.CHI) for s in prior.labels}
+    survivors = frozenset(s for s in prior.labels if e_alpha[s] + chi[s] >= prior.mu)
+    if len(survivors) == len(prior.labels):
+        return {s: e_alpha[s] + chi[s] for s in prior.labels}, survivors
+    while survivors:
+        mass = reference_candidate_mass(prior, seq, survivors, n)
+        x = {s: e_alpha[s] + mass[s] for s in prior.labels}
+        for s in survivors:
+            x[s] += chi[s] * F(revealed, n)
+        failing = {s for s in survivors if x[s] < prior.mu}
+        if not failing:
+            return x, survivors
+        survivors -= failing
+    return e_alpha, survivors
+
+
+@st.composite
+def threshold_lists(draw):
+    """A 2- or 3-state prior, a short degree sequence (empty only with
+    revealed agents), up to 3 revealed agents, and up to 6 (p, mu) pairs,
+    unsorted and often repeated, with p in {0, 1}, on the eighths, or
+    exactly some row's posterior mass on some set of states (a tie)."""
+    k = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    labels = ("A", "B", "C")[:k]
+    states = tuple(
+        StatePrior(label, F(w, sum(weights)), draw(st.one_of(type_dists(), mixed_dists())))
+        for label, w in zip(labels, weights)
+    )
+    prior = Prior(F(1, 2), F(1, 2), states)
+    revealed = draw(st.integers(0, 3))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=0 if revealed else 1, max_size=8))
+    levels = sorted({
+        sum(post[s] for s in chosen)
+        for _c, post in posteriors(prior, degrees)
+        for r in range(1, k)
+        for chosen in combinations(labels, r)
+    })
+    eighths = st.integers(0, 8).map(lambda j: F(j, 8))
+    ps = st.one_of(eighths, st.sampled_from([F(0), F(1)]), *(
+        [st.sampled_from(levels)] if levels else []
+    ))
+    thresholds = draw(st.lists(st.tuples(ps, eighths), min_size=1, max_size=6))
+    return prior, degrees, revealed, thresholds
+
+
+@SETTINGS
+@given(threshold_lists())
+def test_one_pass_fixpoints_match_one_threshold_loop(instance):
+    prior, degrees, revealed, thresholds = instance
+    got = _fixpoints(degrees, prior, thresholds, revealed=revealed)
+    want = [
+        reference_fixpoint(degrees, replace(prior, p=p, mu=mu), revealed)
+        for p, mu in thresholds
+    ]
+    assert got == want
+    assert got == [
+        multistate_fixpoint(degrees, replace(prior, p=p, mu=mu), revealed=revealed)
+        for p, mu in thresholds
+    ]
+
+
+def per_point_auto(degseq, prior):
+    """algorithm1_auto one threshold at a time: algorithm1, and on a
+    relabel error algorithm1 on the swapped labels."""
+    try:
+        return algorithm1(degseq, prior), False
+    except MislabeledStatesError:
+        swapped = algorithm1(degseq, swap_state_labels(prior))
+        return {"A": swapped["B"], "B": swapped["A"]}, True
+
+
+@SETTINGS
+@given(two_state_priors(), degseqs, st.lists(st.integers(0, 8).map(lambda j: F(j, 8)), max_size=6))
+def test_auto_grid_matches_per_point_auto(prior, degseq, ps):
+    def per_point():
+        return [per_point_auto(degseq, replace(prior, p=p)) for p in ps]
+
+    assert outcome(algorithm1_auto_grid, degseq, prior, ps) == outcome(per_point)
+
+
+@SETTINGS
+@given(two_state_priors(), degseqs, st.integers(1, 3), st.integers(1, 3))
+def test_perturbed_pair_matches_two_runs(prior, degseq, tenths_d, tenths_e):
+    delta, epsilon = F(tenths_d, 10), F(tenths_e, 10)
+    try:
+        inst = PromiseInstance(degseq, prior, F(1, 2), epsilon, delta)
+    except ValidationError:
+        assume(False)
+
+    def two_runs():
+        up = replace(prior, p=prior.p + delta / 3, mu=prior.mu + epsilon / 3)
+        down = replace(prior, p=prior.p - delta / 3, mu=prior.mu - epsilon / 3)
+        return algorithm1(degseq, up), algorithm1(degseq, down)
+
+    assert outcome(_perturbed_sizes, inst) == outcome(two_runs)
+
+
+@pytest.mark.parametrize("family, fixed", [("er", F(1, 20)), ("constant", F(3))])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_p_sweep_rows_match_per_point_auto(family, fixed, jobs, monkeypatch):
+    # Only B reaches mu, so every trial is relabeled at every p; alpha_B >=
+    # alpha_A keeps the relabeled run's order check passing when A' fails.
+    prior = two_state_prior(
+        F(1, 2), F(1, 2), TypeDistribution(F(1, 10), F(1, 5), F(7, 10)),
+        TypeDistribution(F(1, 5), F(3, 5), F(1, 5)),
+    )
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    cfg = SweepConfig(
+        family=family, n=40, axis="p", values=grid(0, 1, F(1, 8)), prior=prior,
+        fixed_param=fixed, trials=4, seed=7, jobs=jobs,
+    )
+    seqs = experiments._sequences(cfg, fixed)
+    want = [
+        experiments._aggregate(value, [
+            (sizes["A"], sizes["B"], relabeled)
+            for sizes, relabeled in (
+                per_point_auto(seq, replace(prior, p=value)) for seq in seqs
+            )
+        ])
+        for value in cfg.values
+    ]
+    rows = run_sweep(cfg)
+    assert rows == want
+    assert {r["relabeled"] for r in rows} == {len(seqs)}
 
 
 class BruteOracle:
