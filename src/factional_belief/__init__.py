@@ -14,17 +14,13 @@ from .algorithms import (
     algorithm1_auto,
     algorithm1_auto_grid,
     algorithm1_general,
-    algorithm1_multistate,
     algorithm2,
     algorithm3,
     candidate_contexts,
     crucial_thresholds,
     equilibria_map,
-    expected_context_fraction,
-    expected_fraction,
     expected_type_fraction,
     multistate_fixpoint,
-    revolting_contexts,
     smallest_revolt,
     swap_state_labels,
 )

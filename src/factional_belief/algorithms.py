@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, lcm
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
@@ -25,7 +27,6 @@ from .model import (
     DegreeSequence,
     Prior,
     StatePrior,
-    context_likelihood,
     validate_degree_sequence,
 )
 
@@ -52,7 +53,7 @@ class PromiseInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "degseq", tuple(validate_degree_sequence(self.degseq)))
-        object.__setattr__(self, "mu_star", Fraction(self.mu_star))
+        object.__setattr__(self, "mu_star", _requested_size(self.mu_star))
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         object.__setattr__(self, "delta", Fraction(self.delta))
         if self.epsilon <= 0 or self.delta <= 0:
@@ -63,6 +64,14 @@ class PromiseInstance:
             raise ValidationError("p +/- delta/3 must stay inside (0, 1)")
         if not (0 < mu - third_e and mu + third_e < 1):
             raise ValidationError("mu +/- epsilon/3 must stay inside (0, 1)")
+
+
+def _requested_size(mu_star) -> Fraction:
+    """mu_star as a Fraction; a requested revolt size outside [0, 1] raises."""
+    mu_star = Fraction(mu_star)
+    if not 0 <= mu_star <= 1:
+        raise ValidationError("mu_star must lie in [0, 1]")
+    return mu_star
 
 
 # ---------------------------------------------------------------------------
@@ -77,51 +86,6 @@ def expected_type_fraction(
     state. Degree-independent."""
     dist = prior.state(state).types
     return sum((dist.prob(t) for t in set(types)), ZERO)
-
-
-def expected_context_fraction(
-    state: str,
-    contexts: Iterable[ContextClass],
-    prior: Prior,
-    degseq: DegreeSequence,
-) -> Fraction:
-    """Expected fraction of agents whose realized context lies in the given
-    set, in the given state: averages the per-degree membership probability
-    over the degree multiset."""
-    seq = validate_degree_sequence(degseq)
-    by_degree: dict[int, list[ContextClass]] = {}
-    for c in set(contexts):
-        by_degree.setdefault(c.degree, []).append(c)
-    counts = Counter(seq)
-    total = ZERO
-    for d, group in by_degree.items():
-        if d not in counts:
-            continue
-        mass = sum((context_likelihood(c, state, prior) for c in group), ZERO)
-        total += counts[d] * mass
-    return total / len(seq)
-
-
-def expected_fraction(
-    state: str,
-    prior: Prior,
-    degseq: Optional[DegreeSequence] = None,
-    types: Iterable[AgentType] = (),
-    contexts: Iterable[ContextClass] = (),
-) -> Fraction:
-    """Union of a type selector and a context selector. The two parts must
-    be disjoint (context own-types not also selected as whole types), which
-    makes the union a plain sum."""
-    types = set(types)
-    contexts = list(contexts)
-    if any(c.own_type in types for c in contexts):
-        raise ValidationError("context selector overlaps the type selector")
-    total = expected_type_fraction(state, types, prior) if types else ZERO
-    if contexts:
-        if degseq is None:
-            raise ValidationError("a context selector needs a degree sequence")
-        total += expected_context_fraction(state, contexts, prior, degseq)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +191,8 @@ def _prob_weights(prior: Prior) -> list[int]:
 def _split_weights(prior: Prior, states: Iterable[str]) -> tuple[list[int], list[int]]:
     """The integer state probabilities inside and outside `states`, zero
     elsewhere: a row's probability-weighted weight on either side is one
-    dot product with its weights."""
-    sel = {prior.labels.index(s) for s in states}
+    dot product with its weights. An unknown label raises UnknownStateError."""
+    sel = {prior.states.index(prior.state(s)) for s in states}
     probs = _prob_weights(prior)
     inside = [pi if i in sel else 0 for i, pi in enumerate(probs)]
     outside = [0 if i in sel else pi for i, pi in enumerate(probs)]
@@ -238,19 +202,21 @@ def _split_weights(prior: Prior, states: Iterable[str]) -> tuple[list[int], list
 def candidate_contexts(
     prior: Prior, degrees: Iterable[int], candidate_states: Iterable[str]
 ) -> list[ContextClass]:
-    """Chi-centered contexts (over the given degrees) whose posterior mass on
-    the candidate-state set is at least p = num/den. Exact and
-    division-free: with S and R a row's probability-weighted weights inside
-    and outside the set, its mass S / (S + R) >= p iff num (S + R) <= den S."""
-    inside, outside = _split_weights(prior, candidate_states)
-    num, den = prior.p.numerator, prior.p.denominator
-    out = []
-    for _d, rows in _tables(_type_key(prior.states), degrees):
-        for counts, w in rows:
-            s = sum(map(int.__mul__, inside, w))
-            if num * (s + sum(map(int.__mul__, outside, w))) <= den * s:
-                out.append(ContextClass(AgentType.CHI, *counts))
-    return out
+    """Chi-centered contexts (over the given degrees, in table order) whose
+    posterior mass on the candidate-state set is at least p: the rows that
+    `_candidate_masses` puts at the one level p."""
+    _masses, scan = _candidate_masses(prior, degrees, candidate_states, [prior.p], 1)
+    return _scan_contexts(scan, 0)
+
+
+def _scan_contexts(scan, j: int) -> list[ContextClass]:
+    """The chi-centered contexts of the rows of `scan` (from
+    `_candidate_masses`) that reach its levels[j], in table order."""
+    return [
+        ContextClass(AgentType.CHI, *rows[i][0])
+        for rows, bins in scan
+        for i in sorted(chain.from_iterable(bins[j + 1 :]))
+    ]
 
 
 def _candidate_masses(
@@ -259,17 +225,23 @@ def _candidate_masses(
     candidate_states: Iterable[str],
     levels: list[Fraction],
     total_n: int,
-) -> list[dict[str, Fraction]]:
-    """Per-state expected fraction (relative to total_n agents) of agents
-    whose context is a candidate context over the given degree entries, at
-    each of the ascending distinct thresholds p in `levels`: one pass over
-    the table rows for all of them. Each row's integer sums S (inside the
-    candidate states) and T = S + R (all states) are taken once; a
-    bisection over the levels, by the test num T <= den S of
-    `candidate_contexts`, puts the row in the bin of the levels it reaches.
-    The bins are summed per degree, lifted to the top degree's scale
-    D^(top+1) with one multiply per degree, summed from the highest level
-    down, and divided by the scale once per level and state."""
+) -> tuple[list[dict[str, Fraction]], list]:
+    """The one candidacy test of the degree tables. A context is a
+    candidate at threshold p when its posterior mass on the candidate-state
+    set is at least p; with S and R a row's probability-weighted weights
+    inside and outside the set, and T = S + R, that is S / T >= p, or
+    num T <= den S for p = num/den, exact and division-free.
+
+    One pass over the table rows answers all the ascending distinct
+    thresholds in `levels`: each row's S and T are taken once, and a
+    bisection over the levels puts the row's index in the bin of the levels
+    it reaches. Returns, per level, each state's expected fraction
+    (relative to total_n agents) of agents whose context is a candidate
+    over the given degree entries; and the scan, per degree table its rows
+    and bins, whose rows reaching levels[j] are those in bins[j + 1:].
+    The bins' weights are summed per degree, lifted to the top degree's
+    scale D^(top+1) with one multiply per degree, summed from the highest
+    level down, and divided by the scale once per level and state."""
     key = _type_key(prior.states)
     common = key[0]
     counts = Counter(degrees)
@@ -278,9 +250,11 @@ def _candidate_masses(
     k = len(bounds)
     top = max(counts, default=0)
     totals = [[0] * len(inside) for _ in range(k)]
+    weights = itemgetter(1)
+    scan = []
     for d, rows in _tables(key, counts):
         bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
-        for _counts, w in rows:
+        for r, (_counts, w) in enumerate(rows):
             s = sum(map(int.__mul__, inside, w))
             t = s + sum(map(int.__mul__, outside, w))
             lo, hi = 0, k
@@ -292,20 +266,23 @@ def _candidate_masses(
                 else:
                     hi = mid
             if lo:
-                bins[lo].append(w)
+                bins[lo].append(r)
         lift = counts[d] * common ** (top - d)
         for b in range(1, k + 1):
             if bins[b]:
                 total = totals[b - 1]
-                for i, column in enumerate(zip(*bins[b])):
+                columns = zip(*map(weights, map(rows.__getitem__, bins[b])))
+                for i, column in enumerate(columns):
                     total[i] += lift * sum(column)
+        scan.append((rows, bins))
     for j in range(k - 2, -1, -1):
         totals[j] = list(map(int.__add__, totals[j], totals[j + 1]))
     scale = common ** (top + 1) * total_n
-    return [
+    masses = [
         {s.label: Fraction(x, scale) for s, x in zip(prior.states, total)}
         for total in totals
     ]
+    return masses, scan
 
 
 # ---------------------------------------------------------------------------
@@ -348,31 +325,22 @@ def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
 def revolting_rule(
     degseq: DegreeSequence, prior: Prior
 ) -> tuple[dict[str, Fraction], Optional[list[ContextClass]]]:
-    """`revolting_contexts`, except that the contexts are None when every
-    state survives: every chi agent then revolts, so no degree table is
-    built (TABLE_ROW_GUARD still applies). Used by the Monte-Carlo
-    validator to count realized candidates."""
+    """The fixpoint's per-state sizes (alpha mass plus the mass of the
+    revolting contexts) and the chi-centered contexts that revolt under the
+    two-state largest-revolt reasoning, in table order: the rows that
+    passed the fixpoint's last table pass, with no second pass. The
+    contexts are None when every state survives: every chi agent then
+    revolts, so no degree table is built (TABLE_ROW_GUARD still applies);
+    and [] when no state survives. Used by the Monte-Carlo validator to
+    count realized candidates."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     _check_labels(prior)
-    sizes, survivors = multistate_fixpoint(seq, prior)
+    sizes, survivors, last = _fixpoints(seq, prior, [(prior.p, prior.mu)])[0]
     if len(survivors) == len(prior.labels):
         _check_table_rows(_type_key(prior.states), seq)
         return sizes, None
-    return sizes, (candidate_contexts(prior, seq, survivors) if survivors else [])
-
-
-def revolting_contexts(
-    degseq: DegreeSequence, prior: Prior
-) -> tuple[dict[str, Fraction], list[ContextClass]]:
-    """The fixpoint's per-state sizes (alpha mass plus the mass of these
-    contexts), and the chi-centered contexts that revolt under the two-state
-    largest-revolt reasoning: the candidate contexts of the surviving
-    candidate states, or none when no state survives."""
-    sizes, contexts = revolting_rule(degseq, prior)
-    if contexts is None:
-        contexts = candidate_contexts(prior, degseq, prior.labels)
-    return sizes, contexts
+    return sizes, (_scan_contexts(*last) if survivors else [])
 
 
 def swap_state_labels(prior: Prior) -> Prior:
@@ -417,14 +385,16 @@ def algorithm1_auto_grid(
     else:
         out = [
             (sizes, False)
-            for sizes, _survivors in _fixpoints(degseq, prior, [(p, prior.mu) for p in ps])
+            for sizes, _survivors, _last in _fixpoints(
+                degseq, prior, [(p, prior.mu) for p in ps]
+            )
         ]
         retry = [i for i, (sizes, _relabeled) in enumerate(out) if sizes["A"] < sizes["B"]]
     if retry:
         swapped = swap_state_labels(prior)
         _check_labels(swapped)
         fixed = _fixpoints(degseq, swapped, [(ps[i], prior.mu) for i in retry])
-        for i, (sizes, _survivors) in zip(retry, fixed):
+        for i, (sizes, _survivors, _last) in zip(retry, fixed):
             _check_order(sizes)
             out[i] = ({"A": sizes["B"], "B": sizes["A"]}, True)
     return out
@@ -480,9 +450,7 @@ def equilibria_map(
     rows = []
     pair = None
     for mu_star in mu_grid:
-        mu_star = Fraction(mu_star)
-        if not 0 <= mu_star <= 1:
-            raise ValidationError("grid values must lie in [0, 1]")
+        mu_star = _requested_size(mu_star)
         if pair is None:
             pair = _perturbed_sizes(
                 PromiseInstance(seq, prior, mu_star, Fraction(epsilon), Fraction(delta))
@@ -609,7 +577,7 @@ def multistate_fixpoint(
     `revealed` counts further agents, outside `degseq`, whose contexts
     reveal the true state: a chi agent among them believes the candidate
     set, and revolts, exactly in the states inside it."""
-    return _fixpoints(degseq, prior, [(prior.p, prior.mu)], revealed=revealed)[0]
+    return _fixpoints(degseq, prior, [(prior.p, prior.mu)], revealed=revealed)[0][:2]
 
 
 def _fixpoints(
@@ -618,13 +586,18 @@ def _fixpoints(
     thresholds: Iterable[tuple[Fraction, Fraction]],
     *,
     revealed: int = 0,
-) -> list[tuple[dict[str, Fraction], frozenset]]:
+) -> list[tuple[dict[str, Fraction], frozenset, Optional[tuple]]]:
     """`multistate_fixpoint` at each (p, mu) of `thresholds`, in order; the
     prior's own p and mu are not read. Thresholds with the same candidate
     set share one pass over the degree tables, at all their distinct p.
     A set only shrinks from round to round, so handling the largest
     pending set first reaches each set once, with every threshold that
-    will ever hold it."""
+    will ever hold it.
+
+    Each answer is (sizes, survivors, last): `last` is the scan of the
+    table pass the survivors passed and the index of p among that pass's
+    levels, from which `_scan_contexts` lists the revolting contexts; None
+    when no pass decided the answer (every state or no state survives)."""
     if revealed < 0:
         raise ValidationError("revealed agent count must be nonnegative")
     # Revealed agents alone make a nonempty population.
@@ -642,7 +615,7 @@ def _fixpoints(
             # Every context puts posterior 1 >= p on the full state set
             # (states have positive probability, so no possible context is
             # left out), so every chi agent revolts and no table is needed.
-            out[i] = ({s: e_alpha[s] + chi[s] for s in labels}, survivors)
+            out[i] = ({s: e_alpha[s] + chi[s] for s in labels}, survivors, None)
         else:
             pending.setdefault(survivors, []).append(i)
     while pending:
@@ -650,13 +623,14 @@ def _fixpoints(
         group = pending.pop(survivors)
         if not survivors:
             for i in group:
-                out[i] = (dict(e_alpha), survivors)
+                out[i] = (dict(e_alpha), survivors, None)
             continue
         levels = sorted({thresholds[i][0] for i in group})
-        masses = _candidate_masses(prior, seq, survivors, levels, n)
+        masses, scan = _candidate_masses(prior, seq, survivors, levels, n)
         for i in group:
             p, mu = thresholds[i]
-            mass = masses[bisect_left(levels, p)]
+            j = bisect_left(levels, p)
+            mass = masses[j]
             x = {s: e_alpha[s] + mass[s] for s in labels}
             if revealed:
                 for s in survivors:
@@ -665,16 +639,5 @@ def _fixpoints(
             if failing:
                 pending.setdefault(survivors - failing, []).append(i)
             else:
-                out[i] = (x, survivors)
+                out[i] = (x, survivors, (scan, j))
     return out
-
-
-def algorithm1_multistate(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
-    """Per-state largest supported revolt with any number of states.
-
-    Agents whose contexts put posterior mass >= p on the surviving candidate
-    set revolt in every realized state, so each state's size is its expected
-    candidate-plus-alpha mass (which degenerates to the alpha mass when no
-    candidate state survives)."""
-    sizes, _ = multistate_fixpoint(degseq, prior)
-    return sizes

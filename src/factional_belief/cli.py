@@ -30,9 +30,9 @@ from .algorithms import (
     algorithm1,
     algorithm1_auto,
     algorithm1_general,
-    algorithm1_multistate,
     algorithm3,
     crucial_thresholds,
+    multistate_fixpoint,
     smallest_revolt,
 )
 from .epistemic import (
@@ -294,7 +294,7 @@ def cmd_analyze(args) -> int:
     degseq = fileio.load_degree_sequence(args.degrees)
     relabeled = False
     if args.variant == "multistate":
-        sizes = algorithm1_multistate(degseq, prior)
+        sizes = multistate_fixpoint(degseq, prior)[0]
     elif args.variant == "smallest":
         sizes = smallest_revolt(degseq, prior)
     elif args.variant == "general":

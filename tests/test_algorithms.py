@@ -16,7 +16,6 @@ from factional_belief import (
     algorithm1_auto,
     algorithm1_auto_grid,
     algorithm1_general,
-    algorithm1_multistate,
     algorithm2,
     algorithm3,
     candidate_contexts,
@@ -25,8 +24,6 @@ from factional_belief import (
     derive_seed,
     enumerate_contexts,
     equilibria_map,
-    expected_context_fraction,
-    expected_fraction,
     expected_type_fraction,
     multistate_fixpoint,
     smallest_revolt,
@@ -34,13 +31,21 @@ from factional_belief import (
     swap_state_labels,
     two_state_prior,
 )
-from factional_belief.algorithms import _candidate_masses, high_degree_cutoff
+from factional_belief import algorithms, experiments
+from factional_belief.algorithms import (
+    _candidate_masses,
+    high_degree_cutoff,
+    revolting_rule,
+)
 from factional_belief.errors import (
     ImpossibleContextError,
     MislabeledStatesError,
     NotTwoStatesError,
+    UnknownStateError,
     ValidationError,
 )
+from factional_belief.model import ConcreteGraph
+from test_properties import REGIME_PRIORS, expected_context_fraction
 
 ALPHA, CHI, NU = AgentType.ALPHA, AgentType.CHI, AgentType.NU
 
@@ -95,9 +100,6 @@ class TestExpectedFraction:
         assert expected_type_fraction("A", (CHI, ALPHA), motivating_prior) == F(4, 5)
         assert expected_type_fraction("B", (CHI, ALPHA), motivating_prior) == F(1, 5)
 
-    def test_empty_selector(self, motivating_prior):
-        assert expected_fraction("A", motivating_prior) == 0
-
     def test_candidate_mass_constant4(self, motivating_prior):
         cc = candidate_contexts(motivating_prior, [4], ("A",))
         got = expected_context_fraction("A", cc, motivating_prior, CONST4)
@@ -111,17 +113,9 @@ class TestExpectedFraction:
         assert sorted(c.chi_neighbors for c in cc) == [2, 3, 4]
         assert all(c.own_type is CHI and c.alpha_neighbors == 0 for c in cc)
 
-    def test_union_semantics(self, motivating_prior):
-        cc = candidate_contexts(motivating_prior, [4], ("A",))
-        whole = expected_fraction(
-            "A", motivating_prior, CONST4, types={ALPHA}, contexts=cc
-        )
-        assert whole == X_A  # alpha mass is zero here
-
-    def test_overlapping_selector_rejected(self, motivating_prior):
-        cc = candidate_contexts(motivating_prior, [4], ("A",))
-        with pytest.raises(ValidationError):
-            expected_fraction("A", motivating_prior, CONST4, types={CHI}, contexts=cc)
+    def test_unknown_candidate_state_named(self, motivating_prior):
+        with pytest.raises(UnknownStateError, match=r"^unknown state 'C'$"):
+            candidate_contexts(motivating_prior, [4], ("C",))
 
     def test_context_mass_sums_over_random_instances(self):
         for i in range(25):
@@ -148,14 +142,74 @@ class TestCandidacyTies:
         dist = TypeDistribution(F(1, 6), F(1, 2), F(1, 3))
         prior = two_state_prior(F(1, 3), F(1, 2), dist, dist, F(1, 3))
         assert candidate_contexts(prior, [5], ("A",)) == enumerate_contexts(5, CHI)
-        assert _candidate_masses(prior, [5], {"A"}, [prior.p], 1) == [{
+        assert _candidate_masses(prior, [5], {"A"}, [prior.p], 1)[0] == [{
             "A": F(1, 2), "B": F(1, 2),
         }]
         above = replace(prior, p=F(1, 3) + F(1, 10**30))
         assert candidate_contexts(above, [5], ("A",)) == []
-        assert _candidate_masses(above, [5], {"A"}, [above.p], 1) == [{
+        assert _candidate_masses(above, [5], {"A"}, [above.p], 1)[0] == [{
             "A": F(0), "B": F(0),
         }]
+
+
+class TestOneTablePass:
+    """The revolting contexts come from the fixpoint's last table pass: one
+    pass per candidate-state set the fixpoint visits, and no other."""
+
+    GRAPH = ConcreteGraph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (5, 6)])
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        visited, tables = [], []
+        masses, build = algorithms._candidate_masses, algorithms._tables
+
+        def spy_masses(prior, degrees, states, *args):
+            visited.append(frozenset(states))
+            return masses(prior, degrees, states, *args)
+
+        def spy_tables(*args):
+            tables.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(algorithms, "_candidate_masses", spy_masses)
+        monkeypatch.setattr(algorithms, "_tables", spy_tables)
+        return visited, tables
+
+    # prior, the candidate-state sets passed over, and what revolting_rule
+    # lists: some contexts, None (every state survives) or [] (none does).
+    CASES = {
+        "alpha": (REGIME_PRIORS["alpha"], [{"A"}], "some"),
+        "all": (REGIME_PRIORS["all"], [], "every"),
+        "none": (REGIME_PRIORS["none"], [], "empty"),
+        # A is the one candidate, and its candidate mass falls short of mu.
+        "dropped": (
+            two_state_prior(
+                F(99, 100), F(1, 2),
+                TypeDistribution(F(0), F(4, 5), F(1, 5)),
+                TypeDistribution(F(0), F(1, 5), F(4, 5)),
+            ),
+            [{"A"}],
+            "empty",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_revolting_rule(self, case, passes):
+        prior, sets, listed = self.CASES[case]
+        visited, tables = passes
+        _sizes, contexts = revolting_rule([4] * 20 + [1, 2, 6], prior)
+        assert visited == sets and len(tables) == len(sets)
+        if listed == "every":
+            assert contexts is None
+        else:
+            assert isinstance(contexts, list) and bool(contexts) == (listed == "some")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_validate(self, case, passes):
+        prior, sets, _listed = self.CASES[case]
+        visited, tables = passes
+        experiments.run_validate(self.GRAPH, prior, "A", trials=2, seed=1)
+        assert visited == sets and len(tables) == len(sets)
 
 
 class TestAlgorithm1:
@@ -357,6 +411,23 @@ class TestAlgorithm3:
                 )
                 assert algorithm2(algorithm1(CONST4, up), mu_star) is out
                 assert algorithm2(algorithm1(CONST4, down), mu_star) is out
+
+
+class TestRequestedSize:
+    @pytest.mark.parametrize("mu_star", [F(3, 2), F(-1)])
+    def test_out_of_range_refused(self, mu_star, motivating_prior):
+        message = r"^mu_star must lie in \[0, 1\]$"
+        tol = F(1, 200)
+        with pytest.raises(ValidationError, match=message):
+            algorithm3(PromiseInstance(tuple(CONST4), motivating_prior, mu_star, tol, tol))
+        with pytest.raises(ValidationError, match=message):
+            equilibria_map(CONST4, motivating_prior, [F(1, 2), mu_star], tol, tol)
+
+    def test_bounds_accepted(self, motivating_prior):
+        tol = F(1, 200)
+        for mu_star in (F(0), F(1)):
+            inst = PromiseInstance(tuple(CONST4), motivating_prior, mu_star, tol, tol)
+            assert inst.mu_star == mu_star
 
 
 class TestEquilibriaMap:
@@ -582,7 +653,7 @@ class TestMultistate:
                 expected = algorithm1(degseq, prior)
             except MislabeledStatesError:
                 continue
-            assert algorithm1_multistate(degseq, prior) == expected
+            assert multistate_fixpoint(degseq, prior)[0] == expected
 
     def test_three_state_hand_trace(self):
         # Degree-2 agents; chi masses (7/8, 5/8, 1/8), mu = 3/5, p = 73/100.

@@ -261,6 +261,15 @@ class TestPromise:
         )
         assert json.loads(capsys.readouterr().out)["outcome"] == "omega"
 
+    @pytest.mark.parametrize("value", ["2", "-1"])
+    def test_mu_star_out_of_range_exits_2(self, value, prior_file, const4_file, capsys):
+        argv = ["promise", "--prior", prior_file, "--degrees", const4_file,
+                f"--mu-star={value}", "--epsilon", "1/200", "--delta", "1/200"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mu_star must lie in [0, 1]\n"
+
     def test_strict_null_exit_code(self, tmp_path, const4_file):
         # mu placed inside the epsilon/3 window around e_B(chi+alpha) = 1/5
         doc = dict(MOTIVATING, mu="241/1200")

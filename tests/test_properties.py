@@ -1,9 +1,10 @@
 """Property tests for the candidate-state fixpoint that every largest-revolt
 entry point shares (random two-state priors on an eighths grid and short
-random degree sequences), for the integer degree-table kernel against
-Bayes' rule in plain Fractions, for the many-threshold table pass against
-the one-threshold fixpoint loop (and the p grid, the promise pair and
-p-axis sweep rows against their per-point answers), for the
+random degree sequences), for the integer degree-table kernel and the
+revolting contexts of the fixpoint's last pass against Bayes' rule in
+plain Fractions, for the many-threshold table pass against the
+one-threshold fixpoint loop (and the p grid, the promise pair and p-axis
+sweep rows against their per-point answers), for the
 concrete-graph oracle against a brute force over every type assignment
 and against the per-assignment reference enumeration, for the
 validator's array counts against a per-vertex count, for the epistemic
@@ -32,12 +33,10 @@ from factional_belief import (
     TypeDistribution,
     algorithm1,
     algorithm1_general,
-    algorithm1_multistate,
     candidate_contexts,
     common_belief_fixpoint,
     context_likelihood,
     enumerate_contexts,
-    expected_context_fraction,
     expected_revolt_fraction,
     greatest_equilibrium,
     least_equilibrium,
@@ -53,12 +52,13 @@ from factional_belief.algorithms import (
     _candidate_masses,
     _fixpoints,
     _perturbed_sizes,
+    _scan_contexts,
     _tables,
     _type_key,
     algorithm1_auto_grid,
     high_degree_cutoff,
     multistate_fixpoint,
-    revolting_contexts,
+    revolting_rule,
     swap_state_labels,
 )
 from factional_belief.errors import (
@@ -106,6 +106,17 @@ def two_state_priors(draw):
 degseqs = st.lists(st.integers(0, 6), min_size=1, max_size=12)
 
 
+def expected_context_fraction(state, contexts, prior, degseq):
+    """Expected fraction of agents whose realized context lies in the given
+    set, in the given state, in plain Fractions: each context's likelihood
+    weighted by the count of its degree in the multiset."""
+    counts = Counter(degseq)
+    return sum(
+        (counts[c.degree] * context_likelihood(c, state, prior) for c in set(contexts)),
+        F(0),
+    ) / len(degseq)
+
+
 def label_consistent_sizes(degseq, prior):
     try:
         return algorithm1(degseq, prior)
@@ -116,18 +127,7 @@ def label_consistent_sizes(degseq, prior):
 @SETTINGS
 @given(two_state_priors(), degseqs)
 def test_algorithm1_matches_multistate(prior, degseq):
-    assert label_consistent_sizes(degseq, prior) == algorithm1_multistate(degseq, prior)
-
-
-@SETTINGS
-@given(two_state_priors(), degseqs)
-def test_sizes_are_alpha_plus_revolting_context_mass(prior, degseq):
-    sizes = label_consistent_sizes(degseq, prior)
-    returned, contexts = revolting_contexts(degseq, prior)
-    assert returned == sizes
-    for s in ("A", "B"):
-        alpha = prior.type_prob(s, AgentType.ALPHA)
-        assert sizes[s] == alpha + expected_context_fraction(s, contexts, prior, degseq)
+    assert label_consistent_sizes(degseq, prior) == multistate_fixpoint(degseq, prior)[0]
 
 
 @SETTINGS
@@ -218,7 +218,7 @@ def test_kernel_matches_fraction_reference(instance):
         ) / len(degrees)
         for s in prior.labels
     }
-    assert _candidate_masses(prior, degrees, chosen, [prior.p], len(degrees)) == [mass]
+    assert _candidate_masses(prior, degrees, chosen, [prior.p], len(degrees))[0] == [mass]
 
 
 def reference_candidate_mass(prior, degrees, states, total_n):
@@ -302,11 +302,19 @@ def test_one_pass_fixpoints_match_one_threshold_loop(instance):
         reference_fixpoint(degrees, replace(prior, p=p, mu=mu), revealed)
         for p, mu in thresholds
     ]
-    assert got == want
-    assert got == [
+    assert [(sizes, survivors) for sizes, survivors, _last in got] == want
+    assert [(sizes, survivors) for sizes, survivors, _last in got] == [
         multistate_fixpoint(degrees, replace(prior, p=p, mu=mu), revealed=revealed)
         for p, mu in thresholds
     ]
+    # The last pass's bins list, at each threshold's own p, the contexts
+    # whose posterior mass on the survivors reaches p.
+    for (p, _mu), (_sizes, survivors, last) in zip(thresholds, got):
+        if last is not None:
+            assert _scan_contexts(*last) == [
+                c for c, post in posteriors(prior, degrees)
+                if sum(post[s] for s in survivors) >= p
+            ]
 
 
 def per_point_auto(degseq, prior):
@@ -673,11 +681,43 @@ def graphs_with_isolated(draw):
     return ConcreteGraph(n + isolated, [e for e, k in zip(pairs, keep) if k])
 
 
+def reference_revolting(degseq, prior):
+    """The revolting contexts by Bayes' rule in plain Fractions: every
+    possible chi context over the distinct degrees whose posterior mass on
+    the survivors of the candidate-state fixpoint is at least p, in
+    increasing degree order; none when no state survives."""
+    _sizes, survivors = multistate_fixpoint(degseq, prior)
+    if not survivors:
+        return []
+    return [
+        c for c, post in posteriors(prior, degseq)
+        if sum(post[s] for s in survivors) >= prior.p
+    ]
+
+
+@SETTINGS
+@given(
+    st.one_of(st.sampled_from(list(REGIME_PRIORS.values())), two_state_priors()),
+    degseqs,
+)
+def test_sizes_are_alpha_plus_revolting_context_mass(prior, degseq):
+    sizes = label_consistent_sizes(degseq, prior)
+    returned, contexts = revolting_rule(degseq, prior)
+    assert returned == sizes
+    _sizes, survivors = multistate_fixpoint(degseq, prior)
+    reference = reference_revolting(degseq, prior)
+    # None stands for every chi context when every state survives.
+    assert contexts == (None if len(survivors) == 2 else reference)
+    for s in ("A", "B"):
+        alpha = prior.type_prob(s, AgentType.ALPHA)
+        assert sizes[s] == alpha + expected_context_fraction(s, reference, prior, degseq)
+
+
 def per_vertex_counts(graph, prior, state, seed, trials):
     """Each trial's (alpha, chi, candidate) agent counts, one vertex at a
     time: a chi vertex is a candidate iff its degree and alpha, chi and nu
     neighbor counts are those of a revolting context."""
-    _sizes, contexts = revolting_contexts(graph.degree_sequence(), prior)
+    contexts = reference_revolting(graph.degree_sequence(), prior)
     revolting = {
         (c.degree, c.alpha_neighbors, c.chi_neighbors, c.nu_neighbors)
         for c in contexts
@@ -712,9 +752,8 @@ def test_validate_counts_match_per_vertex_count(graph, prior, state, seed):
         assume(False)
     rows = [(r["n_alpha"], r["n_chi"], r["n_candidates"]) for r in report["trial_rows"]]
     assert rows == per_vertex_counts(graph, prior, state, seed, 3)
-    _sizes, contexts = revolting_contexts(degseq, prior)
     assert F(report["expected_candidate_fraction"]) == expected_context_fraction(
-        state, contexts, prior, degseq
+        state, reference_revolting(degseq, prior), prior, degseq
     )
 
 
