@@ -22,7 +22,6 @@ from .algorithms import (
     expected_type_fraction,
     multistate_fixpoint,
     smallest_revolt,
-    swap_state_labels,
 )
 from .epistemic import (
     AgentPartition,

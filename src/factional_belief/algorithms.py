@@ -290,23 +290,58 @@ def _candidate_masses(
 # ---------------------------------------------------------------------------
 
 
-def _check_labels(prior: Prior) -> None:
-    """Raise when only state B reaches mu on its chi+alpha mass: the labels
-    then violate the X_A >= X_B convention."""
-    e = {
-        s: expected_type_fraction(s, (AgentType.CHI, AgentType.ALPHA), prior)
+def _check_labels(prior: Prior, relabel: bool = False) -> Optional[str]:
+    """The one state whose chi+alpha mass reaches mu, None when both or
+    neither do. Unless `relabel`, raise when it is B: the labels then
+    violate the X_A >= X_B convention."""
+    reach = [
+        s
         for s in ("A", "B")
-    }
-    if e["A"] < prior.mu <= e["B"]:
+        if expected_type_fraction(s, (AgentType.CHI, AgentType.ALPHA), prior) >= prior.mu
+    ]
+    sole = reach[0] if len(reach) == 1 else None
+    if sole == "B" and not relabel:
         raise MislabeledStatesError(
             "only state B is a candidate; labels appear swapped"
         )
+    return sole
 
 
-def _check_order(x: dict[str, Fraction]) -> dict[str, Fraction]:
-    if x["A"] < x["B"]:
-        raise MislabeledStatesError("computed X_A < X_B; labels appear swapped")
-    return x
+def _two_state(
+    degseq: DegreeSequence,
+    prior: Prior,
+    p_values: Iterable[Fraction],
+    *,
+    relabel: bool = False,
+    revealed: int = 0,
+) -> list[tuple[dict[str, Fraction], bool]]:
+    """(sizes, relabeled) at each p of `p_values` (mu from the prior), in
+    order, from one fixpoint run (`revealed` is passed on), under the
+    X_A >= X_B convention: the labels hold when B is not the only candidate
+    and X_A >= X_B. Without `relabel` a violation raises, the candidate
+    check before any table is built. With it, a p whose labels fail is
+    relabeled when the exchanged labels hold; the fixpoint never reads the
+    labels, so the sizes are the same. When neither holds, one state is
+    the only candidate but has the smaller size, and that raises."""
+    prior.require_two_states()
+    sole = _check_labels(prior, relabel)
+    out = []
+    for sizes, _survivors, _last in _fixpoints(
+        degseq, prior, [(p, prior.mu) for p in p_values], revealed=revealed
+    ):
+        if sole != "B" and sizes["A"] >= sizes["B"]:
+            out.append((sizes, False))
+        elif not relabel:
+            raise MislabeledStatesError("computed X_A < X_B; labels appear swapped")
+        elif sole != "A" and sizes["B"] >= sizes["A"]:
+            out.append((sizes, True))
+        else:
+            other = "B" if sole == "A" else "A"
+            raise MislabeledStatesError(
+                f"only state {sole} is a candidate, but computed X_{sole} < "
+                f"X_{other}; no labeling satisfies X_A >= X_B"
+            )
+    return out
 
 
 def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
@@ -316,10 +351,7 @@ def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
     reversed, the labels violate the X_A >= X_B convention and a relabel
     error is raised rather than a silently reordered answer.
     """
-    prior.require_two_states()
-    _check_labels(prior)
-    sizes, _survivors = multistate_fixpoint(degseq, prior)
-    return _check_order(sizes)
+    return _two_state(degseq, prior, [prior.p])[0][0]
 
 
 def revolting_rule(
@@ -331,8 +363,8 @@ def revolting_rule(
     passed the fixpoint's last table pass, with no second pass. The
     contexts are None when every state survives: every chi agent then
     revolts, so no degree table is built (TABLE_ROW_GUARD still applies);
-    and [] when no state survives. Used by the Monte-Carlo validator to
-    count realized candidates."""
+    and [] when no state survives. Only the candidate check of the labels
+    runs. Used by the Monte-Carlo validator to count realized candidates."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     _check_labels(prior)
@@ -343,26 +375,12 @@ def revolting_rule(
     return sizes, (_scan_contexts(*last) if survivors else [])
 
 
-def swap_state_labels(prior: Prior) -> Prior:
-    """Exchange the A and B labels (distributions and state probabilities
-    travel with their worlds)."""
-    prior.require_two_states()
-    a, b = prior.state("A"), prior.state("B")
-    return Prior(
-        p=prior.p,
-        mu=prior.mu,
-        states=(
-            StatePrior("A", b.prob, b.types),
-            StatePrior("B", a.prob, a.types),
-        ),
-    )
-
-
 def algorithm1_auto(
     degseq: DegreeSequence, prior: Prior
 ) -> tuple[dict[str, Fraction], bool]:
-    """algorithm1 with relabel-and-retry: returns sizes keyed by the caller's
-    original labels plus whether a relabel was needed."""
+    """algorithm1 that relabels instead of raising when the exchanged labels
+    hold: returns sizes keyed by the caller's original labels plus whether
+    a relabel was needed."""
     return algorithm1_auto_grid(degseq, prior, (prior.p,))[0]
 
 
@@ -370,34 +388,12 @@ def algorithm1_auto_grid(
     degseq: DegreeSequence, prior: Prior, p_values: Iterable[Fraction]
 ) -> list[tuple[dict[str, Fraction], bool]]:
     """`algorithm1_auto` at each belief threshold p of `p_values` (mu from
-    the prior), in order, from one pass over each degree table. The label
-    check depends only on mu, so it runs once; the swapped labels are
-    tried only at the p whose computed sizes came out reversed, and raise
-    what algorithm1_auto raises at the first such p."""
-    prior.require_two_states()
+    the prior), in order, from one pass over each degree table; the first
+    p at which no labeling satisfies X_A >= X_B raises."""
     ps = [Fraction(p) for p in p_values]
     if not all(0 <= p <= 1 for p in ps):
         raise ValidationError("p values must lie in [0, 1]")
-    try:
-        _check_labels(prior)
-    except MislabeledStatesError:
-        out, retry = [None] * len(ps), range(len(ps))
-    else:
-        out = [
-            (sizes, False)
-            for sizes, _survivors, _last in _fixpoints(
-                degseq, prior, [(p, prior.mu) for p in ps]
-            )
-        ]
-        retry = [i for i, (sizes, _relabeled) in enumerate(out) if sizes["A"] < sizes["B"]]
-    if retry:
-        swapped = swap_state_labels(prior)
-        _check_labels(swapped)
-        fixed = _fixpoints(degseq, swapped, [(ps[i], prior.mu) for i in retry])
-        for i, (sizes, _survivors, _last) in zip(retry, fixed):
-            _check_order(sizes)
-            out[i] = ({"A": sizes["B"], "B": sizes["A"]}, True)
-    return out
+    return _two_state(degseq, prior, ps, relabel=True)
 
 
 def algorithm2(sizes: dict[str, Fraction], mu_star) -> PromiseOutcome:
@@ -558,9 +554,7 @@ def algorithm1_general(
     hubs = n - len(low)
     if Fraction(hubs, n) < epsilon:
         return algorithm1(seq, prior)
-    _check_labels(prior)
-    sizes, _survivors = multistate_fixpoint(low, prior, revealed=hubs)
-    return _check_order(sizes)
+    return _two_state(low, prior, [prior.p], revealed=hubs)[0][0]
 
 
 def multistate_fixpoint(

@@ -146,8 +146,10 @@ def _oracle_args(p: argparse.ArgumentParser) -> None:
     instance.add_argument("--clique-reduce", type=int, metavar="K")
     p.add_argument("--mu-star")
     p.add_argument("--q-star")
-    p.add_argument("--budget-pairs", type=int, default=10_000)
-    p.add_argument("--budget-assignments", type=int, default=200_000)
+    p.add_argument("--budget-pairs", type=int, default=OracleBudget.max_cell_cost)
+    p.add_argument(
+        "--budget-assignments", type=int, default=OracleBudget.max_assignments
+    )
     _add_common(p)
 
 
@@ -312,7 +314,7 @@ def cmd_analyze(args) -> int:
         try:
             sizes = algorithm1(degseq, prior)
         except MislabeledStatesError as exc:
-            raise MislabeledStatesError(f"{exc} (rerun with --auto-relabel)") from None
+            raise ValidationError(f"{exc} (rerun with --auto-relabel)") from None
     rows = [
         {
             "state": s,
@@ -330,28 +332,27 @@ def cmd_promise(args) -> int:
     prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees)
     epsilon, delta = RAT(args.epsilon), RAT(args.delta)
+    # The answer comes first, so an invalid request lists no thresholds.
+    if args.grid_step:
+        rows = run_promise_map(
+            degseq, prior, grid(0, 1, RAT(args.grid_step)), epsilon, delta
+        )
+        payload = rows
+        null = any(r["outcome"] == PromiseOutcome.NULL.value for r in rows)
+    else:
+        inst = PromiseInstance(tuple(degseq), prior, RAT(args.mu_star), epsilon, delta)
+        outcome = algorithm3(inst)
+        payload = {"mu_star": fileio.format_rational(inst.mu_star), "outcome": outcome.value}
+        rows = [dict(payload, mu_star_decimal=fileio.format_decimal(inst.mu_star))]
+        null = outcome is PromiseOutcome.NULL
     if args.show_thresholds:
         thresholds = {
             k: fileio.format_rational(v)
             for k, v in crucial_thresholds(degseq, prior).items()
         }
         print(json.dumps(thresholds, indent=2), file=sys.stderr)
-    if args.grid_step:
-        rows = run_promise_map(
-            degseq, prior, grid(0, 1, RAT(args.grid_step)), epsilon, delta
-        )
-        _report(args, rows, rows, MAP_COLUMNS)
-        if args.strict and any(r["outcome"] == PromiseOutcome.NULL.value for r in rows):
-            return 4
-        return 0
-    inst = PromiseInstance(tuple(degseq), prior, RAT(args.mu_star), epsilon, delta)
-    outcome = algorithm3(inst)
-    payload = {"mu_star": fileio.format_rational(inst.mu_star), "outcome": outcome.value}
-    row = dict(payload, mu_star_decimal=fileio.format_decimal(inst.mu_star))
-    _report(args, payload, [row], MAP_COLUMNS)
-    if args.strict and outcome is PromiseOutcome.NULL:
-        return 4
-    return 0
+    _report(args, payload, rows, MAP_COLUMNS)
+    return 4 if args.strict and null else 0
 
 
 def cmd_sweep(args) -> int:

@@ -369,24 +369,27 @@ VALIDATE_COLUMNS = (
 # ---------------------------------------------------------------------------
 
 
-def random_epistemic_model(
-    seed: int, max_outcomes: int = 6, max_agents: int = 3
-):
-    """One random finite model plus thresholds: up to `max_outcomes` outcomes
-    with positive rational probabilities (integer weights 1..8 normalized),
-    random information partitions, and p, mu drawn from the eighths grid.
-    Deterministic in the seed."""
+RANDOM_MODEL_OUTCOMES = 6  # most outcomes of a random battery model
+RANDOM_MODEL_AGENTS = 3  # most agents of a random battery model
+
+
+def random_epistemic_model(seed: int):
+    """One random finite model plus thresholds: up to RANDOM_MODEL_OUTCOMES
+    outcomes with positive rational probabilities (integer weights 1..8
+    normalized), up to RANDOM_MODEL_AGENTS agents with random information
+    partitions, and p, mu drawn from the eighths grid. Deterministic in the
+    seed."""
     from .epistemic import AgentPartition, EpistemicModel, FiniteProbSpace
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    m = int(rng.integers(1, max_outcomes + 1))
+    m = int(rng.integers(1, RANDOM_MODEL_OUTCOMES + 1))
     outcomes = tuple(range(m))
     weights = [int(w) for w in rng.integers(1, 9, size=m)]
     total = sum(weights)
     probs = tuple(Fraction(w, total) for w in weights)
     space = FiniteProbSpace(outcomes, probs)
 
-    n_agents = int(rng.integers(1, max_agents + 1))
+    n_agents = int(rng.integers(1, RANDOM_MODEL_AGENTS + 1))
     partitions = []
     for _ in range(n_agents):
         k = int(rng.integers(1, m + 1))

@@ -175,13 +175,6 @@ class ContextClass:
     def degree(self) -> int:
         return self.alpha_neighbors + self.chi_neighbors + self.nu_neighbors
 
-    def neighbor_count(self, t: AgentType) -> int:
-        return {
-            AgentType.ALPHA: self.alpha_neighbors,
-            AgentType.CHI: self.chi_neighbors,
-            AgentType.NU: self.nu_neighbors,
-        }[t]
-
     @classmethod
     def make(cls, own_type: AgentType, neighbors: Mapping[AgentType, int]) -> "ContextClass":
         return cls(

@@ -34,6 +34,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 EDGE_GUARD = 5_000_000  # edges, or expected edges for G(n, p), one generator may make
 ER_BLOCK = 1 << 16  # most uniforms er_graph draws at once
+POWERLAW_ATTEMPTS = 10_000  # whole-sequence draws powerlaw_sequence makes
 
 
 def splitmix64(x: int) -> int:
@@ -94,9 +95,7 @@ def constant_sequence(n: int, d: int) -> list[int]:
     return [d] * n
 
 
-def powerlaw_sequence(
-    n: int, gamma, seed: int, max_attempts: int = 10_000
-) -> list[int]:
+def powerlaw_sequence(n: int, gamma, seed: int) -> list[int]:
     """n i.i.d. draws from the truncated discrete distribution with mass
     proportional to d**(-gamma) on d = 1..n-1, resampled as a whole until
     the sequence is graphical.
@@ -117,13 +116,13 @@ def powerlaw_sequence(
     weights = support.astype(np.float64) ** (-gamma)
     cumulative = np.cumsum(weights)
     cumulative /= cumulative[-1]
-    for _ in range(max_attempts):
+    for _ in range(POWERLAW_ATTEMPTS):
         draws = support[np.searchsorted(cumulative, rng.random(n), side="left")]
         seq = [int(d) for d in draws]
         if is_graphical(seq):
             return seq
     raise GenerationError(
-        f"no graphical power-law sequence in {max_attempts} attempts "
+        f"no graphical power-law sequence in {POWERLAW_ATTEMPTS} attempts "
         f"(n={n}, gamma={gamma})"
     )
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -28,7 +29,6 @@ from factional_belief import (
     multistate_fixpoint,
     smallest_revolt,
     state_posterior,
-    swap_state_labels,
     two_state_prior,
 )
 from factional_belief import algorithms, experiments
@@ -45,7 +45,7 @@ from factional_belief.errors import (
     ValidationError,
 )
 from factional_belief.model import ConcreteGraph
-from test_properties import REGIME_PRIORS, expected_context_fraction
+from test_properties import REGIME_PRIORS, expected_context_fraction, swap_state_labels
 
 ALPHA, CHI, NU = AgentType.ALPHA, AgentType.CHI, AgentType.NU
 
@@ -243,6 +243,45 @@ class TestAlgorithm1:
         sizes, relabeled = algorithm1_auto(CONST4, swap_state_labels(motivating_prior))
         assert relabeled
         assert sizes == {"A": X_B, "B": X_A}
+
+    # p = 1, mu = 1/2 on degrees 2, 2, 3: A alone reaches mu on chi+alpha
+    # (3/5 against 2/5), but no context is certain of A, so the sizes are
+    # the alpha masses, X_A = 1/10 < X_B = 1/5. Neither labeling holds.
+    ONLY_A_SMALLER = two_state_prior(
+        1, F(1, 2), TypeDistribution(F(1, 10), F(1, 2), F(2, 5)),
+        TypeDistribution(F(1, 5), F(1, 5), F(3, 5)),
+    )
+
+    @pytest.mark.parametrize("swap, strict, auto", [
+        (False, "computed X_A < X_B; labels appear swapped",
+         "only state A is a candidate, but computed X_A < X_B; "
+         "no labeling satisfies X_A >= X_B"),
+        (True, "only state B is a candidate; labels appear swapped",
+         "only state B is a candidate, but computed X_B < X_A; "
+         "no labeling satisfies X_A >= X_B"),
+    ])
+    def test_no_labeling_error_names_callers_labels(self, swap, strict, auto):
+        prior = swap_state_labels(self.ONLY_A_SMALLER) if swap else self.ONLY_A_SMALLER
+        with pytest.raises(MislabeledStatesError, match=f"^{re.escape(strict)}$"):
+            algorithm1([2, 2, 3], prior)
+        with pytest.raises(MislabeledStatesError, match=f"^{re.escape(auto)}$"):
+            algorithm1_auto([2, 2, 3], prior)
+
+    def test_auto_grid_runs_the_fixpoint_once(self, motivating_prior, monkeypatch):
+        # Both states reach mu = 1/10 and the labels are swapped, so every
+        # p is relabeled, from the same single fixpoint run.
+        calls = []
+        fixpoints = algorithms._fixpoints
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fixpoints(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "_fixpoints", counted)
+        prior = replace(swap_state_labels(motivating_prior), mu=F(1, 10))
+        got = algorithm1_auto_grid(CONST4, prior, [F(1, 4), F(1, 2)])
+        assert got == [({"A": F(1, 5), "B": F(4, 5)}, True)] * 2
+        assert len(calls) == 1
 
     def test_auto_grid_rejects_p_outside_unit_interval(self, motivating_prior):
         with pytest.raises(ValidationError, match=r"^p values must lie in \[0, 1\]$"):

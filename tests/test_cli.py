@@ -115,6 +115,28 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "swapped" in captured.err
 
+    def test_auto_relabel_failure_names_given_labels(self, tmp_path, capsys):
+        # p = 1: no context is certain of a state, so the sizes are the alpha
+        # masses. A alone reaches mu but X_A = 1/10 < X_B = 1/5.
+        doc = dict(MOTIVATING, p="1", states={
+            "A": {"prob": "1/2", "types": {"alpha": "1/10", "chi": "1/2", "nu": "2/5"}},
+            "B": {"prob": "1/2", "types": {"alpha": "1/5", "chi": "1/5", "nu": "3/5"}},
+        })
+        prior = tmp_path / "only_a.json"
+        prior.write_text(json.dumps(doc))
+        degrees = tmp_path / "degs.txt"
+        degrees.write_text("2\n2\n3\n")
+        argv = ["analyze", "--prior", str(prior), "--degrees", str(degrees)]
+        assert main([*argv, "--auto-relabel"]) == 2
+        assert capsys.readouterr().err == (
+            "error: only state A is a candidate, but computed X_A < X_B; "
+            "no labeling satisfies X_A >= X_B\n"
+        )
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: computed X_A < X_B; labels appear swapped (rerun with --auto-relabel)\n"
+        )
+
     def test_json_format(self, prior_file, const4_file, capsys):
         assert (
             main(
@@ -269,6 +291,22 @@ class TestPromise:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: mu_star must lie in [0, 1]\n"
+
+    @pytest.mark.parametrize("request_flags, error", [
+        (["--mu-star=2", "--epsilon", "1/100"], "mu_star must lie in [0, 1]"),
+        (["--grid-step", "1/4", "--epsilon", "0"], "epsilon and delta must be positive"),
+    ])
+    def test_invalid_request_lists_no_thresholds(
+        self, request_flags, error, prior_file, tmp_path, capsys
+    ):
+        degrees = tmp_path / "degs.txt"
+        degrees.write_text("1\n2\n3\n16\n")
+        argv = ["promise", "--prior", prior_file, "--degrees", str(degrees),
+                *request_flags, "--delta", "1/100", "--show-thresholds"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
     def test_strict_null_exit_code(self, tmp_path, const4_file):
         # mu placed inside the epsilon/3 window around e_B(chi+alpha) = 1/5

@@ -5,9 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from factional_belief import ConcreteGraph, torus_grid, two_state_prior, TypeDistribution
+from factional_belief import (
+    ConcreteGraph, TypeDistribution, algorithm1, torus_grid, two_state_prior,
+)
 from factional_belief import experiments
-from factional_belief.errors import SpaceTooLargeError, ValidationError
+from factional_belief.errors import (
+    MislabeledStatesError, SpaceTooLargeError, ValidationError,
+)
 from factional_belief.netgen import VERTEX_GUARD
 from factional_belief.experiments import (
     SweepConfig,
@@ -279,6 +283,25 @@ class TestValidate:
         report = run_validate(graph, prior, "A", trials=10, seed=1)
         assert float(report["max_deviation"]) == 0.0
         assert report["empirical_candidate_fraction"] == "1.0"
+
+    def test_label_policy(self, motivating_prior):
+        # validate checks only that B is not the only candidate. It refuses
+        # the swapped labels at mu = 1/2, where only B reaches mu, but
+        # answers them at mu = 1/10, where both states reach mu and
+        # X_A = 1/5 < X_B = 4/5, which algorithm1 refuses.
+        a, b = motivating_prior.state("A").types, motivating_prior.state("B").types
+        swapped = two_state_prior(F(2, 5), F(1, 2), b, a)
+        graph = torus_grid(3, 3)
+        with pytest.raises(
+            MislabeledStatesError, match="^only state B is a candidate; labels appear swapped$"
+        ):
+            run_validate(graph, swapped, "A", trials=2, seed=0)
+        both = replace(swapped, mu=F(1, 10))
+        with pytest.raises(MislabeledStatesError, match="^computed X_A < X_B"):
+            algorithm1(graph.degree_sequence(), both)
+        report = run_validate(graph, both, "B", trials=2, seed=0)
+        assert report["expected_candidate_fraction"] == "4/5"
+        assert all(r["n_candidates"] == r["n_chi"] for r in report["trial_rows"])
 
     def test_torus_report_contents(self, motivating_prior):
         graph = torus_grid(5, 8)

@@ -59,7 +59,6 @@ from factional_belief.algorithms import (
     high_degree_cutoff,
     multistate_fixpoint,
     revolting_rule,
-    swap_state_labels,
 )
 from factional_belief.errors import (
     ImpossibleContextError,
@@ -317,18 +316,51 @@ def test_one_pass_fixpoints_match_one_threshold_loop(instance):
             ]
 
 
+def swap_state_labels(prior):
+    """Exchange the A and B labels (distributions and state probabilities
+    travel with their worlds)."""
+    a, b = prior.state("A"), prior.state("B")
+    return Prior(
+        p=prior.p,
+        mu=prior.mu,
+        states=(StatePrior("A", b.prob, b.types), StatePrior("B", a.prob, a.types)),
+    )
+
+
 def per_point_auto(degseq, prior):
     """algorithm1_auto one threshold at a time: algorithm1, and on a
-    relabel error algorithm1 on the swapped labels."""
+    relabel error algorithm1 on the swapped labels. When both runs fail,
+    exactly one state is the only candidate but has the smaller size: B
+    when the first run found only B a candidate, else A."""
     try:
         return algorithm1(degseq, prior), False
-    except MislabeledStatesError:
+    except MislabeledStatesError as exc:
+        first = str(exc)
+    try:
         swapped = algorithm1(degseq, swap_state_labels(prior))
-        return {"A": swapped["B"], "B": swapped["A"]}, True
+    except MislabeledStatesError:
+        sole, other = ("B", "A") if first.startswith("only state B") else ("A", "B")
+        raise MislabeledStatesError(
+            f"only state {sole} is a candidate, but computed X_{sole} < "
+            f"X_{other}; no labeling satisfies X_A >= X_B"
+        ) from None
+    return {"A": swapped["B"], "B": swapped["A"]}, True
 
 
 @SETTINGS
 @given(two_state_priors(), degseqs, st.lists(st.integers(0, 8).map(lambda j: F(j, 8)), max_size=6))
+# Neither labeling holds at p = 1: A alone reaches mu but has the smaller
+# size, and in the mirror prior B does.
+@example(
+    two_state_prior(1, F(1, 2), TypeDistribution(F(1, 10), F(1, 2), F(2, 5)),
+                    TypeDistribution(F(1, 5), F(1, 5), F(3, 5))),
+    [2, 2, 3], [F(1, 2), F(1)],
+)
+@example(
+    two_state_prior(1, F(1, 2), TypeDistribution(F(1, 5), F(1, 5), F(3, 5)),
+                    TypeDistribution(F(1, 10), F(1, 2), F(2, 5))),
+    [2, 2, 3], [F(1, 2), F(1)],
+)
 def test_auto_grid_matches_per_point_auto(prior, degseq, ps):
     def per_point():
         return [per_point_auto(degseq, replace(prior, p=p)) for p in ps]
