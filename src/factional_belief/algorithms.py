@@ -307,6 +307,9 @@ def _check_labels(prior: Prior, relabel: bool = False) -> Optional[str]:
     return sole
 
 
+_SWAPPED_SIZES = "computed X_A < X_B; labels appear swapped"
+
+
 def _two_state(
     degseq: DegreeSequence,
     prior: Prior,
@@ -332,7 +335,7 @@ def _two_state(
         if sole != "B" and sizes["A"] >= sizes["B"]:
             out.append((sizes, False))
         elif not relabel:
-            raise MislabeledStatesError("computed X_A < X_B; labels appear swapped")
+            raise MislabeledStatesError(_SWAPPED_SIZES)
         elif sole != "A" and sizes["B"] >= sizes["A"]:
             out.append((sizes, True))
         else:
@@ -363,12 +366,15 @@ def revolting_rule(
     passed the fixpoint's last table pass, with no second pass. The
     contexts are None when every state survives: every chi agent then
     revolts, so no degree table is built (TABLE_ROW_GUARD still applies);
-    and [] when no state survives. Only the candidate check of the labels
-    runs. Used by the Monte-Carlo validator to count realized candidates."""
+    and [] when no state survives. The labels are checked as `algorithm1`
+    checks them, on the sizes of the same fixpoint run. Used by the
+    Monte-Carlo validator to count realized candidates."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     _check_labels(prior)
     sizes, survivors, last = _fixpoints(seq, prior, [(prior.p, prior.mu)])[0]
+    if sizes["A"] < sizes["B"]:
+        raise MislabeledStatesError(_SWAPPED_SIZES)
     if len(survivors) == len(prior.labels):
         _check_table_rows(_type_key(prior.states), seq)
         return sizes, None
@@ -540,9 +546,10 @@ def algorithm1_general(
     """Arbitrary-degree variant: agents with degree >= cutoff_c * n^(1/3)
     (hubs) see enough of the graph to identify the state. A hub's posterior
     is a point mass on the true state, so a chi hub revolts exactly in the
-    surviving candidate states, without a belief calculation. When hubs are
-    rarer than an epsilon fraction they are ignored and the base computation
-    runs on the whole sequence unchanged."""
+    surviving candidate states (in every state when p = 0), without a
+    belief calculation. When hubs are rarer than an epsilon fraction they
+    are ignored and the base computation runs on the whole sequence
+    unchanged."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     epsilon = Fraction(epsilon)
@@ -570,7 +577,8 @@ def multistate_fixpoint(
 
     `revealed` counts further agents, outside `degseq`, whose contexts
     reveal the true state: a chi agent among them believes the candidate
-    set, and revolts, exactly in the states inside it."""
+    set exactly in the states inside it, and revolts there (everywhere
+    when p = 0)."""
     return _fixpoints(degseq, prior, [(prior.p, prior.mu)], revealed=revealed)[0][:2]
 
 
@@ -627,7 +635,9 @@ def _fixpoints(
             mass = masses[j]
             x = {s: e_alpha[s] + mass[s] for s in labels}
             if revealed:
-                for s in survivors:
+                # A revealed chi agent's posterior on the candidate set is 1
+                # in its states and 0 elsewhere, which meets p = 0 too.
+                for s in survivors if p else labels:
                     x[s] += chi[s] * revealed / n
             failing = {s for s in survivors if x[s] < mu}
             if failing:

@@ -2,12 +2,13 @@
 families, threshold sweeps over the prior, Monte-Carlo concentration
 validation on concrete graphs, and the promise-region map.
 
-Reproducibility: every stochastic step seeds its own PCG64 generator with a
-seed derived from the master seed and the relevant counters via
-``netgen.derive_seed``; rerunning a config byte-reproduces its output.
-Threshold (p) sweeps derive per-trial seeds from the trial counter alone, so
-all grid points see the same sampled graphs and per-graph monotonicity in p
-survives averaging. Family-parameter sweeps derive from (value, trial).
+Reproducibility: every stochastic step seeds its own PCG64 stream
+(``netgen._Stream``) with a seed derived from the master seed and the
+relevant counters via ``netgen.derive_seed``; rerunning a config
+byte-reproduces its output. Threshold (p) sweeps derive per-trial seeds
+from the trial counter alone, so all grid points see the same sampled
+graphs and per-graph monotonicity in p survives averaging.
+Family-parameter sweeps derive from (value, trial).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .model import ConcreteGraph, Prior
 from .netgen import (
     FAMILIES,
     GenSpec,
+    _Stream,
     check_vertex_count,
     derive_seed,
     generate_sequence,
@@ -248,8 +250,7 @@ def sample_type_assignment(prior: Prior, state: str, n: int, seed: int) -> np.nd
     alpha and alpha + chi at or below it."""
     dist = prior.state(state).types
     cuts = (float(dist.alpha), float(dist.alpha + dist.chi))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return np.searchsorted(cuts, rng.random(n), side="right").astype(np.int8)
+    return np.searchsorted(cuts, _Stream(seed).doubles(n), side="right").astype(np.int8)
 
 
 def _count_members(keys: np.ndarray, sorted_keys: np.ndarray) -> int:
@@ -381,20 +382,20 @@ def random_epistemic_model(seed: int):
     seed."""
     from .epistemic import AgentPartition, EpistemicModel, FiniteProbSpace
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    m = int(rng.integers(1, RANDOM_MODEL_OUTCOMES + 1))
+    stream = _Stream(seed)
+    m = 1 + stream.below(RANDOM_MODEL_OUTCOMES)
     outcomes = tuple(range(m))
-    weights = [int(w) for w in rng.integers(1, 9, size=m)]
+    weights = [1 + stream.below(8) for _ in range(m)]
     total = sum(weights)
     probs = tuple(Fraction(w, total) for w in weights)
     space = FiniteProbSpace(outcomes, probs)
 
-    n_agents = int(rng.integers(1, RANDOM_MODEL_AGENTS + 1))
+    n_agents = 1 + stream.below(RANDOM_MODEL_AGENTS)
     partitions = []
     for _ in range(n_agents):
-        k = int(rng.integers(1, m + 1))
-        assignment = rng.integers(0, k, size=m)
-        assignment[rng.integers(0, m)] = 0  # cell 0 always nonempty
+        k = 1 + stream.below(m)
+        assignment = [stream.below(k) for _ in range(m)]
+        assignment[stream.below(m)] = 0  # cell 0 always nonempty
         cells = [
             frozenset(o for o, c in zip(outcomes, assignment) if c == cell)
             for cell in range(k)
@@ -403,8 +404,8 @@ def random_epistemic_model(seed: int):
     model = EpistemicModel(
         space, tuple(f"agent{i}" for i in range(n_agents)), tuple(partitions)
     )
-    p = Fraction(int(rng.integers(0, 9)), 8)
-    mu = Fraction(int(rng.integers(0, 9)), 8)
+    p = Fraction(stream.below(9), 8)
+    mu = Fraction(stream.below(9), 8)
     return model, min(p, Fraction(1)), min(mu, Fraction(1))
 
 

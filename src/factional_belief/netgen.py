@@ -1,14 +1,19 @@
 """Seeded degree-sequence and graph generators, graphicality checking, and
 Havel-Hakimi realization.
 
-All randomness flows through numpy's PCG64 generator seeded from explicit
-64-bit integers; nothing reads OS entropy. Derived seeds (per trial, per
-sweep point) come from `derive_seed`, a SplitMix64 chain, so experiment
-batches are reproducible from a single master seed.
+All randomness flows through `_Stream`, numpy's PCG64 computed in Python
+ints: seeded from explicit 64-bit integers as `np.random.PCG64(seed)` is,
+and bit-identical to `np.random.Generator(np.random.PCG64(seed))` for the
+bounded integers and doubles it draws; nothing reads OS entropy. Large
+blocks of doubles are drawn by numpy's own PCG64 from the stream's state.
+Derived seeds (per trial, per sweep point) come from `derive_seed`, a
+SplitMix64 chain, so experiment batches are reproducible from a single
+master seed.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -33,6 +38,7 @@ from .model import (  # VERTEX_GUARD stays importable as netgen.VERTEX_GUARD
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 EDGE_GUARD = 5_000_000  # edges, or expected edges for G(n, p), one generator may make
+REALIZE_EDGE_GUARD = 500_000  # edges realize_graph may make: 10 swap attempts each
 ER_BLOCK = 1 << 16  # most uniforms er_graph draws at once
 POWERLAW_ATTEMPTS = 10_000  # whole-sequence draws powerlaw_sequence makes
 
@@ -55,35 +61,153 @@ def derive_seed(master: int, *indices: int) -> int:
     return z
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
+_DOUBLE_UNIT = 2.0**-53
+HANDOFF_DOUBLES = 1 << 14  # doubles a process draws in Python before numpy takes over
+HANDOFF_BLOCK = 1 << 11  # a block of doubles this large goes to numpy at once
+_handoff = {"python_doubles": 0, "generator": None}
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """The (state, inc) of `np.random.PCG64(seed)`: numpy's SeedSequence
+    hashes the seed's 32-bit words into a pool of four and draws four
+    64-bit words from it, the first two PCG's initial state and the last
+    two its stream; then PCG's srandom steps twice."""
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    w = [out[2 * i] | out[2 * i + 1] << 32 for i in range(4)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    state = inc + (w[0] << 64 | w[1])
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+class _Stream:
+    """`np.random.Generator(np.random.PCG64(seed))` in Python ints, for the
+    draws the generators make: `below(k)` is `integers(k)` (a run of calls
+    is `integers(k, size=m)`) and `doubles(k)` is `random(k)`.
+
+    A draw steps the 128-bit LCG and outputs XSL-RR of the new state.
+    `below` takes 32-bit halves as numpy's `next_uint32` does, low half
+    first with the high half kept for the next call, and bounds them by
+    Lemire's multiply-and-reject method. A double is the top 53 bits of a
+    64-bit output times 2**-53. Python draws save a process the
+    `numpy.random` import; once a block reaches HANDOFF_BLOCK or the
+    process has drawn HANDOFF_DOUBLES doubles here, blocks are drawn by
+    numpy's PCG64 from this stream's state, which is then read back."""
+
+    __slots__ = ("state", "inc", "has_uint32", "uinteger")
+
+    def __init__(self, seed: int):
+        self.state, self.inc = _pcg64_seed(seed & _MASK64)
+        self.has_uint32 = 0
+        self.uinteger = 0
+
+    def _next32(self) -> int:
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        x = (s >> 64 ^ s) & _MASK64
+        rot = s >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        self.has_uint32, self.uinteger = 1, x >> 32
+        return x & _MASK32
+
+    def below(self, k: int) -> int:
+        """A uniform integer in [0, k), 1 <= k <= 2**32."""
+        if k == 1:
+            return 0
+        assert 1 < k <= 1 << 32, k
+        u = self._next32()
+        if k == 1 << 32:
+            return u
+        m = u * k
+        if m & _MASK32 < k:
+            threshold = ((1 << 32) - k) % k
+            while m & _MASK32 < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def doubles(self, k: int) -> np.ndarray:
+        """k uniform doubles in [0, 1)."""
+        if k < HANDOFF_BLOCK and _handoff["python_doubles"] + k <= HANDOFF_DOUBLES:
+            _handoff["python_doubles"] += k
+            s, inc, out = self.state, self.inc, [0.0] * k
+            mult, mask128, mask64, unit = _PCG_MULT, _MASK128, _MASK64, _DOUBLE_UNIT
+            for i in range(k):
+                s = (s * mult + inc) & mask128
+                x = (s >> 64 ^ s) & mask64
+                rot = s >> 122
+                out[i] = (((x >> rot | x << (64 - rot)) & mask64) >> 11) * unit
+            self.state = s
+            return np.array(out)
+        _handoff["python_doubles"] = HANDOFF_DOUBLES + 1
+        if _handoff["generator"] is None:
+            from numpy.random import PCG64, Generator
+
+            _handoff["generator"] = Generator(PCG64(0))
+        generator = _handoff["generator"]
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self.state, "inc": self.inc},
+            "has_uint32": self.has_uint32,
+            "uinteger": self.uinteger,
+        }
+        out = generator.random(k)
+        self.state = generator.bit_generator.state["state"]["state"]
+        return out
 
 
 def is_graphical(degseq: DegreeSequence) -> bool:
     """Can a simple graph realize this degree sequence? Erdos-Gallai test
     (equivalent to Havel-Hakimi, which `realize_graph` uses to build an
-    actual realization); near-linear, so it is cheap inside resampling
-    loops."""
+    actual realization) on int64 arrays: with d sorted descending, prefix
+    sums S and c_k the count of degrees >= k, S_k <= k(k - 1) + (j - k)k +
+    S_n - S_j, j = max(k, c_k), for every k. Cheap inside resampling loops."""
     seq = validate_degree_sequence(degseq)
     n = len(seq)
-    if any(d >= n for d in seq):
+    if max(seq) >= n or sum(seq) % 2:
         return False
-    if sum(seq) % 2:
-        return False
-    d = sorted(seq, reverse=True)
-    prefix = [0]
-    for x in d:
-        prefix.append(prefix[-1] + x)
-    from bisect import bisect_left
-
-    neg = [-x for x in d]  # ascending, for bisect
-    for k in range(1, n + 1):
-        # first index j >= k with d[j] < k
-        j = max(k, bisect_left(neg, -(k - 1)))
-        rhs = k * (k - 1) + (j - k) * k + (prefix[n] - prefix[j])
-        if prefix[k] > rhs:
-            return False
-    return True
+    ascending = np.sort(np.array(seq, dtype=np.int64))
+    prefix = np.zeros(n + 1, np.int64)
+    np.cumsum(ascending[::-1], out=prefix[1:])
+    k = np.arange(1, n + 1, dtype=np.int64)
+    j = np.maximum(k, n - np.searchsorted(ascending, k))
+    return bool(np.all(prefix[1:] <= k * (k - 1) + (j - k) * k + prefix[n] - prefix[j]))
 
 
 def constant_sequence(n: int, d: int) -> list[int]:
@@ -111,13 +235,13 @@ def powerlaw_sequence(n: int, gamma, seed: int) -> list[int]:
         raise ValidationError("gamma must exceed 1")
     if n < 2:
         raise ValidationError("need n >= 2 for a power-law sequence")
-    rng = _rng(seed)
+    stream = _Stream(seed)
     support = np.arange(1, n, dtype=np.int64)
     weights = support.astype(np.float64) ** (-gamma)
     cumulative = np.cumsum(weights)
     cumulative /= cumulative[-1]
     for _ in range(POWERLAW_ATTEMPTS):
-        draws = support[np.searchsorted(cumulative, rng.random(n), side="left")]
+        draws = support[np.searchsorted(cumulative, stream.doubles(n), side="left")]
         seq = [int(d) for d in draws]
         if is_graphical(seq):
             return seq
@@ -141,7 +265,7 @@ def _ba_endpoints(n: int, m: int, seed: int) -> list[int]:
     if not 1 <= m < n:
         raise ValidationError(f"need 1 <= m < n, got m={m}, n={n}")
     check_edge_count(m * (n - m))
-    rng = _rng(seed)
+    stream = _Stream(seed)
     ends: list[int] = []  # one entry per endpoint, so draws ~ degree
     for new in range(m, n):
         if new == m:
@@ -150,7 +274,7 @@ def _ba_endpoints(n: int, m: int, seed: int) -> list[int]:
             targets = []
             chosen: set[int] = set()
             while len(targets) < m:
-                t = ends[int(rng.integers(len(ends)))]
+                t = ends[stream.below(len(ends))]
                 if t not in chosen:
                     chosen.add(t)
                     targets.append(t)
@@ -187,13 +311,13 @@ def _er_pairs(n: int, p_edge, seed: int) -> tuple[np.ndarray, np.ndarray]:
     elif p == 1:
         index = np.arange(pairs, dtype=np.int64)
     else:
-        rng = _rng(seed)
+        stream = _Stream(seed)
         log_q = np.log1p(-p)
         found = []
         last = -1
         while True:
             k = min(ER_BLOCK, int((pairs - last) * p) + 64)
-            gaps = np.minimum(np.log(1.0 - rng.random(k)) / log_q, pairs)
+            gaps = np.minimum(np.log(1.0 - stream.doubles(k)) / log_q, pairs)
             ahead = last + np.cumsum(gaps.astype(np.int64) + 1)
             stop = int(np.searchsorted(ahead, pairs))
             found.append(ahead[:stop])
@@ -223,46 +347,51 @@ def realize_graph(degseq: DegreeSequence, seed: int) -> ConcreteGraph:
     double-edge-swap attempts (degree-preserving shuffling; approximate, not
     uniform, sampling of graphs with this degree sequence)."""
     seq = validate_degree_sequence(degseq)
-    check_edge_count(sum(seq) // 2)
+    count = sum(seq) // 2
+    check_edge_count(count)
+    if count > REALIZE_EDGE_GUARD:
+        raise SpaceTooLargeError(
+            f"realized graphs limited to {REALIZE_EDGE_GUARD} edges "
+            f"(10 edge-swap attempts each), not {count}"
+        )
     if not is_graphical(seq):
         raise NotGraphicalError(f"degree sequence {seq} is not graphical")
     n = len(seq)
-    remaining = sorted(((d, v) for v, d in enumerate(seq)), reverse=True)
+    # Havel-Hakimi: the vertex of highest (d, v) joins the d next highest.
+    heap = [(-d, -v) for v, d in enumerate(seq) if d]
+    heapq.heapify(heap)
     edges: set[tuple[int, int]] = set()
-    while remaining and remaining[0][0] > 0:
-        d, v = remaining.pop(0)
-        if d > len(remaining):
+    while heap:
+        d, v = heapq.heappop(heap)
+        if -d > len(heap):
             raise AssertionError("graphical sequence failed to realize")
-        for i in range(d):
-            du, u = remaining[i]
-            edges.add((min(u, v), max(u, v)))
-            remaining[i] = (du - 1, u)
-        remaining.sort(reverse=True)
+        for du, u in [heapq.heappop(heap) for _ in range(-d)]:
+            edges.add((-u, -v) if u > v else (-v, -u))
+            if du < -1:
+                heapq.heappush(heap, (du + 1, u))
 
     edge_list = sorted(edges)
-    rng = _rng(seed)
-    attempts = 10 * len(edge_list)
-    for _ in range(attempts):
-        if len(edge_list) < 2:
-            break
-        i, j = rng.integers(len(edge_list), size=2)
+    m = len(edge_list)
+    below = _Stream(seed).below
+    for _ in range(10 * m if m > 1 else 0):
+        i, j = below(m), below(m)
         if i == j:
             continue
-        a, b = edge_list[int(i)]
-        c, d2 = edge_list[int(j)]
-        if int(rng.integers(2)):
-            c, d2 = d2, c
-        if len({a, b, c, d2}) < 4:
+        a, b = edge_list[i]
+        c, d = edge_list[j]
+        if below(2):
+            c, d = d, c
+        if len({a, b, c, d}) < 4:
             continue
-        e1, e2 = (min(a, d2), max(a, d2)), (min(c, b), max(c, b))
+        e1, e2 = (a, d) if a < d else (d, a), (c, b) if c < b else (b, c)
         if e1 in edges or e2 in edges:
             continue
-        edges.discard((min(a, b), max(a, b)))
-        edges.discard((min(c, d2), max(c, d2)))
+        edges.discard(edge_list[i])
+        edges.discard(edge_list[j])
         edges.add(e1)
         edges.add(e2)
-        edge_list[int(i)] = e1
-        edge_list[int(j)] = e2
+        edge_list[i] = e1
+        edge_list[j] = e2
     return ConcreteGraph(n, edges)
 
 

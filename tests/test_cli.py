@@ -828,13 +828,15 @@ def test_malformed_prior_exits_2(states, const4_file, tmp_path, capsys):
     ("oracle --graph {header} --clique-reduce 2", 500000000, "model._edge_array"),
     ("oracle --edges 0-1 --n 2000000 --clique-reduce 2", 2000000, "model._edge_array"),
     ("oracle --edges 0-1999999 --clique-reduce 2", 2000000, "model._edge_array"),
-    ("gen --family er --n 1000000 --param 1/2 --kind graph", 249999750000, "netgen._rng"),
+    ("gen --family er --n 1000000 --param 1/2 --kind graph", 249999750000, "netgen._Stream"),
     ("validate --prior {prior} --family er --n 1000000 --param 1/3", 166666500000,
-     "netgen._rng"),
+     "netgen._Stream"),
     ("sweep --prior {prior} --family er --n 1000000 --start 1/100 --stop 1/100 --step 1",
-     4999995000, "netgen._rng"),
-    ("gen --family ba --n 1000000 --param 600000", 240000000000, "netgen._rng"),
+     4999995000, "netgen._Stream"),
+    ("gen --family ba --n 1000000 --param 600000", 240000000000, "netgen._Stream"),
     ("gen --family constant --n 4000 --param 3999 --kind graph", 7998000,
+     "netgen.is_graphical"),
+    ("validate --prior {prior} --family constant --n 1000000 --param 4", 2000000,
      "netgen.is_graphical"),
 ])
 def test_graph_guards_exit_2(argv, count, allocation, prior_file, tmp_path, monkeypatch,
@@ -945,6 +947,39 @@ def test_jobs_do_not_import_numpy_ma(prior_file, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_MA_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+NUMPY_RANDOM_PROBE = """
+import sys
+from factional_belief.cli import main
+assert main(sys.argv[1:]) == 0
+assert "numpy.random" not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "sweep --prior {prior} --family ba --n 250 --start 1 --stop 3 --step 1 --trials 5",
+    "sweep --prior {prior} --family er --n 250 --start 1/100 --stop 3/100 --step 1/100 "
+    "--trials 5",
+    "sweep --prior {prior} --family powerlaw --n 250 --start 5/2 --stop 7/2 --step 1/2 "
+    "--trials 5",
+    "sweep --prior {prior} --family powerlaw --n 250 --axis p --start 1/5 --stop 4/5 "
+    "--step 1/5 --param 3 --trials 10",
+    "gen --family powerlaw --n 250 --param 5/2 --kind graph",
+    "gen --family er --n 250 --param 3/100 --kind graph",
+    "gen --family ba --n 250 --param 3",
+])
+def test_sampling_jobs_do_not_import_numpy_random(line, prior_file, tmp_path):
+    # A sampling job of this size draws every number on the Python-int
+    # PCG64 stream, so it never pays the numpy.random import (about 15 ms
+    # in a fresh process); only blocks past the hand-off would load it.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE, *shlex.split(line.format(prior=prior_file))],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -285,10 +285,10 @@ class TestValidate:
         assert report["empirical_candidate_fraction"] == "1.0"
 
     def test_label_policy(self, motivating_prior):
-        # validate checks only that B is not the only candidate. It refuses
-        # the swapped labels at mu = 1/2, where only B reaches mu, but
-        # answers them at mu = 1/10, where both states reach mu and
-        # X_A = 1/5 < X_B = 4/5, which algorithm1 refuses.
+        # validate applies algorithm1's X_A >= X_B convention: it refuses
+        # the swapped labels at mu = 1/2, where only B reaches mu, and at
+        # mu = 1/10, where both states reach mu and X_A = 1/5 < X_B = 4/5,
+        # with algorithm1's messages.
         a, b = motivating_prior.state("A").types, motivating_prior.state("B").types
         swapped = two_state_prior(F(2, 5), F(1, 2), b, a)
         graph = torus_grid(3, 3)
@@ -297,9 +297,14 @@ class TestValidate:
         ):
             run_validate(graph, swapped, "A", trials=2, seed=0)
         both = replace(swapped, mu=F(1, 10))
+        for state in "AB":
+            with pytest.raises(
+                MislabeledStatesError, match="^computed X_A < X_B; labels appear swapped$"
+            ):
+                run_validate(graph, both, state, trials=2, seed=0)
         with pytest.raises(MislabeledStatesError, match="^computed X_A < X_B"):
             algorithm1(graph.degree_sequence(), both)
-        report = run_validate(graph, both, "B", trials=2, seed=0)
+        report = run_validate(graph, two_state_prior(F(2, 5), F(1, 10), a, b), "A", 2, 0)
         assert report["expected_candidate_fraction"] == "4/5"
         assert all(r["n_candidates"] == r["n_chi"] for r in report["trial_rows"])
 

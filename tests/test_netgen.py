@@ -218,6 +218,15 @@ class TestEdgeGuard:
         with pytest.raises(SpaceTooLargeError, match="not 15"):
             realize_graph([3] * 10, 0)
 
+    def test_realize_boundary(self, monkeypatch):
+        # Realization runs 10 Python edge-swap attempts per edge, so it has
+        # its own, lower bound, checked before the sequence is tested (this
+        # one is not graphical).
+        monkeypatch.setattr(netgen, "REALIZE_EDGE_GUARD", 12)
+        assert len(realize_graph([3] * 8, 0).edges) == 12
+        with pytest.raises(SpaceTooLargeError, match="realized graphs limited to 12 edges"):
+            realize_graph([10, 10, 10] + [0] * 8, 0)
+
 
 class TestGenSpec:
     def test_family_checked(self):

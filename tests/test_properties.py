@@ -9,9 +9,13 @@ concrete-graph oracle against a brute force over every type assignment
 and against the per-assignment reference enumeration, for the
 validator's array counts against a per-vertex count, for the epistemic
 belief kernel against the plain-Fraction belief operator and (J1, J2)
-loop, and for the CSR concrete graph and the array generators against
-the tuple-built graph and the one-draw-at-a-time samplers."""
+loop, for the CSR concrete graph and the array generators against the
+tuple-built graph and the one-draw-at-a-time samplers, for the Python-int
+PCG64 stream against numpy's Generator, for the array Erdos-Gallai test
+and the heap Havel-Hakimi against their list versions, and for the
+arbitrary-degree variant against the oracle on small graphs with a hub."""
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -47,6 +51,7 @@ from factional_belief import (
 )
 from factional_belief import epistemic
 from factional_belief import experiments
+from factional_belief import netgen
 from factional_belief.algorithms import (
     PromiseInstance,
     _candidate_masses,
@@ -73,11 +78,14 @@ from factional_belief.experiments import (
     sample_type_assignment,
 )
 from factional_belief.netgen import (
+    _Stream,
     ba_graph,
     ba_sequence,
     derive_seed,
     er_graph,
     er_sequence,
+    is_graphical,
+    realize_graph,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -253,8 +261,9 @@ def reference_fixpoint(degseq, prior, revealed=0):
     while survivors:
         mass = reference_candidate_mass(prior, seq, survivors, n)
         x = {s: e_alpha[s] + mass[s] for s in prior.labels}
-        for s in survivors:
-            x[s] += chi[s] * F(revealed, n)
+        for s in prior.labels:  # a revealed agent's posterior on survivors is 0 or 1
+            if (s in survivors) >= prior.p:
+                x[s] += chi[s] * F(revealed, n)
         failing = {s for s in survivors if x[s] < prior.mu}
         if not failing:
             return x, survivors
@@ -1051,3 +1060,182 @@ def test_ba_matches_scalar_sampler(n, m):
         reference = ReferenceGraph(n, reference_ba_edges(n, m, seed))
         assert_same_graph(ba_graph(n, m, seed), reference)
         assert ba_sequence(n, m, seed) == reference.degree_sequence()
+
+
+STREAM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("below"), st.integers(1, 2**32)),
+        st.tuples(st.just("below"), st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32])),
+        st.tuples(st.just("size"), st.integers(1, 2**32), st.integers(1, 5)),
+        st.tuples(st.just("double")),
+        st.tuples(st.just("block"), st.one_of(
+            st.integers(0, 40),
+            st.sampled_from([netgen.HANDOFF_BLOCK - 1, netgen.HANDOFF_BLOCK]),
+        )),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(0, 0, [("below", 2**32), ("size", 3, 2), ("block", 5)])
+@example(2**32, 0, [("double",), ("below", 7), ("block", 2048)])
+@example(2**64 - 1, 0, [("below", 5), ("block", 2047), ("block", 3), ("below", 9)])
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, netgen.HANDOFF_DOUBLES - 30, netgen.HANDOFF_DOUBLES + 1]),
+    STREAM_OPS,
+)
+def test_stream_matches_numpy_generator(seed, drawn, ops):
+    # Seeding, interleaved bounded draws (scalar and size=m, k up to 2^32,
+    # which share numpy's buffered 32-bit half), scalar doubles, and blocks
+    # drawn in Python, handed to numpy at HANDOFF_BLOCK, or handed over
+    # once the process has drawn HANDOFF_DOUBLES in Python.
+    saved = netgen._handoff["python_doubles"]
+    netgen._handoff["python_doubles"] = drawn
+    try:
+        stream = _Stream(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for op in ops:
+            if op[0] == "below":
+                assert stream.below(op[1]) == int(rng.integers(op[1]))
+            elif op[0] == "size":
+                got = [stream.below(op[1]) for _ in range(op[2])]
+                assert got == rng.integers(op[1], size=op[2]).tolist()
+            elif op[0] == "double":
+                assert stream.doubles(1).tolist() == [rng.random()]
+            else:
+                assert stream.doubles(op[1]).tolist() == rng.random(op[1]).tolist()
+        state = rng.bit_generator.state
+        assert (stream.state, stream.inc) == (state["state"]["state"], state["state"]["inc"])
+        assert (stream.has_uint32, stream.uinteger) == (state["has_uint32"], state["uinteger"])
+    finally:
+        netgen._handoff["python_doubles"] = saved
+
+
+def reference_is_graphical(seq):
+    """The Erdos-Gallai test one k at a time, with a bisection per k."""
+    n = len(seq)
+    if any(d >= n for d in seq) or sum(seq) % 2:
+        return False
+    d = sorted(seq, reverse=True)
+    prefix = [0]
+    for x in d:
+        prefix.append(prefix[-1] + x)
+    neg = [-x for x in d]  # ascending, for bisect
+    for k in range(1, n + 1):
+        j = max(k, bisect_left(neg, -(k - 1)))  # first j >= k with d[j] < k
+        if prefix[k] > k * (k - 1) + (j - k) * k + (prefix[n] - prefix[j]):
+            return False
+    return True
+
+
+@st.composite
+def simple_graphs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, keep in zip(pairs, chosen) if keep]
+
+
+def graph_degrees(n, edges):
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+@st.composite
+def degree_lists(draw):
+    """Random lists, realizable sequences, and realizable sequences with one
+    degree raised by one (an odd sum) or two (often just not graphical)."""
+    kind = draw(st.integers(0, 2))
+    if not kind:
+        return draw(st.lists(st.integers(0, 15), min_size=1, max_size=16))
+    seq = graph_degrees(*draw(simple_graphs()))
+    if kind == 2:
+        seq[draw(st.integers(0, len(seq) - 1))] += draw(st.integers(1, 2))
+    return seq
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(degree_lists())
+def test_is_graphical_matches_loop(seq):
+    assert is_graphical(seq) == reference_is_graphical(seq)
+
+
+def reference_realize_graph(seq, seed):
+    """Havel-Hakimi on a list re-sorted after every vertex, then the
+    double-edge-swap loop on numpy's Generator."""
+    remaining = sorted(((d, v) for v, d in enumerate(seq)), reverse=True)
+    edges = set()
+    while remaining and remaining[0][0] > 0:
+        d, v = remaining.pop(0)
+        for i in range(d):
+            du, u = remaining[i]
+            edges.add((min(u, v), max(u, v)))
+            remaining[i] = (du - 1, u)
+        remaining.sort(reverse=True)
+    edge_list = sorted(edges)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(10 * len(edge_list)):
+        if len(edge_list) < 2:
+            break
+        i, j = rng.integers(len(edge_list), size=2)
+        if i == j:
+            continue
+        a, b = edge_list[i]
+        c, d2 = edge_list[j]
+        if int(rng.integers(2)):
+            c, d2 = d2, c
+        if len({a, b, c, d2}) < 4:
+            continue
+        e1, e2 = (min(a, d2), max(a, d2)), (min(c, b), max(c, b))
+        if e1 in edges or e2 in edges:
+            continue
+        edges -= {(min(a, b), max(a, b)), (min(c, d2), max(c, d2))}
+        edges |= {e1, e2}
+        edge_list[i], edge_list[j] = e1, e2
+    return ReferenceGraph(len(seq), edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(simple_graphs(14), st.integers(0, 2**64 - 1))
+def test_realize_graph_matches_sorted_list_havel_hakimi(graph, seed):
+    seq = graph_degrees(*graph)
+    assert_same_graph(realize_graph(seq, seed), reference_realize_graph(seq, seed))
+
+
+@st.composite
+def hub_instances(draw):
+    """A graph on 4..7 vertices with a hub joined to 3 or more others and a
+    few edges among the rest, and a two-state prior (A's alpha + chi mass
+    at least B's) in a regime where the finite game's greatest
+    equilibrium is forced: p = 0 with a candidate state, or mu = 0."""
+    n = draw(st.integers(4, 7))
+    hub = set(draw(st.lists(st.integers(1, n - 1), min_size=3, max_size=n - 1, unique=True)))
+    rest = draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)), max_size=2))
+    edges = {(0, v) for v in hub} | {(min(e), max(e)) for e in rest if e[0] != e[1]}
+    a, b = sorted((draw(type_dists()), draw(type_dists())), key=lambda t: t.alpha + t.chi)[::-1]
+    if draw(st.booleans()):
+        p, mu = F(0), F(draw(st.integers(0, 8)), 8)
+        assume(a.alpha + a.chi >= mu)
+    else:
+        p, mu = F(draw(st.integers(0, 8)), 8), F(0)
+    prior = two_state_prior(p, mu, a, b, F(draw(st.integers(1, 7)), 8))
+    return ConcreteGraph(n, sorted(edges)), prior
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(hub_instances())
+def test_general_variant_matches_oracle_on_hub_graphs(instance):
+    # cutoff_c = 3/2 makes degree >= 3 a hub on up to 8 vertices, so the
+    # hub's chi agents revolt by the revealed-state rule; at p = 0 that
+    # rule must let them revolt in a state outside the candidate set too.
+    graph, prior = instance
+    seq = graph.degree_sequence()
+    general = algorithm1_general(seq, prior, cutoff_c=F(3, 2))
+    assert high_degree_cutoff(graph.n, F(3, 2)) == 3 and max(seq) >= 3
+    greatest = greatest_equilibrium(graph, prior)
+    assert general == {s: expected_revolt_fraction(graph, prior, greatest, s) for s in "AB"}
