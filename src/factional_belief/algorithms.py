@@ -307,9 +307,6 @@ def _check_labels(prior: Prior, relabel: bool = False) -> Optional[str]:
     return sole
 
 
-_SWAPPED_SIZES = "computed X_A < X_B; labels appear swapped"
-
-
 def _two_state(
     degseq: DegreeSequence,
     prior: Prior,
@@ -317,9 +314,10 @@ def _two_state(
     *,
     relabel: bool = False,
     revealed: int = 0,
-) -> list[tuple[dict[str, Fraction], bool]]:
-    """(sizes, relabeled) at each p of `p_values` (mu from the prior), in
-    order, from one fixpoint run (`revealed` is passed on), under the
+) -> list[tuple[tuple, bool]]:
+    """(answer, relabeled) at each p of `p_values` (mu from the prior), in
+    order, where answer is the `_fixpoints` answer (sizes, survivors,
+    last) from one fixpoint run (`revealed` is passed on), under the
     X_A >= X_B convention: the labels hold when B is not the only candidate
     and X_A >= X_B. Without `relabel` a violation raises, the candidate
     check before any table is built. With it, a p whose labels fail is
@@ -329,15 +327,16 @@ def _two_state(
     prior.require_two_states()
     sole = _check_labels(prior, relabel)
     out = []
-    for sizes, _survivors, _last in _fixpoints(
+    for answer in _fixpoints(
         degseq, prior, [(p, prior.mu) for p in p_values], revealed=revealed
     ):
+        sizes = answer[0]
         if sole != "B" and sizes["A"] >= sizes["B"]:
-            out.append((sizes, False))
+            out.append((answer, False))
         elif not relabel:
-            raise MislabeledStatesError(_SWAPPED_SIZES)
+            raise MislabeledStatesError("computed X_A < X_B; labels appear swapped")
         elif sole != "A" and sizes["B"] >= sizes["A"]:
-            out.append((sizes, True))
+            out.append((answer, True))
         else:
             other = "B" if sole == "A" else "A"
             raise MislabeledStatesError(
@@ -354,7 +353,7 @@ def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
     reversed, the labels violate the X_A >= X_B convention and a relabel
     error is raised rather than a silently reordered answer.
     """
-    return _two_state(degseq, prior, [prior.p])[0][0]
+    return _two_state(degseq, prior, [prior.p])[0][0][0]
 
 
 def revolting_rule(
@@ -367,16 +366,11 @@ def revolting_rule(
     contexts are None when every state survives: every chi agent then
     revolts, so no degree table is built (TABLE_ROW_GUARD still applies);
     and [] when no state survives. The labels are checked as `algorithm1`
-    checks them, on the sizes of the same fixpoint run. Used by the
-    Monte-Carlo validator to count realized candidates."""
-    prior.require_two_states()
-    seq = validate_degree_sequence(degseq)
-    _check_labels(prior)
-    sizes, survivors, last = _fixpoints(seq, prior, [(prior.p, prior.mu)])[0]
-    if sizes["A"] < sizes["B"]:
-        raise MislabeledStatesError(_SWAPPED_SIZES)
+    checks them, by the same `_two_state` call. Used by the Monte-Carlo
+    validator to count realized candidates."""
+    (sizes, survivors, last), _relabeled = _two_state(degseq, prior, [prior.p])[0]
     if len(survivors) == len(prior.labels):
-        _check_table_rows(_type_key(prior.states), seq)
+        _check_table_rows(_type_key(prior.states), degseq)
         return sizes, None
     return sizes, (_scan_contexts(*last) if survivors else [])
 
@@ -399,7 +393,10 @@ def algorithm1_auto_grid(
     ps = [Fraction(p) for p in p_values]
     if not all(0 <= p <= 1 for p in ps):
         raise ValidationError("p values must lie in [0, 1]")
-    return _two_state(degseq, prior, ps, relabel=True)
+    return [
+        (answer[0], relabeled)
+        for answer, relabeled in _two_state(degseq, prior, ps, relabel=True)
+    ]
 
 
 def algorithm2(sizes: dict[str, Fraction], mu_star) -> PromiseOutcome:
@@ -561,11 +558,11 @@ def algorithm1_general(
     hubs = n - len(low)
     if Fraction(hubs, n) < epsilon:
         return algorithm1(seq, prior)
-    return _two_state(low, prior, [prior.p], revealed=hubs)[0][0]
+    return _two_state(low, prior, [prior.p], revealed=hubs)[0][0][0]
 
 
 def multistate_fixpoint(
-    degseq: DegreeSequence, prior: Prior, *, revealed: int = 0
+    degseq: DegreeSequence, prior: Prior
 ) -> tuple[dict[str, Fraction], frozenset]:
     """The candidate-state fixpoint behind every largest-revolt entry point,
     for any number of states: start from every state whose chi+alpha mass
@@ -573,13 +570,8 @@ def multistate_fixpoint(
     the agents believing in the current candidate set. All failing states
     are dropped per round; the fixpoint is order-independent (it is the
     unique maximal self-supporting candidate set). Returns per-state sizes
-    and the surviving set.
-
-    `revealed` counts further agents, outside `degseq`, whose contexts
-    reveal the true state: a chi agent among them believes the candidate
-    set exactly in the states inside it, and revolts there (everywhere
-    when p = 0)."""
-    return _fixpoints(degseq, prior, [(prior.p, prior.mu)], revealed=revealed)[0][:2]
+    and the surviving set."""
+    return _fixpoints(degseq, prior, [(prior.p, prior.mu)])[0][:2]
 
 
 def _fixpoints(
@@ -599,7 +591,12 @@ def _fixpoints(
     Each answer is (sizes, survivors, last): `last` is the scan of the
     table pass the survivors passed and the index of p among that pass's
     levels, from which `_scan_contexts` lists the revolting contexts; None
-    when no pass decided the answer (every state or no state survives)."""
+    when no pass decided the answer (every state or no state survives).
+
+    `revealed` counts further agents, outside `degseq`, whose contexts
+    reveal the true state: a chi agent among them believes the candidate
+    set exactly in the states inside it, and revolts there (everywhere
+    when p = 0)."""
     if revealed < 0:
         raise ValidationError("revealed agent count must be nonnegative")
     # Revealed agents alone make a nonempty population.

@@ -143,8 +143,8 @@ def chernoff_envelope(n: int, chi_star: int, trials: int, level=Fraction(1, 100)
     dependent-Chernoff tails reaches `level`:
     t = sqrt(chi_star * n * ln(2 * trials / level) / 2)."""
     level = Fraction(level)
-    if trials < 1 or level <= 0:
-        raise ValidationError("need trials >= 1 and level > 0")
+    if trials < 1 or not 0 < level <= 1:
+        raise ValidationError("need trials >= 1 and 0 < level <= 1")
     with mpmath.workprec(PRECISION_BITS):
         inner = mpmath.log(_to_mpf(Fraction(2 * trials) / level))
         return mpmath.sqrt(mpmath.mpf(chi_star) * n * inner / 2)

@@ -522,7 +522,9 @@ def cmd_gen(args) -> int:
 def cmd_bounds(args) -> int:
     prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees) if args.degrees else None
-    n = args.n or (len(degseq) if degseq else None)
+    if args.n is not None and args.n < 1:
+        raise ValidationError("--n must be at least 1")
+    n = args.n if args.n is not None else (len(degseq) if degseq else None)
     if n is None:
         raise ValidationError("bounds needs --degrees or --n")
     epsilon, epsilon0, c = RAT(args.epsilon), RAT(args.epsilon0), RAT(args.c)

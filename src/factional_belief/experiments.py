@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from statistics import stdev
@@ -25,12 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import bounds as bounds_mod
-from .algorithms import (
-    algorithm1_auto,
-    algorithm1_auto_grid,
-    equilibria_map,
-    revolting_rule,
-)
+from .algorithms import algorithm1_auto_grid, equilibria_map, revolting_rule
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
 from .fileio import format_decimal, format_rational
 from .model import ConcreteGraph, Prior
@@ -117,21 +112,6 @@ def grid(start, stop, step) -> tuple[Fraction, ...]:
     return tuple(start + i * step for i in range(count))
 
 
-def _run_pair(args) -> tuple[Fraction, Fraction, bool]:
-    seq, prior = args
-    sizes, relabeled = algorithm1_auto(seq, prior)
-    return sizes["A"], sizes["B"], relabeled
-
-
-def _run_p_grid(args) -> list[tuple[Fraction, Fraction, bool]]:
-    """`_run_pair` at every p of the grid, for one trial's sequence."""
-    seq, prior, values = args
-    return [
-        (sizes["A"], sizes["B"], relabeled)
-        for sizes, relabeled in algorithm1_auto_grid(seq, prior, values)
-    ]
-
-
 def worker_count(jobs: int, items: int, cpus: int) -> int:
     """Pool size for `items` tasks at a time: at most `jobs`, the `cpus`
     the process may run on, and `items`; 1 means run in-process."""
@@ -146,17 +126,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sequences(cfg: SweepConfig, param, *index: int) -> list[list[int]]:
-    """The sampled sequences for one family parameter; trial t is seeded by
+def _specs(cfg: SweepConfig, param, *index: int) -> list[GenSpec]:
+    """The generator requests for one family parameter; trial t is seeded by
     derive_seed(cfg.seed, *index, t). The constant family has one."""
     if cfg.family == "constant":
-        return [generate_sequence(GenSpec("constant", cfg.n, param))]
+        return [GenSpec("constant", cfg.n, param)]
     return [
-        generate_sequence(
-            GenSpec(cfg.family, cfg.n, param, derive_seed(cfg.seed, *index, t))
-        )
+        GenSpec(cfg.family, cfg.n, param, derive_seed(cfg.seed, *index, t))
         for t in range(cfg.trials)
     ]
+
+
+def _solve(task) -> list[tuple[Fraction, Fraction, bool]]:
+    """One trial where it runs: generate the task's sequence and answer
+    (X_A, X_B, relabeled) at each p of its ps; the sequence is then
+    dropped."""
+    spec, prior, ps = task
+    return [
+        (sizes["A"], sizes["B"], relabeled)
+        for sizes, relabeled in algorithm1_auto_grid(generate_sequence(spec), prior, ps)
+    ]
+
+
+def _chunks(cfg: SweepConfig):
+    """The sweep as (axis values, one task per trial) chunks, in value
+    order. A param sweep has one chunk per value, solved at the prior's p.
+    A p sweep reuses the trials' seeds at every p, and a chunk is a span
+    of p values sized so that at most SWEEP_RESULT_BUDGET per-trial
+    results are held at once."""
+    if cfg.axis == "param":
+        for vi, value in enumerate(cfg.values):
+            yield (value,), [(spec, cfg.prior, (cfg.prior.p,)) for spec in _specs(cfg, value, vi)]
+        return
+    specs = _specs(cfg, cfg.fixed_param)
+    span = max(1, SWEEP_RESULT_BUDGET // len(specs))
+    for lo in range(0, len(cfg.values), span):
+        values = cfg.values[lo:lo + span]
+        yield values, [(spec, cfg.prior, values) for spec in specs]
 
 
 def _aggregate(value: Fraction, results) -> dict:
@@ -182,43 +188,30 @@ def _aggregate(value: Fraction, results) -> dict:
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """Rows of mean largest-revolt sizes along the sweep axis. A p sweep
-    computes a span of grid points of a trial's sequence in one call, the
-    span sized so that at most SWEEP_RESULT_BUDGET per-trial results are
-    held before they are aggregated into rows. With cfg.jobs > 1 the grid
-    points (or the trials of a p sweep) share one process pool."""
+    """Rows of mean largest-revolt sizes along the sweep axis, one `_solve`
+    task per chunk and trial. With cfg.jobs > 1 the tasks share one process
+    pool, so each trial is generated and solved in a worker. An error is
+    the first in (value, trial) order, as one generate-and-solve call per
+    value and trial would raise it."""
     per_point = 1 if cfg.family == "constant" else cfg.trials
     workers = worker_count(cfg.jobs, per_point, _usable_cpus())
     chunksize = max(1, per_point // (4 * workers))
+    rows = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else partial(pool.map, chunksize=chunksize)
-        if cfg.axis == "param":
-            return [
-                _aggregate(value, list(run(_run_pair, [
-                    (seq, cfg.prior) for seq in _sequences(cfg, value, vi)
-                ])))
-                for vi, value in enumerate(cfg.values)
-            ]
-        seqs = _sequences(cfg, cfg.fixed_param)
-        span = max(1, SWEEP_RESULT_BUDGET // len(seqs))
-        rows = []
-        for lo in range(0, len(cfg.values), span):
-            values = cfg.values[lo:lo + span]
+        for values, tasks in _chunks(cfg):
             try:
-                per_trial = list(run(_run_p_grid, [(seq, cfg.prior, values) for seq in seqs]))
+                results = list(run(_solve, tasks))
             except MislabeledStatesError:
-                # Raise the first error in (p, trial) order, as one call per
-                # point would: a later trial's table guard comes first when
-                # this trial's relabel error is at a larger p.
-                for value in values:
-                    for seq in seqs:
-                        algorithm1_auto(seq, replace(cfg.prior, p=value))
+                # A trial's relabel error at a later value comes after a
+                # later trial's error at an earlier one: replay value by value.
+                for j in range(len(values)):
+                    list(run(_solve, [(spec, prior, ps[j:j + 1]) for spec, prior, ps in tasks]))
                 raise
             rows += [
-                _aggregate(value, [results[j] for results in per_trial])
-                for j, value in enumerate(values)
+                _aggregate(value, [r[j] for r in results]) for j, value in enumerate(values)
             ]
-        return rows
+    return rows
 
 
 def run_promise_map(
@@ -304,7 +297,7 @@ def run_validate(
     envelope = float(bounds_mod.chernoff_envelope(n, chi_star, trials, level))
 
     trial_rows = []
-    max_dev = 0.0
+    devs = []
     cand_sum = 0
     for t in range(trials):
         codes = sample_type_assignment(prior, state, n, derive_seed(seed, t))
@@ -318,7 +311,7 @@ def run_validate(
             keys = (deg[chi] * m + alpha_nbrs[chi]) * m + chi_nbrs[chi]
             n_cand = _count_members(keys, cand_keys)
         dev = abs(n_cand - float(exp_candidate) * n)
-        max_dev = max(max_dev, dev)
+        devs.append(dev)
         cand_sum += n_cand
         trial_rows.append(
             {
@@ -331,7 +324,7 @@ def run_validate(
             }
         )
 
-    devs = sorted(float(r["deviation"]) for r in trial_rows)
+    devs.sort()
     return {
         "state": state,
         "n": n,
@@ -344,7 +337,7 @@ def run_validate(
         "chi_star_bound": chi_star,
         "envelope_level": format_rational(Fraction(level)),
         "envelope_deviation": format_decimal(envelope),
-        "max_deviation": format_decimal(max_dev),
+        "max_deviation": format_decimal(devs[-1]),
         "deviation_quantiles": {
             "min": format_decimal(devs[0]),
             "median": format_decimal(devs[len(devs) // 2]),

@@ -144,6 +144,13 @@ class TestEnvelope:
         expect = math.sqrt(17 * 1000 * math.log(2 * 200 * 100) / 2)
         assert float(got) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("level", [F(0), F(-1, 2), F(3, 2), F(4)])
+    def test_level_is_a_probability(self, level):
+        # ln(2 trials / level) stays positive for every level in (0, 1].
+        assert chernoff_envelope(9, 5, 1, F(1)) > 0
+        with pytest.raises(ValidationError, match="0 < level <= 1"):
+            chernoff_envelope(9, 5, 1, level)
+
     def test_union_bound_consistency(self):
         # at the envelope, trials * two-sided tail equals the level
         n, chi, trials, level = 800, 13, 150, F(1, 50)

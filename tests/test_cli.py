@@ -558,6 +558,23 @@ class TestBoundsCommand:
         assert table["noncandidate_expectation_A"] == "693/3125"
         assert table["markov_noncandidate_bound"] == "1386/3125"
 
+    @pytest.mark.parametrize("n", ["0", "-3", "-5"])
+    @pytest.mark.parametrize("with_degrees", [False, True])
+    def test_n_below_one_exits_2(self, n, with_degrees, prior_file, const4_file, capsys):
+        # --n 0 is refused, not read as absent.
+        argv = ["bounds", "--prior", prior_file, "--n", n]
+        assert main(argv + (["--degrees", const4_file] if with_degrees else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("level", ["4", "3/2", "0", "-1/2"])
+def test_validate_level_outside_unit_interval_exits_2(level, prior_file, capsys):
+    argv = ["validate", "--prior", prior_file, "--torus", "3", "3", "--trials", "1"]
+    assert main(argv + [f"--level={level}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "0 < level <= 1" in captured.err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, prior_file, const4_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -10,9 +11,9 @@ from factional_belief import (
 )
 from factional_belief import experiments
 from factional_belief.errors import (
-    MislabeledStatesError, SpaceTooLargeError, ValidationError,
+    GenerationError, MislabeledStatesError, SpaceTooLargeError, ValidationError,
 )
-from factional_belief.netgen import VERTEX_GUARD
+from factional_belief.netgen import VERTEX_GUARD, derive_seed
 from factional_belief.experiments import (
     SweepConfig,
     grid,
@@ -113,14 +114,66 @@ class TestSweep:
             F(1, 2), F(1, 2), TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
             TypeDistribution(F(1, 5), F(1, 5), F(3, 5)),
         )
-        seqs = iter([[2, 2, 2], [1000]])
-        monkeypatch.setattr(experiments, "generate_sequence", lambda _spec: next(seqs))
+        seqs = {derive_seed(0, 0): [2, 2, 2], derive_seed(0, 1): [1000]}
+        monkeypatch.setattr(experiments, "generate_sequence", lambda spec: seqs[spec.seed])
         cfg = SweepConfig(
             family="er", n=3, axis="p", values=(F(0), F(1)), prior=prior,
             fixed_param=F(1, 2), trials=2,
         )
         with pytest.raises(SpaceTooLargeError, match="need 501501"):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("axis", ["param", "p"])
+    def test_first_error_in_trial_order(self, axis, jobs, monkeypatch):
+        # Trial 0's degree-1000 table is past TABLE_ROW_GUARD and trial 1's
+        # generation fails: one generate-and-solve call per trial meets
+        # trial 0's guard first.
+        prior = two_state_prior(
+            F(1, 2), F(1, 2), TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+            TypeDistribution(F(1, 5), F(1, 5), F(3, 5)),
+        )
+        failing = derive_seed(0, *((0,) if axis == "param" else ()), 1)
+
+        def generating(spec):
+            if spec.seed == failing:
+                raise GenerationError("trial 1 failed")
+            return [1000]
+
+        monkeypatch.setattr(experiments, "generate_sequence", generating)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        cfg = SweepConfig(
+            family="er", n=3, axis=axis, values=(F(1, 2),), prior=prior,
+            fixed_param=F(1, 2) if axis == "p" else None, trials=2, jobs=jobs,
+        )
+        with pytest.raises(SpaceTooLargeError, match="need 501501"):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize("axis", ["param", "p"])
+    def test_each_trial_is_solved_before_the_next_is_generated(
+        self, axis, motivating_prior, monkeypatch
+    ):
+        calls = []
+        generate, solve = experiments.generate_sequence, experiments.algorithm1_auto_grid
+
+        def generating(spec):
+            calls.append("generate")
+            return generate(spec)
+
+        def solving(*args):
+            calls.append("solve")
+            return solve(*args)
+
+        monkeypatch.setattr(experiments, "generate_sequence", generating)
+        monkeypatch.setattr(experiments, "algorithm1_auto_grid", solving)
+        cfg = SweepConfig(
+            family="er", n=40, axis=axis, values=(F(1, 10), F(1, 5)),
+            prior=motivating_prior, fixed_param=F(1, 10) if axis == "p" else None,
+            trials=3, seed=2,
+        )
+        run_sweep(cfg)
+        # A param sweep solves 2 values x 3 trials, a p sweep 3 trials.
+        assert calls == ["generate", "solve"] * (6 if axis == "param" else 3)
 
     def test_p_axis_reuses_graphs_across_values(self, motivating_prior):
         cfg = SweepConfig(
@@ -147,13 +200,13 @@ class TestSweep:
         )
         whole = run_sweep(cfg)
         spans = []
-        run_p_grid = experiments._run_p_grid
+        solve = experiments._solve
 
-        def recording(args):
-            spans.append(len(args[2]))
-            return run_p_grid(args)
+        def recording(task):
+            spans.append(len(task[2]))
+            return solve(task)
 
-        monkeypatch.setattr(experiments, "_run_p_grid", recording)
+        monkeypatch.setattr(experiments, "_solve", recording)
         monkeypatch.setattr(experiments, "SWEEP_RESULT_BUDGET", 7)
         assert run_sweep(cfg) == whole
         # 7 // 3 trials = 2 points a span: spans of 2, 2 and 1 per trial
@@ -208,6 +261,28 @@ class TestSweepPool:
         assert pools == []
         assert run_sweep(replace(cfg, jobs=2)) == serial
         assert len(pools) == 1
+
+    @pytest.mark.parametrize("axis", ["param", "p"])
+    def test_workers_generate(self, axis, motivating_prior, monkeypatch, tmp_path):
+        log = tmp_path / "pids"
+        generate = experiments.generate_sequence
+
+        def generating(spec):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return generate(spec)
+
+        monkeypatch.setattr(experiments, "generate_sequence", generating)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        cfg = SweepConfig(
+            family="er", n=60, axis=axis, values=(F(1, 5), F(2, 5)),
+            prior=motivating_prior, fixed_param=F(1, 30) if axis == "p" else None,
+            trials=4, seed=9, jobs=2,
+        )
+        run_sweep(cfg)
+        pids = log.read_text().split()
+        assert len(pids) == (8 if axis == "param" else 4)
+        assert str(os.getpid()) not in pids
 
 
 class TestPromiseMap:

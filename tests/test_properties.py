@@ -84,6 +84,7 @@ from factional_belief.netgen import (
     derive_seed,
     er_graph,
     er_sequence,
+    generate_sequence,
     is_graphical,
     realize_graph,
 )
@@ -312,7 +313,7 @@ def test_one_pass_fixpoints_match_one_threshold_loop(instance):
     ]
     assert [(sizes, survivors) for sizes, survivors, _last in got] == want
     assert [(sizes, survivors) for sizes, survivors, _last in got] == [
-        multistate_fixpoint(degrees, replace(prior, p=p, mu=mu), revealed=revealed)
+        _fixpoints(degrees, prior, [(p, mu)], revealed=revealed)[0][:2]
         for p, mu in thresholds
     ]
     # The last pass's bins list, at each threshold's own p, the contexts
@@ -408,7 +409,7 @@ def test_p_sweep_rows_match_per_point_auto(family, fixed, jobs, monkeypatch):
         family=family, n=40, axis="p", values=grid(0, 1, F(1, 8)), prior=prior,
         fixed_param=fixed, trials=4, seed=7, jobs=jobs,
     )
-    seqs = experiments._sequences(cfg, fixed)
+    seqs = [generate_sequence(spec) for spec in experiments._specs(cfg, fixed)]
     want = [
         experiments._aggregate(value, [
             (sizes["A"], sizes["B"], relabeled)
