@@ -25,12 +25,10 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import fileio
 from .algorithms import (
-    PromiseInstance,
     PromiseOutcome,
     algorithm1,
     algorithm1_auto,
     algorithm1_general,
-    algorithm3,
     crucial_thresholds,
     multistate_fixpoint,
     smallest_revolt,
@@ -177,7 +175,7 @@ def _bounds_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", required=True)
     p.add_argument("--degrees")
     p.add_argument("--n", type=int)
-    p.add_argument("--epsilon", default="1/50")
+    p.add_argument("--epsilon", help="tail deviation fraction, with --degrees (default 1/50)")
     p.add_argument("--epsilon0", default="1/10")
     p.add_argument("--c", default="1")
     _add_common(p, fmt=True)
@@ -275,17 +273,22 @@ def _reject_unread(args, owner: str, chosen: str, *dests: str) -> None:
             raise ValidationError(f"{flag} goes with {owner}, not {chosen}")
 
 
-def _report(args, doc, rows=None, columns=None) -> None:
-    """Write `doc` as JSON, or `rows` as CSV under `columns` when the
-    subcommand was given --format csv; to --out, else to stdout."""
-    if rows is not None and args.format == "csv":
-        text = fileio.write_report(rows, None, "csv", columns)
-    else:
-        text = fileio.write_report(doc, None, "json")
+def _write(args, text: str) -> None:
+    """Write `text` to --out, else to stdout."""
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _report(args, doc, rows=None, columns=None) -> None:
+    """Write `doc` as JSON, or `rows` as CSV under `columns` when the
+    subcommand was given --format csv."""
+    if rows is not None and args.format == "csv":
+        text = fileio.rows_to_csv(rows, columns)
+    else:
+        text = json.dumps(doc, indent=2, default=str) + "\n"
+    _write(args, text)
 
 
 def cmd_analyze(args) -> int:
@@ -332,19 +335,14 @@ def cmd_promise(args) -> int:
     prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees)
     epsilon, delta = RAT(args.epsilon), RAT(args.delta)
-    # The answer comes first, so an invalid request lists no thresholds.
-    if args.grid_step:
-        rows = run_promise_map(
-            degseq, prior, grid(0, 1, RAT(args.grid_step)), epsilon, delta
-        )
-        payload = rows
-        null = any(r["outcome"] == PromiseOutcome.NULL.value for r in rows)
-    else:
-        inst = PromiseInstance(tuple(degseq), prior, RAT(args.mu_star), epsilon, delta)
-        outcome = algorithm3(inst)
-        payload = {"mu_star": fileio.format_rational(inst.mu_star), "outcome": outcome.value}
-        rows = [dict(payload, mu_star_decimal=fileio.format_decimal(inst.mu_star))]
-        null = outcome is PromiseOutcome.NULL
+    # A point is the one-point map, reported as that row's mu_star and
+    # outcome. The answer comes first, so an invalid request lists no
+    # thresholds.
+    point = not args.grid_step
+    mu_grid = [RAT(args.mu_star)] if point else grid(0, 1, RAT(args.grid_step))
+    rows = run_promise_map(degseq, prior, mu_grid, epsilon, delta)
+    null = any(r["outcome"] == PromiseOutcome.NULL.value for r in rows)
+    payload = {k: rows[0][k] for k in ("mu_star", "outcome")} if point else rows
     if args.show_thresholds:
         thresholds = {
             k: fileio.format_rational(v)
@@ -356,6 +354,8 @@ def cmd_promise(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.axis != "p":
+        _reject_unread(args, "--axis p", "--axis param", "param")
     prior = fileio.load_prior(args.prior)
     cfg = SweepConfig(
         family=args.family,
@@ -503,23 +503,19 @@ def cmd_gen(args) -> int:
         meta["support"] = [1, spec.n - 1]  # truncation window of the pmf
     if args.kind == "graph":
         graph = generate_graph(spec)
-        if args.out:
-            fileio.dump_edge_list(graph, args.out)
-        else:
-            sys.stdout.write("".join(f"{u} {v}\n" for u, v in graph.edge_list()))
+        _write(args, fileio.format_edge_list(graph))
         meta["edges"] = len(graph.indices) // 2
     else:
         seq = generate_sequence(spec)
-        if args.out:
-            fileio.dump_degree_sequence(seq, args.out)
-        else:
-            sys.stdout.write("".join(f"{d}\n" for d in seq))
+        _write(args, fileio.format_degree_sequence(seq))
         meta["sum"] = sum(seq)
     print(json.dumps(meta), file=sys.stderr)
     return 0
 
 
 def cmd_bounds(args) -> int:
+    if not args.degrees:
+        _reject_unread(args, "--degrees", "--n alone", "epsilon")
     prior = fileio.load_prior(args.prior)
     degseq = fileio.load_degree_sequence(args.degrees) if args.degrees else None
     if args.n is not None and args.n < 1:
@@ -527,9 +523,10 @@ def cmd_bounds(args) -> int:
     n = args.n if args.n is not None else (len(degseq) if degseq else None)
     if n is None:
         raise ValidationError("bounds needs --degrees or --n")
-    epsilon, epsilon0, c = RAT(args.epsilon), RAT(args.epsilon0), RAT(args.c)
+    epsilon0, c = RAT(args.epsilon0), RAT(args.c)
     reports = []
     if degseq:
+        epsilon = RAT(args.epsilon if args.epsilon is not None else "1/50")
         chi_star = bounds_mod.dependency_chi_star_bound(degseq)
         reports.append(
             bounds_mod.BoundReport.build(

@@ -58,11 +58,6 @@ class FiniteProbSpace:
         items = list(prob.items())
         return cls(tuple(o for o, _ in items), tuple(p for _, p in items))
 
-    @classmethod
-    def uniform(cls, outcomes: Iterable[Outcome]) -> "FiniteProbSpace":
-        outs = tuple(outcomes)
-        return cls(outs, tuple(Fraction(1, len(outs)) for _ in outs))
-
     def universe(self) -> Event:
         return frozenset(self.outcomes)
 
@@ -79,12 +74,6 @@ class AgentPartition:
         )
         if any(not c for c in self.cells):
             raise ValidationError("partition cells must be nonempty")
-
-    def cell_of(self, outcome: Outcome) -> Event:
-        for c in self.cells:
-            if outcome in c:
-                return c
-        raise ValidationError(f"outcome {outcome!r} not covered by partition")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .netgen import (
     FAMILIES,
     GenSpec,
     _Stream,
+    check_seed,
     check_vertex_count,
     derive_seed,
     generate_sequence,
@@ -85,6 +86,9 @@ class SweepConfig:
             raise ValidationError("sweep range is empty")
         check_vertex_count(self.n)
         _check_trials(self.trials)
+        check_seed(self.seed)
+        if self.jobs < 1:
+            raise ValidationError("jobs must be at least 1")
         if self.axis == "p" and self.fixed_param is None:
             raise ValidationError("a p sweep needs the family parameter fixed")
         if self.axis == "p" and not all(0 <= v <= 1 for v in self.values):
@@ -276,6 +280,7 @@ def run_validate(
     of the two-sided tail reaches `level`: sqrt(chi* n ln(2 trials / level) / 2).
     """
     _check_trials(trials)
+    check_seed(seed)
     n = graph.n
     deg = np.diff(graph.indptr)
     degseq = deg.tolist()
@@ -407,6 +412,7 @@ def prop1_battery(count: int, seed: int) -> tuple[int, int]:
     returns (number agreeing on every event and outcome, count)."""
     from .epistemic import check_fixpoint_search_agreement
 
+    check_seed(seed)
     agree = 0
     for i in range(count):
         model, p, mu = random_epistemic_model(derive_seed(seed, i))

@@ -1,6 +1,6 @@
 """Interchange formats: rationals as "num/den" strings, the prior and
 epistemic-model JSON documents, degree-sequence and edge-list text files,
-and deterministic CSV/JSON report writing.
+and deterministic CSV report text.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def load_degree_sequence(path: PathLike) -> list[int]:
     return parse_degree_sequence(text, source=str(path))
 
 
-def dump_degree_sequence(seq: Sequence[int], path: PathLike) -> None:
-    Path(path).write_text("".join(f"{d}\n" for d in seq))
+def format_degree_sequence(seq: Sequence[int]) -> str:
+    return "".join(f"{d}\n" for d in seq)
 
 
 def parse_edge_list(text: str, source: str = "<edges>") -> ConcreteGraph:
@@ -258,14 +258,14 @@ def load_edge_list(path: PathLike) -> ConcreteGraph:
     return parse_edge_list(text, source=str(path))
 
 
-def dump_edge_list(graph: ConcreteGraph, path: PathLike) -> None:
-    lines = [f"# n {graph.n}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edge_list())
-    Path(path).write_text("".join(line + "\n" for line in lines))
+def format_edge_list(graph: ConcreteGraph) -> str:
+    """The edge-list text, headed by "# n <count>" so that isolated
+    vertices past the last endpoint survive a reload."""
+    return f"# n {graph.n}\n" + "".join(f"{u} {v}\n" for u, v in graph.edge_list())
 
 
 # ---------------------------------------------------------------------------
-# Report writing
+# Report text
 # ---------------------------------------------------------------------------
 
 
@@ -274,21 +274,4 @@ def rows_to_csv(rows: Iterable[Mapping], columns: Sequence[str]) -> str:
     for row in rows:
         lines.append(",".join(str(row.get(c, "")) for c in columns))
     return "\n".join(lines) + "\n"
-
-
-def write_report(payload, path=None, fmt: str = "csv", columns=None) -> str:
-    """Serialize a report deterministically and optionally write it. CSV
-    expects `payload` to be an iterable of row mappings with a column list;
-    JSON takes anything JSON-serializable."""
-    if fmt == "csv":
-        if columns is None:
-            raise ParseError("csv output needs a column list")
-        text = rows_to_csv(payload, columns)
-    elif fmt == "json":
-        text = json.dumps(payload, indent=2, default=str) + "\n"
-    else:
-        raise ParseError(f"unknown format {fmt!r}; expected csv or json")
-    if path is not None:
-        Path(path).write_text(text)
-    return text
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -174,15 +174,6 @@ class ContextClass:
     @property
     def degree(self) -> int:
         return self.alpha_neighbors + self.chi_neighbors + self.nu_neighbors
-
-    @classmethod
-    def make(cls, own_type: AgentType, neighbors: Mapping[AgentType, int]) -> "ContextClass":
-        return cls(
-            own_type=own_type,
-            alpha_neighbors=neighbors.get(AgentType.ALPHA, 0),
-            chi_neighbors=neighbors.get(AgentType.CHI, 0),
-            nu_neighbors=neighbors.get(AgentType.NU, 0),
-        )
 
 
 def enumerate_contexts(

@@ -52,6 +52,12 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a master seed outside the unsigned 64-bit range."""
+    if not 0 <= seed <= _MASK64:
+        raise ValidationError("seed must be an unsigned 64-bit integer")
+
+
 def derive_seed(master: int, *indices: int) -> int:
     """Mix a master seed with counter indices: z = splitmix64(master), then
     z = splitmix64(z ^ splitmix64(index + 1)) per index, left to right."""
@@ -428,8 +434,7 @@ class GenSpec:
         if self.n < 1:
             raise ValidationError("n must be at least 1")
         check_vertex_count(self.n)
-        if not 0 <= self.seed <= _MASK64:
-            raise ValidationError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
 
 
 def _integer_param(spec: GenSpec) -> int:

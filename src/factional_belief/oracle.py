@@ -78,6 +78,8 @@ class RevoltInstance:
     def __post_init__(self):
         object.__setattr__(self, "mu_star", Fraction(self.mu_star))
         object.__setattr__(self, "q_star", Fraction(self.q_star))
+        if not (0 <= self.mu_star <= 1 and 0 <= self.q_star <= 1):
+            raise ValidationError("mu_star and q_star must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,6 @@ class StrategyProfile:
 
     cells: frozenset
     trace: tuple = field(default=(), compare=False)
-
-    def revolts(self, cell: Cell) -> bool:
-        own = cell[1]
-        if own is AgentType.ALPHA:
-            return True
-        if own is AgentType.NU:
-            return False
-        return cell in self.cells
 
 
 TYPES = tuple(AgentType)  # type code -> type: alpha 0, chi 1, nu 2

@@ -453,7 +453,7 @@ class TestCriterion10Extensions:
 class TestCriterion11Determinism:
     def test_sweep_rerun_byte_identical(self, motivating_prior, tmp_path):
         t0 = time.time()
-        from factional_belief.fileio import write_report
+        from factional_belief.fileio import rows_to_csv
         from factional_belief.experiments import SWEEP_COLUMNS
 
         cfg = SweepConfig(
@@ -469,7 +469,7 @@ class TestCriterion11Determinism:
         for run in ("first", "second"):
             rows = run_sweep(cfg)
             path = tmp_path / f"{run}.csv"
-            write_report(rows, path, "csv", SWEEP_COLUMNS)
+            path.write_text(rows_to_csv(rows, SWEEP_COLUMNS))
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         report(11, "reran seeded sweep is byte-identical", t0)

@@ -13,7 +13,7 @@ import pytest
 
 from factional_belief import algorithms, cli, experiments, netgen
 from factional_belief.cli import HANDLERS, build_parser, main
-from factional_belief.fileio import dump_edge_list
+from factional_belief.fileio import format_edge_list, parse_edge_list
 from factional_belief.model import ConcreteGraph
 
 MOTIVATING = {
@@ -200,9 +200,9 @@ def test_validate_all_survive_builds_no_table(tmp_path, monkeypatch, capsys):
     prior = tmp_path / "both.json"
     prior.write_text(json.dumps(BOTH_SURVIVE_PRIOR))
     path = tmp_path / "path.txt"
-    dump_edge_list(ConcreteGraph(4, [(0, 1), (1, 2), (2, 3)]), path)
+    path.write_text(format_edge_list(ConcreteGraph(4, [(0, 1), (1, 2), (2, 3)])))
     star = tmp_path / "star.txt"
-    dump_edge_list(ConcreteGraph(1001, [(0, v) for v in range(1, 1001)]), star)
+    star.write_text(format_edge_list(ConcreteGraph(1001, [(0, v) for v in range(1, 1001)])))
     argv = ["validate", "--prior", str(prior), "--trials", "2", "--graph"]
     assert main([*argv, str(path)]) == 0
     capsys.readouterr()
@@ -308,6 +308,20 @@ class TestPromise:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
+    def test_point_is_its_grid_row(self, prior_file, const4_file, capsys):
+        base = ["promise", "--prior", prior_file, "--degrees", const4_file,
+                "--epsilon", "1/200", "--delta", "1/200"]
+        assert main(base + ["--grid-step", "1/20"]) == 0
+        grid_rows = capsys.readouterr().out.splitlines()
+        assert len(grid_rows) == 22
+        for row in grid_rows[1:]:
+            mu_star, _, outcome = row.split(",")
+            assert main(base + ["--mu-star", mu_star]) == 0
+            assert capsys.readouterr().out.splitlines() == [grid_rows[0], row]
+            assert main(base + ["--mu-star", mu_star, "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == {"mu_star": mu_star, "outcome": outcome}
+
     def test_strict_null_exit_code(self, tmp_path, const4_file):
         # mu placed inside the epsilon/3 window around e_B(chi+alpha) = 1/5
         doc = dict(MOTIVATING, mu="241/1200")
@@ -407,7 +421,7 @@ class TestSweepDeterminism:
 class TestOracleCommand:
     def test_triangle_clique_reduce(self, tmp_path, capsys):
         path = tmp_path / "tri.txt"
-        dump_edge_list(ConcreteGraph(3, [(0, 1), (1, 2), (0, 2)]), path)
+        path.write_text(format_edge_list(ConcreteGraph(3, [(0, 1), (1, 2), (0, 2)])))
         assert main(["oracle", "--graph", str(path), "--clique-reduce", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["revolt_supported"] and doc["clique_exists"]
@@ -415,8 +429,8 @@ class TestOracleCommand:
 
     def test_budget_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c30.txt"
-        dump_edge_list(
-            ConcreteGraph(30, [(i, (i + 1) % 30) for i in range(30)]), path
+        path.write_text(
+            format_edge_list(ConcreteGraph(30, [(i, (i + 1) % 30) for i in range(30)]))
         )
         assert main(["oracle", "--graph", str(path), "--clique-reduce", "3"]) == 3
 
@@ -545,6 +559,30 @@ class TestGenCommand:
 
         assert load_edge_list(out).n == 15
 
+    @pytest.mark.parametrize("family, param", [
+        ("er", "1/5"), ("ba", "2"), ("powerlaw", "5/2"), ("constant", "3"),
+    ])
+    @pytest.mark.parametrize("kind", ["graph", "sequence"])
+    def test_stdout_equals_out_file(self, family, param, kind, tmp_path, capsys):
+        argv = ["gen", "--family", family, "--n", "30", "--param", param,
+                "--seed", "5", "--kind", kind]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "g.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout != ""
+
+    def test_stdout_graph_keeps_isolated_last_vertex(self, capsys):
+        # This graph's vertex 19 has no edge; only the "# n 20" header
+        # keeps it on reload.
+        argv = ["gen", "--family", "er", "--n", "20", "--param", "1/20",
+                "--seed", "0", "--kind", "graph"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("# n 20\n")
+        assert parse_edge_list(text).n == 20
+
 
 class TestBoundsCommand:
     def test_table(self, prior_file, const4_file, capsys):
@@ -648,7 +686,7 @@ class TestConfigFile:
 def files(prior_file, const4_file, tmp_path):
     """Input paths for the flag-surface tests, keyed for str.format."""
     tri = tmp_path / "tri.txt"
-    dump_edge_list(ConcreteGraph(3, [(0, 1), (1, 2), (0, 2)]), tri)
+    tri.write_text(format_edge_list(ConcreteGraph(3, [(0, 1), (1, 2), (0, 2)])))
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
         "outcomes": ["1", "2"],
@@ -669,6 +707,7 @@ ANALYZE = "analyze --prior {prior} --degrees {degrees} "
 PROMISE = "promise --prior {prior} --degrees {degrees} --epsilon 1/200 --delta 1/200 "
 VALIDATE = "validate --prior {prior} --trials 2 "
 ORACLE = "oracle --graph {tri} --clique-reduce 3 "
+SWEEP = "sweep --prior {prior} --family er --n 10 --start 1/2 --stop 1/2 --step 1 --trials 2 "
 
 PARSER_CONFLICTS = [
     ANALYZE + f"--{a} --{b}"
@@ -774,6 +813,8 @@ UNREAD_FLAGS = [
     ("epistemic --verify-prop1 2 --mu 1/3", "--mu goes with --model"),
     (VALIDATE + "--torus 5 5 --n 10", "--n goes with --family"),
     (VALIDATE + "--graph {tri} --param 1/2", "--param goes with --family"),
+    ("bounds --prior {prior} --n 5 --epsilon -1", "--epsilon goes with --degrees"),
+    (SWEEP + "--param 7/3", "--param goes with --axis p"),
 ]
 
 
@@ -799,6 +840,7 @@ class TestUnreadFlags:
             (ANALYZE + "--general", "--cutoff-c 1 --epsilon 1/100"),
             ("epistemic --model {model} --event 1", "--p 1/2 --mu 1/2"),
             ("epistemic --verify-prop1 3", "--seed 0"),
+            ("bounds --prior {prior} --degrees {degrees}", "--epsilon 1/50"),
         ],
     )
     def test_defaults(self, line, defaults, files, capsys):
@@ -807,6 +849,30 @@ class TestUnreadFlags:
             assert main(shlex.split(argv.format(**files))) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != ""
+
+
+OUT_OF_RANGE = [
+    (SWEEP + "--jobs -3", "jobs must be at least 1"),
+    (SWEEP + "--jobs 0", "jobs must be at least 1"),
+    ("oracle --edges 0-1,1-2 --prior {prior} --mu-star 1/2 --q-star -1",
+     "mu_star and q_star must lie in [0, 1]"),
+    ("oracle --edges 0-1,1-2 --prior {prior} --mu-star 2 --q-star 1/2",
+     "mu_star and q_star must lie in [0, 1]"),
+    (SWEEP + "--seed -1", "seed must be an unsigned 64-bit integer"),
+    ("sweep --prior {prior} --family constant --n 10 --start 2 --stop 2 --step 1 --seed -1",
+     "seed must be an unsigned 64-bit integer"),
+    (VALIDATE + "--torus 3 3 --seed -1", "seed must be an unsigned 64-bit integer"),
+    (VALIDATE + f"--torus 3 3 --seed {2**64}", "seed must be an unsigned 64-bit integer"),
+    ("epistemic --verify-prop1 2 --seed -1", "seed must be an unsigned 64-bit integer"),
+    ("gen --family er --n 5 --param 1/2 --seed -1", "seed must be an unsigned 64-bit integer"),
+]
+
+
+@pytest.mark.parametrize("line, message", OUT_OF_RANGE)
+def test_out_of_range_exits_2(line, message, files, capsys):
+    assert main(shlex.split(line.format(**files))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 class TestHugeNumbers:

@@ -6,9 +6,9 @@ import pytest
 from factional_belief import ConcreteGraph, EpistemicModel
 from factional_belief.errors import ParseError
 from factional_belief.fileio import (
-    dump_degree_sequence,
-    dump_edge_list,
     dump_prior,
+    format_degree_sequence,
+    format_edge_list,
     epistemic_model_from_dict,
     epistemic_model_to_dict,
     load_degree_sequence,
@@ -20,7 +20,6 @@ from factional_belief.fileio import (
     prior_from_dict,
     prior_to_dict,
     rows_to_csv,
-    write_report,
 )
 
 MOTIVATING_DOC = {
@@ -174,7 +173,7 @@ class TestDegreeFiles:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "degs.txt"
-        dump_degree_sequence([4, 4, 1], path)
+        path.write_text(format_degree_sequence([4, 4, 1]))
         assert load_degree_sequence(path) == [4, 4, 1]
 
 
@@ -190,7 +189,7 @@ class TestEdgeLists:
     def test_round_trip(self, tmp_path):
         g = ConcreteGraph(4, [(0, 1), (2, 3)])
         path = tmp_path / "g.txt"
-        dump_edge_list(g, path)
+        path.write_text(format_edge_list(g))
         assert load_edge_list(path) == g
 
     def test_bad_line(self):
@@ -203,13 +202,3 @@ class TestReports:
         rows = [{"a": 1, "b": "x"}, {"a": 2}]
         text = rows_to_csv(rows, ("a", "b"))
         assert text == "a,b\n1,x\n2,\n"
-
-    def test_write_report_json(self, tmp_path):
-        path = tmp_path / "r.json"
-        text = write_report({"k": F(1, 2)}, path, "json")
-        assert json.loads(path.read_text()) == {"k": "1/2"}
-        assert path.read_text() == text
-
-    def test_csv_needs_columns(self):
-        with pytest.raises(ParseError):
-            write_report([{}], None, "csv")
