@@ -14,10 +14,10 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb, lcm
-from operator import itemgetter
+from operator import add, le, mul
 from typing import Iterable, Optional
 
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
@@ -119,48 +119,51 @@ def _table_rows(nums, degree: int) -> int:
 @lru_cache(maxsize=4096)
 def _degree_table(
     key: tuple[int, tuple[tuple[int, int, int], ...]], degree: int
-) -> tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]:
-    """Per-degree table of possible chi-centered contexts, in integers over
-    one common scale: each row holds the neighbor counts and one integer
-    weight per state, and a state's likelihood of the context is its weight
-    / D^(degree+1), with D and the type numerators from `_type_key`. The
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
+    """Per-degree table of possible chi-centered contexts as columns of
+    integers over one common scale: (contexts, columns), where contexts[i]
+    holds row i's neighbor counts (a, c, v) and columns[s][i] its weight in
+    state s, and state s's likelihood of the context is that weight /
+    D^(degree+1), with D and the type numerators from `_type_key`. The
     scale is the same for every state, so weights add and compare as
     integers and no row pays a gcd. Contexts with zero likelihood in every
     state are omitted (they never occur and have no posterior). The table
     does not depend on p or mu, so threshold sweeps share it."""
     _common, nums = key
     if not any(c for _a, c, _n in nums):
-        return ()
+        return (), tuple(() for _ in nums)
     # Per state, the powers 0..degree+1 of its alpha, chi and nu numerators;
     # a row's weight is C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v (the own
     # type is chi).
-    powers = []
-    for state in nums:
-        per_type = []
-        for base in state:
-            acc = [1]
-            for _ in range(degree + 1):
-                acc.append(acc[-1] * base)
-            per_type.append(acc)
-        powers.append(per_type)
+    powers = [
+        [list(accumulate(repeat(base, degree + 1), mul, initial=1)) for base in state]
+        for state in nums
+    ]
     # Types with zero mass in every state cannot occur; skipping them keeps
     # high-degree tables linear instead of quadratic in the degree.
     alpha_possible = any(a for a, _c, _n in nums)
     nu_possible = any(v for _a, _c, v in nums)
-    rows = []
+    contexts = []
+    columns = [[] for _ in nums]
     for a in range(degree + 1 if alpha_possible else 1):
-        heads = [comb(degree, a) * pa[a] for pa, _px, _pn in powers]
-        c_values = range(degree + 1 - a) if nu_possible else (degree - a,)
-        for c in c_values:
-            v = degree - a - c
-            coeff = comb(degree - a, c)
-            weights = tuple(
-                coeff * head * px[c + 1] * pn[v]
-                for head, (_pa, px, pn) in zip(heads, powers)
+        # The run of rows with a alpha neighbors, c = first..m, v = m - c.
+        m = degree - a
+        first = 0 if nu_possible else m
+        cs = range(first, m + 1)
+        contexts += zip(repeat(a), cs, range(m - first, -1, -1))
+        binomials = list(map(comb, repeat(m), cs))
+        for column, (pa, px, pn) in zip(columns, powers):
+            column += map(
+                mul,
+                map(mul, binomials, repeat(comb(degree, a) * pa[a])),
+                map(mul, px[first + 1 : m + 2], pn[m - first :: -1]),
             )
-            if any(weights):
-                rows.append(((a, c, v), weights))
-    return tuple(rows)
+    # A state with every type possible weighs every row.
+    if all(0 in state for state in nums):
+        keep = list(map(any, zip(*columns)))
+        contexts = compress(contexts, keep)
+        columns = [compress(column, keep) for column in columns]
+    return tuple(contexts), tuple(map(tuple, columns))
 
 
 def _check_table_rows(key, degrees: Iterable[int]) -> list[int]:
@@ -213,10 +216,16 @@ def _scan_contexts(scan, j: int) -> list[ContextClass]:
     """The chi-centered contexts of the rows of `scan` (from
     `_candidate_masses`) that reach its levels[j], in table order."""
     return [
-        ContextClass(AgentType.CHI, *rows[i][0])
-        for rows, bins in scan
+        ContextClass(AgentType.CHI, *contexts[i])
+        for contexts, bins in scan
         for i in sorted(chain.from_iterable(bins[j + 1 :]))
     ]
+
+
+def _combined(columns, coeffs):
+    """Lazily, each row's sum over states of coeffs[s] * columns[s][row]."""
+    terms = [map(mul, column, repeat(c)) for column, c in zip(columns, coeffs) if c]
+    return reduce(partial(map, add), terms) if terms else repeat(0, len(columns[0]))
 
 
 def _candidate_masses(
@@ -230,18 +239,20 @@ def _candidate_masses(
     candidate at threshold p when its posterior mass on the candidate-state
     set is at least p; with S and R a row's probability-weighted weights
     inside and outside the set, and T = S + R, that is S / T >= p, or
-    num T <= den S for p = num/den, exact and division-free.
+    num T <= den S for p = num/den, exact and division-free. S and R are
+    lazy combinations of the table's columns, never stored.
 
-    One pass over the table rows answers all the ascending distinct
-    thresholds in `levels`: each row's S and T are taken once, and a
-    bisection over the levels puts the row's index in the bin of the levels
-    it reaches. Returns, per level, each state's expected fraction
+    At one level the test is one whole-column pass, num R <= (den - num) S
+    compared row by row in one `map`. At several ascending distinct levels
+    a bisection over the levels puts each row's index in the bin of the
+    levels it reaches. Returns, per level, each state's expected fraction
     (relative to total_n agents) of agents whose context is a candidate
-    over the given degree entries; and the scan, per degree table its rows
-    and bins, whose rows reaching levels[j] are those in bins[j + 1:].
-    The bins' weights are summed per degree, lifted to the top degree's
-    scale D^(top+1) with one multiply per degree, summed from the highest
-    level down, and divided by the scale once per level and state."""
+    over the given degree entries; and the scan, per degree table its
+    contexts and bins, whose rows reaching levels[j] are those in
+    bins[j + 1:]. The bins' weights are summed per degree, lifted to the
+    top degree's scale D^(top+1) with one multiply per degree, summed from
+    the highest level down, and divided by the scale once per level and
+    state."""
     key = _type_key(prior.states)
     common = key[0]
     counts = Counter(degrees)
@@ -250,31 +261,35 @@ def _candidate_masses(
     k = len(bounds)
     top = max(counts, default=0)
     totals = [[0] * len(inside) for _ in range(k)]
-    weights = itemgetter(1)
     scan = []
-    for d, rows in _tables(key, counts):
-        bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
-        for r, (_counts, w) in enumerate(rows):
-            s = sum(map(int.__mul__, inside, w))
-            t = s + sum(map(int.__mul__, outside, w))
-            lo, hi = 0, k
-            while lo < hi:
-                mid = (lo + hi) // 2
-                num, den = bounds[mid]
-                if num * t <= den * s:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo:
-                bins[lo].append(r)
+    for d, (contexts, columns) in _tables(key, counts):
+        if k == 1:
+            num, den = bounds[0]
+            lhs = _combined(columns, [num * w for w in outside])
+            rhs = _combined(columns, [(den - num) * w for w in inside])
+            bins = [[], list(compress(range(len(contexts)), map(le, lhs, rhs)))]
+        else:
+            bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
+            rows = zip(_combined(columns, inside), _combined(columns, outside))
+            for r, (s, rest) in enumerate(rows):
+                t = s + rest
+                lo, hi = 0, k
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    num, den = bounds[mid]
+                    if num * t <= den * s:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                if lo:
+                    bins[lo].append(r)
         lift = counts[d] * common ** (top - d)
         for b in range(1, k + 1):
             if bins[b]:
                 total = totals[b - 1]
-                columns = zip(*map(weights, map(rows.__getitem__, bins[b])))
                 for i, column in enumerate(columns):
-                    total[i] += lift * sum(column)
-        scan.append((rows, bins))
+                    total[i] += lift * sum(map(column.__getitem__, bins[b]))
+        scan.append((contexts, bins))
     for j in range(k - 2, -1, -1):
         totals[j] = list(map(int.__add__, totals[j], totals[j + 1]))
     scale = common ** (top + 1) * total_n
@@ -458,12 +473,36 @@ def equilibria_map(
     return rows
 
 
+def _level_key(pair: tuple[int, int]) -> tuple[float, float]:
+    x, t = pair
+    return x / t, (x - t) / t
+
+
+def _ordered_levels(pairs: Iterable[tuple[int, int]]) -> list[Fraction]:
+    """The distinct values x / t of the integer pairs (x, t), 0 <= x <= t,
+    in increasing order. They are sorted by the floats x / t and, to tell
+    apart values near 1, x / t - 1: int true division is correctly rounded
+    and rounding is monotone, so keys that differ are in the exact order.
+    Only runs of equal keys (duplicates, and values too small for a float)
+    are ordered and deduplicated exactly, with Fractions; a level alone in
+    its run builds one Fraction and hashes none."""
+    out = []
+    for _key, run in groupby(sorted(pairs, key=_level_key), key=_level_key):
+        run = list(run)
+        if len(run) == 1:
+            out.append(Fraction(*run[0]))
+        else:
+            out += sorted({Fraction(x, t) for x, t in run})
+    return out
+
+
 def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
     """The finite set of values the two-state computation compares p and mu
     against on this instance, for auditing how far a promise input sits from
     a decision boundary. `e_A(candidates+alpha)` is X_A at the
     candidate-state fixpoint: A's alpha mass plus the mass of the candidate
-    contexts of the surviving states."""
+    contexts of the surviving states. A's posterior levels are ordered by
+    `_ordered_levels` from the columns' pairs (pi_A W_A, sum of pi W)."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     out = {
@@ -478,13 +517,10 @@ def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fracti
     out["e_A(candidates+alpha)"] = sizes["A"]
     a = prior.labels.index("A")
     probs = _prob_weights(prior)
-    posts = sorted(
-        {
-            Fraction(probs[a] * w[a], sum(pi * wi for pi, wi in zip(probs, w)))
-            for _d, rows in _tables(_type_key(prior.states), seq)
-            for _c, w in rows
-        }
-    )
+    posts = _ordered_levels(chain.from_iterable(
+        zip(map(mul, columns[a], repeat(probs[a])), _combined(columns, probs))
+        for _d, (_contexts, columns) in _tables(_type_key(prior.states), seq)
+    ))
     for i, q in enumerate(posts):
         out[f"posterior_A_level_{i}"] = q
     return out

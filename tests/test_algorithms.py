@@ -559,6 +559,25 @@ class TestCrucialThresholds:
             {state_posterior(c, prior)["A"] for c in enumerate_contexts(6, CHI)}
         )
 
+    def test_hub_levels_are_the_fraction_sorted_posteriors(self):
+        # At degree 56 many posteriors of A lie within 2^-53 of 1, where
+        # their floats tie.
+        prior = two_state_prior(
+            F(2, 5),
+            F(1, 2),
+            TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+            TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+        )
+        degseq = [1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 56, 56]
+        th = crucial_thresholds(degseq, prior)
+        levels = [v for k, v in th.items() if k.startswith("posterior_A_level_")]
+        assert levels == sorted({
+            state_posterior(c, prior)["A"]
+            for d in set(degseq)
+            for c in enumerate_contexts(d, CHI)
+        })
+        assert sum(float(q) == 1.0 for q in levels) > 1
+
 
 class TestSmallestRevolt:
     def test_motivating_is_zero(self, motivating_prior):

@@ -19,8 +19,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations, product
-from math import ceil, lcm
+from itertools import chain, combinations, product
+from math import ceil, comb, lcm
 
 import numpy as np
 import pytest
@@ -55,7 +55,9 @@ from factional_belief import netgen
 from factional_belief.algorithms import (
     PromiseInstance,
     _candidate_masses,
+    _degree_table,
     _fixpoints,
+    _ordered_levels,
     _perturbed_sizes,
     _scan_contexts,
     _tables,
@@ -231,16 +233,17 @@ def test_kernel_matches_fraction_reference(instance):
 
 def reference_candidate_mass(prior, degrees, states, total_n):
     """The candidate mass of the one-threshold scan: each degree table's
-    rows tested one by one against prior.p, their weights summed per state
+    rows (its columns read back row by row) tested one by one against
+    prior.p, their weights summed per state
     and divided by the table's own scale D^(d+1)."""
     key = _type_key(prior.states)
     probs = [s.prob for s in prior.states]
     inside = [s.label in states for s in prior.states]
     counts = Counter(degrees)
     mass = [F(0)] * len(probs)
-    for d, rows in _tables(key, counts):
+    for d, (_contexts, columns) in _tables(key, counts):
         kept = [
-            w for _c, w in rows
+            w for w in zip(*columns)
             if sum(pi * wi for pi, wi, i in zip(probs, w, inside) if i)
             >= prior.p * sum(pi * wi for pi, wi in zip(probs, w))
         ]
@@ -324,6 +327,121 @@ def test_one_pass_fixpoints_match_one_threshold_loop(instance):
                 c for c, post in posteriors(prior, degrees)
                 if sum(post[s] for s in survivors) >= p
             ]
+
+
+def reference_degree_table(key, degree):
+    """The degree table row by row, as built before the tables were stored
+    as columns: ((a, c, v), weights) for each context with a nonzero weight
+    in some state, in order of a then c, where a state's weight is
+    C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v over its type numerators."""
+    _common, nums = key
+    if not any(c for _a, c, _n in nums):
+        return ()
+    alpha_possible = any(a for a, _c, _n in nums)
+    nu_possible = any(v for _a, _c, v in nums)
+    rows = []
+    for a in range(degree + 1 if alpha_possible else 1):
+        for c in range(degree + 1 - a) if nu_possible else (degree - a,):
+            v = degree - a - c
+            weights = tuple(
+                comb(degree, a) * comb(degree - a, c) * al**a * ch ** (c + 1) * nu**v
+                for al, ch, nu in nums
+            )
+            if any(weights):
+                rows.append(((a, c, v), weights))
+    return tuple(rows)
+
+
+@st.composite
+def table_keys(draw):
+    """The table key of one to three states' type distributions over
+    assorted denominators; half the time alpha or nu is zero in every
+    state."""
+    k = draw(st.integers(1, 3))
+    dists = [draw(st.one_of(type_dists(), mixed_dists())) for _ in range(k)]
+    drop = draw(st.sampled_from(["", "", "alpha", "nu"]))
+    if drop == "alpha":
+        dists = [TypeDistribution(F(0), t.chi, t.alpha + t.nu) for t in dists]
+    elif drop == "nu":
+        dists = [TypeDistribution(t.alpha + t.nu, t.chi, F(0)) for t in dists]
+    return _type_key(StatePrior(f"s{i}", F(1, k), t) for i, t in enumerate(dists))
+
+
+# A has no nu agents and B no alpha agents, so every context with both an
+# alpha and a nu neighbor weighs zero in both states and is dropped.
+DISJOINT_KEY = _type_key((
+    StatePrior("A", F(1, 2), TypeDistribution(F(1, 2), F(1, 2), F(0))),
+    StatePrior("B", F(1, 2), TypeDistribution(F(0), F(1, 2), F(1, 2))),
+))
+
+
+@SETTINGS
+@given(table_keys(), st.integers(0, 12))
+@example(DISJOINT_KEY, 6)
+def test_degree_table_matches_row_reference(key, degree):
+    contexts, columns = _degree_table(key, degree)
+    assert len(columns) == len(key[1])
+    assert all(len(column) == len(contexts) for column in columns)
+    assert tuple(zip(contexts, zip(*columns))) == reference_degree_table(key, degree)
+
+
+@st.composite
+def level_lists(draw):
+    """A kernel instance, a threshold p (its own p, 0 or 1) and an
+    ascending list of two or more distinct levels that holds p."""
+    prior, degrees, chosen = draw(kernel_instances())
+    p = draw(st.sampled_from([prior.p, F(0), F(1)]))
+    others = draw(st.lists(st.integers(0, 8).map(lambda j: F(j, 8)), min_size=1, max_size=4))
+    levels = sorted({p, *others})
+    assume(len(levels) > 1)
+    return prior, degrees, chosen, p, levels
+
+
+@SETTINGS
+@given(level_lists())
+def test_one_level_scan_matches_many_level_scan(instance):
+    prior, degrees, chosen, p, levels = instance
+    n = len(degrees)
+    (one,), one_scan = _candidate_masses(prior, degrees, chosen, [p], n)
+    masses, scan = _candidate_masses(prior, degrees, chosen, levels, n)
+    j = levels.index(p)
+    assert masses[j] == one
+    assert [sorted(chain.from_iterable(bins[j + 1 :])) for _c, bins in scan] == [
+        bins[1] for _c, bins in one_scan
+    ]
+    assert _scan_contexts(scan, j) == _scan_contexts(one_scan, 0)
+
+
+BIG = 10**20
+TIED_PAIRS = [
+    (BIG, BIG + 1), (BIG + 1, BIG + 2),  # both round to 1.0
+    (10**30, 2 * 10**30), (10**30, 2 * 10**30 + 1),  # both round to 0.5 and -0.5
+    (1, 10**400), (2, 10**400),  # both underflow to 0.0
+    (1, 3), (2, 6), (0, 5), (0, 7), (5, 5),  # unreduced duplicates
+]
+
+
+@st.composite
+def level_pairs(draw):
+    """Integer pairs (x, t), 0 <= x <= t, t > 0: small ones, and ones whose
+    float keys tie (near 1, near 1/2, below the smallest float), each
+    scaled by a small factor so that duplicates come unreduced."""
+    pairs = draw(st.lists(st.one_of(
+        st.tuples(st.integers(0, 12), st.integers(1, 12)).filter(lambda q: q[0] <= q[1]),
+        st.sampled_from(TIED_PAIRS),
+        st.integers(0, 3).map(lambda j: (BIG + j, BIG + j + 1)),
+        st.integers(0, 3).map(lambda j: (10**30, 2 * 10**30 + j)),
+        st.integers(0, 3).map(lambda j: (j, 10**400)),
+    ), max_size=12))
+    scales = draw(st.lists(st.integers(1, 4), min_size=len(pairs), max_size=len(pairs)))
+    return [(k * x, k * t) for (x, t), k in zip(pairs, scales)]
+
+
+@SETTINGS
+@given(level_pairs())
+@example(TIED_PAIRS)
+def test_ordered_levels_match_sorted_fractions(pairs):
+    assert _ordered_levels(pairs) == sorted({F(x, t) for x, t in pairs})
 
 
 def swap_state_labels(prior):
