@@ -88,6 +88,12 @@ def expected_type_fraction(
     return sum((dist.prob(t) for t in set(types)), ZERO)
 
 
+def _chi_alpha(prior: Prior) -> dict[str, Fraction]:
+    """Each state's chi+alpha mass: its revolt size when every chi agent
+    revolts, which a state must reach mu with to start as a candidate."""
+    return {s.label: s.types.chi + s.types.alpha for s in prior.states}
+
+
 # ---------------------------------------------------------------------------
 # Candidate contexts
 # ---------------------------------------------------------------------------
@@ -105,15 +111,10 @@ def _type_key(states: Iterable[StatePrior]) -> tuple[int, tuple[tuple[int, int, 
     )
 
 
-def _table_rows(nums, degree: int) -> int:
-    """Rows `_degree_table` iterates over at this degree: none without chi
-    agents, and neighbor counts only of the types some state has."""
-    if not any(c for _a, c, _n in nums):
-        return 0
-    alpha, nu = any(a for a, _c, _n in nums), any(v for _a, _c, v in nums)
-    if alpha and nu:
-        return (degree + 1) * (degree + 2) // 2
-    return degree + 1 if alpha or nu else 1
+def _possible_types(nums) -> tuple[bool, bool, bool]:
+    """Whether some state has alpha, chi and nu agents, from the table key's
+    numerators. Types with zero mass in every state cannot occur."""
+    return tuple(map(any, zip(*nums)))
 
 
 @lru_cache(maxsize=4096)
@@ -130,7 +131,8 @@ def _degree_table(
     state are omitted (they never occur and have no posterior). The table
     does not depend on p or mu, so threshold sweeps share it."""
     _common, nums = key
-    if not any(c for _a, c, _n in nums):
+    alpha_possible, chi_possible, nu_possible = _possible_types(nums)
+    if not chi_possible:
         return (), tuple(() for _ in nums)
     # Per state, the powers 0..degree+1 of its alpha, chi and nu numerators;
     # a row's weight is C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v (the own
@@ -139,10 +141,8 @@ def _degree_table(
         [list(accumulate(repeat(base, degree + 1), mul, initial=1)) for base in state]
         for state in nums
     ]
-    # Types with zero mass in every state cannot occur; skipping them keeps
-    # high-degree tables linear instead of quadratic in the degree.
-    alpha_possible = any(a for a, _c, _n in nums)
-    nu_possible = any(v for _a, _c, v in nums)
+    # Skipping impossible types keeps high-degree tables linear instead of
+    # quadratic in the degree.
     contexts = []
     columns = [[] for _ in nums]
     for a in range(degree + 1 if alpha_possible else 1):
@@ -170,7 +170,11 @@ def _check_table_rows(key, degrees: Iterable[int]) -> list[int]:
     """The distinct degrees, in increasing order. Raises SpaceTooLargeError
     when the rows of their degree tables sum past TABLE_ROW_GUARD."""
     distinct = sorted(set(degrees))
-    rows = sum(_table_rows(key[1], d) for d in distinct)
+    # `_degree_table` iterates over the (a, c, v) with a + c + v = d, a and v
+    # nonzero only for possible types: with k of alpha and nu possible, the
+    # C(d + k, k) rows (d+1)(d+2)/2, d + 1 or 1; none without chi.
+    alpha, chi, nu = _possible_types(key[1])
+    rows = chi * sum(comb(d + alpha + nu, alpha + nu) for d in distinct)
     if rows > TABLE_ROW_GUARD:
         raise SpaceTooLargeError(
             f"degree tables limited to {TABLE_ROW_GUARD} rows; "
@@ -208,6 +212,7 @@ def candidate_contexts(
     """Chi-centered contexts (over the given degrees, in table order) whose
     posterior mass on the candidate-state set is at least p: the rows that
     `_candidate_masses` puts at the one level p."""
+    degrees = validate_degree_sequence(degrees)
     _masses, scan = _candidate_masses(prior, degrees, candidate_states, [prior.p], 1)
     return _scan_contexts(scan, 0)
 
@@ -305,23 +310,6 @@ def _candidate_masses(
 # ---------------------------------------------------------------------------
 
 
-def _check_labels(prior: Prior, relabel: bool = False) -> Optional[str]:
-    """The one state whose chi+alpha mass reaches mu, None when both or
-    neither do. Unless `relabel`, raise when it is B: the labels then
-    violate the X_A >= X_B convention."""
-    reach = [
-        s
-        for s in ("A", "B")
-        if expected_type_fraction(s, (AgentType.CHI, AgentType.ALPHA), prior) >= prior.mu
-    ]
-    sole = reach[0] if len(reach) == 1 else None
-    if sole == "B" and not relabel:
-        raise MislabeledStatesError(
-            "only state B is a candidate; labels appear swapped"
-        )
-    return sole
-
-
 def _two_state(
     degseq: DegreeSequence,
     prior: Prior,
@@ -334,13 +322,18 @@ def _two_state(
     order, where answer is the `_fixpoints` answer (sizes, survivors,
     last) from one fixpoint run (`revealed` is passed on), under the
     X_A >= X_B convention: the labels hold when B is not the only candidate
-    and X_A >= X_B. Without `relabel` a violation raises, the candidate
-    check before any table is built. With it, a p whose labels fail is
-    relabeled when the exchanged labels hold; the fixpoint never reads the
-    labels, so the sizes are the same. When neither holds, one state is
-    the only candidate but has the smaller size, and that raises."""
+    (the only state whose chi+alpha mass reaches mu) and X_A >= X_B.
+    Without `relabel` a violation raises, the candidate check before any
+    table is built. With it, a p whose labels fail is relabeled when the
+    exchanged labels hold; the fixpoint never reads the labels, so the
+    sizes are the same. When neither holds, one state is the only
+    candidate but has the smaller size, and that raises."""
     prior.require_two_states()
-    sole = _check_labels(prior, relabel)
+    mass = _chi_alpha(prior)
+    reach = [s for s in ("A", "B") if mass[s] >= prior.mu]
+    sole = reach[0] if len(reach) == 1 else None
+    if sole == "B" and not relabel:
+        raise MislabeledStatesError("only state B is a candidate; labels appear swapped")
     out = []
     for answer in _fixpoints(
         degseq, prior, [(p, prior.mu) for p in p_values], revealed=revealed
@@ -505,14 +498,8 @@ def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fracti
     `_ordered_levels` from the columns' pairs (pi_A W_A, sum of pi W)."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
-    out = {
-        "e_A(chi+alpha)": expected_type_fraction(
-            "A", (AgentType.CHI, AgentType.ALPHA), prior
-        ),
-        "e_B(chi+alpha)": expected_type_fraction(
-            "B", (AgentType.CHI, AgentType.ALPHA), prior
-        ),
-    }
+    mass = _chi_alpha(prior)
+    out = {"e_A(chi+alpha)": mass["A"], "e_B(chi+alpha)": mass["B"]}
     sizes, _survivors = multistate_fixpoint(seq, prior)
     out["e_A(candidates+alpha)"] = sizes["A"]
     a = prior.labels.index("A")
@@ -639,18 +626,19 @@ def _fixpoints(
     seq = [] if revealed and not degseq else validate_degree_sequence(degseq)
     n = len(seq) + revealed
     labels = prior.labels
-    e_alpha = {s: prior.type_prob(s, AgentType.ALPHA) for s in labels}
-    chi = {s: prior.type_prob(s, AgentType.CHI) for s in labels}
+    e_alpha = {s.label: s.types.alpha for s in prior.states}
+    chi = {s.label: s.types.chi for s in prior.states}
+    mass = _chi_alpha(prior)
     thresholds = list(thresholds)
     out: list = [None] * len(thresholds)
     pending: dict[frozenset, list[int]] = {}
     for i, (_p, mu) in enumerate(thresholds):
-        survivors = frozenset(s for s in labels if e_alpha[s] + chi[s] >= mu)
+        survivors = frozenset(s for s in labels if mass[s] >= mu)
         if len(survivors) == len(labels):
             # Every context puts posterior 1 >= p on the full state set
             # (states have positive probability, so no possible context is
             # left out), so every chi agent revolts and no table is needed.
-            out[i] = ({s: e_alpha[s] + chi[s] for s in labels}, survivors, None)
+            out[i] = (dict(mass), survivors, None)
         else:
             pending.setdefault(survivors, []).append(i)
     while pending:

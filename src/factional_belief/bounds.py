@@ -77,6 +77,8 @@ def dependent_chernoff(n: int, t, chi_star) -> mpmath.mpf:
     chi_star."""
     t = Fraction(t)
     chi_star = Fraction(chi_star)
+    if n < 1:
+        raise ValidationError("n must be at least 1")
     if t <= 0:
         raise ValidationError("t must be positive")
     if chi_star < 1:
@@ -118,6 +120,8 @@ def high_degree_state_bound(epsilon0, c, n: int) -> mpmath.mpf:
     c = Fraction(c)
     if epsilon0 <= 0 or c <= 0:
         raise ValidationError("epsilon0 and c must be positive")
+    if n < 1:
+        raise ValidationError("n must be at least 1")
     with mpmath.workprec(PRECISION_BITS):
         root = mpmath.cbrt(mpmath.mpf(n))
         return 2 * mpmath.exp(mpmath.mpf(-2) * _to_mpf((epsilon0 * c) ** 2) * root)
@@ -143,6 +147,8 @@ def chernoff_envelope(n: int, chi_star: int, trials: int, level=Fraction(1, 100)
     dependent-Chernoff tails reaches `level`:
     t = sqrt(chi_star * n * ln(2 * trials / level) / 2)."""
     level = Fraction(level)
+    if n < 1:
+        raise ValidationError("n must be at least 1")
     if trials < 1 or not 0 < level <= 1:
         raise ValidationError("need trials >= 1 and 0 < level <= 1")
     with mpmath.workprec(PRECISION_BITS):

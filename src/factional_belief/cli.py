@@ -544,19 +544,19 @@ def cmd_bounds(args) -> int:
             )
         )
         if set(degseq) == {4} and set(prior.labels) == {"A", "B"}:
+            expect = {}
             for state in ("A", "B"):
-                expect = bounds_mod.noncandidate_expectation_torus(prior, state)
+                expect[state] = bounds_mod.noncandidate_expectation_torus(prior, state)
                 reports.append(
                     bounds_mod.BoundReport.build(
-                        f"noncandidate_expectation_{state}", {"state": state}, expect
+                        f"noncandidate_expectation_{state}", {"state": state}, expect[state]
                     )
                 )
-            expect_a = bounds_mod.noncandidate_expectation_torus(prior, "A")
-            markov = bounds_mod.markov_noncandidate_bound(expect_a, prior.mu, n)
+            markov = bounds_mod.markov_noncandidate_bound(expect["A"], prior.mu, n)
             reports.append(
                 bounds_mod.BoundReport.build(
                     "markov_noncandidate_bound",
-                    {"expect": expect_a, "threshold": prior.mu},
+                    {"expect": expect["A"], "threshold": prior.mu},
                     markov,
                 )
             )

@@ -117,6 +117,11 @@ class TestExpectedFraction:
         with pytest.raises(UnknownStateError, match=r"^unknown state 'C'$"):
             candidate_contexts(motivating_prior, [4], ("C",))
 
+    @pytest.mark.parametrize("degree", [2.5, -1])
+    def test_degrees_are_validated(self, motivating_prior, degree):
+        with pytest.raises(ValidationError, match="is not a nonnegative integer"):
+            candidate_contexts(motivating_prior, [degree], ("A",))
+
     def test_context_mass_sums_over_random_instances(self):
         for i in range(25):
             prior = random_label_correct_prior(derive_seed(404, i))
@@ -235,8 +240,14 @@ class TestAlgorithm1:
         sizes = algorithm1(CONST4, prior)
         assert sizes == {"A": F(4, 5), "B": F(1, 5)}
 
-    def test_mislabeled_raises(self, motivating_prior):
-        with pytest.raises(MislabeledStatesError):
+    def test_mislabeled_raises(self, motivating_prior, monkeypatch):
+        # Only B reaches mu, which raises before any degree table is built.
+        def built(*_args):
+            raise AssertionError("built a degree table")
+
+        monkeypatch.setattr(algorithms, "_degree_table", built)
+        msg = "only state B is a candidate; labels appear swapped"
+        with pytest.raises(MislabeledStatesError, match=f"^{re.escape(msg)}$"):
             algorithm1(CONST4, swap_state_labels(motivating_prior))
 
     def test_auto_relabel_maps_back(self, motivating_prior):

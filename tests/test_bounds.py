@@ -157,3 +157,17 @@ class TestEnvelope:
         t = chernoff_envelope(n, chi, trials, level)
         tail = 2 * trials * float(dependent_chernoff(n, F(int(float(t) * 10**9), 10**9), chi))
         assert tail == pytest.approx(float(level), rel=1e-6)
+
+
+# Below n = 1 the formulas divide by zero, exceed 1 as a tail probability,
+# or take a root of a negative number; `bounds --n` refuses the same inputs.
+@pytest.mark.parametrize("bound", [
+    lambda n: dependent_chernoff(n, 1, 1),
+    lambda n: high_degree_state_bound(F(1, 10), 1, n),
+    lambda n: chernoff_envelope(n, 1, 1),
+])
+def test_population_below_one_rejected(bound):
+    for n in (0, -5):
+        with pytest.raises(ValidationError, match="^n must be at least 1$"):
+            bound(n)
+    assert bound(1) > 0

@@ -1,19 +1,20 @@
-"""Property tests for the candidate-state fixpoint that every largest-revolt
-entry point shares (random two-state priors on an eighths grid and short
-random degree sequences), for the integer degree-table kernel and the
-revolting contexts of the fixpoint's last pass against Bayes' rule in
-plain Fractions, for the many-threshold table pass against the
-one-threshold fixpoint loop (and the p grid, the promise pair and p-axis
-sweep rows against their per-point answers), for the
-concrete-graph oracle against a brute force over every type assignment
-and against the per-assignment reference enumeration, for the
-validator's array counts against a per-vertex count, for the epistemic
-belief kernel against the plain-Fraction belief operator and (J1, J2)
-loop, for the CSR concrete graph and the array generators against the
-tuple-built graph and the one-draw-at-a-time samplers, for the Python-int
-PCG64 stream against numpy's Generator, for the array Erdos-Gallai test
-and the heap Havel-Hakimi against their list versions, and for the
-arbitrary-degree variant against the oracle on small graphs with a hub."""
+"""Property tests for the candidate-state fixpoint that every
+largest-revolt entry point shares (random two-state priors on an eighths
+grid and short random degree sequences), for the integer degree-table
+kernel, its row guard against a row-by-row count, and the revolting
+contexts of the fixpoint's last pass against Bayes' rule in plain
+Fractions, for the many-threshold table pass against the one-threshold
+fixpoint loop (and the p grid, the promise pair and p-axis sweep rows
+against their per-point answers), for the concrete-graph oracle against a
+brute force over every type assignment and against the per-assignment
+reference enumeration, for the validator's array counts against a
+per-vertex count, for the epistemic belief kernel against the
+plain-Fraction belief operator and (J1, J2) loop, for the CSR concrete
+graph and the array generators against the tuple-built graph and the
+one-draw-at-a-time samplers, for the Python-int PCG64 stream against
+numpy's Generator, for the array Erdos-Gallai test and the heap
+Havel-Hakimi against their list versions, and for the arbitrary-degree
+variant against the oracle on small graphs with a hub."""
 
 from bisect import bisect_left
 from collections import Counter
@@ -21,6 +22,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain, combinations, product
 from math import ceil, comb, lcm
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -49,12 +51,13 @@ from factional_belief import (
     threshold_probabilities,
     two_state_prior,
 )
-from factional_belief import epistemic
+from factional_belief import algorithms, epistemic
 from factional_belief import experiments
 from factional_belief import netgen
 from factional_belief.algorithms import (
     PromiseInstance,
     _candidate_masses,
+    _check_table_rows,
     _degree_table,
     _fixpoints,
     _ordered_levels,
@@ -70,6 +73,7 @@ from factional_belief.algorithms import (
 from factional_belief.errors import (
     ImpossibleContextError,
     MislabeledStatesError,
+    SpaceTooLargeError,
     ValidationError,
 )
 from factional_belief.experiments import (
@@ -383,6 +387,59 @@ def test_degree_table_matches_row_reference(key, degree):
     assert len(columns) == len(key[1])
     assert all(len(column) == len(contexts) for column in columns)
     assert tuple(zip(contexts, zip(*columns))) == reference_degree_table(key, degree)
+
+
+@st.composite
+def masked_keys(draw):
+    """The table key of one to three states in which each of alpha, chi and
+    nu is, independently, zero or not."""
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = [
+            draw(st.integers(1, 5)) if draw(st.booleans()) else 0 for _ in range(3)
+        ]
+        assume(any(weights))
+        total = sum(weights)
+        states.append(TypeDistribution(*(F(w, total) for w in weights)))
+    return _type_key(StatePrior(f"s{i}", F(1, len(states)), t) for i, t in enumerate(states))
+
+
+def brute_table_rows(key, degrees):
+    """The (a, c, v) rows a degree table can hold over the distinct degrees,
+    counted one by one: a neighbor type counts only when some state has it,
+    and no row exists without chi agents."""
+    nums = key[1]
+    alpha, chi, nu = (any(state[t] for state in nums) for t in range(3))
+    return sum(
+        1
+        for d in set(degrees)
+        for a in range(d + 1)
+        for c in range(d + 1 - a)
+        if chi and (alpha or a == 0) and (nu or a + c == d)
+    )
+
+
+@SETTINGS
+@given(
+    masked_keys(),
+    st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    st.integers(0, 400),
+)
+def test_row_guard_matches_brute_row_count(key, degrees, guard):
+    rows = brute_table_rows(key, degrees)
+    with patch.object(algorithms, "TABLE_ROW_GUARD", guard):
+        if rows > guard:
+            with pytest.raises(SpaceTooLargeError, match=f"need {rows}$"):
+                _check_table_rows(key, degrees)
+        else:
+            assert _check_table_rows(key, degrees) == sorted(set(degrees))
+    built = sum(len(_degree_table(key, d)[0]) for d in set(degrees))
+    # Rows that weigh zero in every state are dropped; none is when some
+    # state has all three types.
+    if any(all(state) for state in key[1]):
+        assert built == rows
+    else:
+        assert built <= rows
 
 
 @st.composite
