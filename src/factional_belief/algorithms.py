@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, groupby, repeat
-from math import comb, lcm
+from math import comb
 from operator import add, le, mul
 from typing import Iterable, Optional
 
@@ -27,6 +27,8 @@ from .model import (
     DegreeSequence,
     Prior,
     StatePrior,
+    chi_alpha,
+    integer_weights,
     validate_degree_sequence,
 )
 
@@ -88,27 +90,20 @@ def expected_type_fraction(
     return sum((dist.prob(t) for t in set(types)), ZERO)
 
 
-def _chi_alpha(prior: Prior) -> dict[str, Fraction]:
-    """Each state's chi+alpha mass: its revolt size when every chi agent
-    revolts, which a state must reach mu with to start as a candidate."""
-    return {s.label: s.types.chi + s.types.alpha for s in prior.states}
-
-
 # ---------------------------------------------------------------------------
 # Candidate contexts
 # ---------------------------------------------------------------------------
 
 
 def _type_key(states: Iterable[StatePrior]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """The degree tables' cache key: D, the lcm of every type probability's
-    denominator over the states, and each state's (alpha, chi, nu)
+    """The degree tables' cache key: the `integer_weights` of every state's
+    (alpha, chi, nu), that is their common denominator D and each state's
     numerators over D. Integers hash without a gcd, unlike Fractions."""
-    dists = [s.types for s in states]
-    common = lcm(*(x.denominator for t in dists for x in (t.alpha, t.chi, t.nu)))
-    return common, tuple(
-        tuple(x.numerator * (common // x.denominator) for x in (t.alpha, t.chi, t.nu))
-        for t in dists
+    common, nums = integer_weights(
+        x for s in states for x in (s.types.alpha, s.types.chi, s.types.nu)
     )
+    it = iter(nums)
+    return common, tuple(zip(it, it, it))
 
 
 def _possible_types(nums) -> tuple[bool, bool, bool]:
@@ -189,18 +184,12 @@ def _tables(key, degrees: Iterable[int]):
     return [(d, _degree_table(key, d)) for d in _check_table_rows(key, degrees)]
 
 
-def _prob_weights(prior: Prior) -> list[int]:
-    """The state probabilities as integers over their common denominator."""
-    common = lcm(*(s.prob.denominator for s in prior.states))
-    return [s.prob.numerator * (common // s.prob.denominator) for s in prior.states]
-
-
 def _split_weights(prior: Prior, states: Iterable[str]) -> tuple[list[int], list[int]]:
     """The integer state probabilities inside and outside `states`, zero
     elsewhere: a row's probability-weighted weight on either side is one
     dot product with its weights. An unknown label raises UnknownStateError."""
     sel = {prior.states.index(prior.state(s)) for s in states}
-    probs = _prob_weights(prior)
+    _common, probs = integer_weights(s.prob for s in prior.states)
     inside = [pi if i in sel else 0 for i, pi in enumerate(probs)]
     outside = [0 if i in sel else pi for i, pi in enumerate(probs)]
     return inside, outside
@@ -329,7 +318,7 @@ def _two_state(
     sizes are the same. When neither holds, one state is the only
     candidate but has the smaller size, and that raises."""
     prior.require_two_states()
-    mass = _chi_alpha(prior)
+    mass = chi_alpha(prior)
     reach = [s for s in ("A", "B") if mass[s] >= prior.mu]
     sole = reach[0] if len(reach) == 1 else None
     if sole == "B" and not relabel:
@@ -498,12 +487,12 @@ def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fracti
     `_ordered_levels` from the columns' pairs (pi_A W_A, sum of pi W)."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
-    mass = _chi_alpha(prior)
+    mass = chi_alpha(prior)
     out = {"e_A(chi+alpha)": mass["A"], "e_B(chi+alpha)": mass["B"]}
     sizes, _survivors = multistate_fixpoint(seq, prior)
     out["e_A(candidates+alpha)"] = sizes["A"]
     a = prior.labels.index("A")
-    probs = _prob_weights(prior)
+    _common, probs = integer_weights(s.prob for s in prior.states)
     posts = _ordered_levels(chain.from_iterable(
         zip(map(mul, columns[a], repeat(probs[a])), _combined(columns, probs))
         for _d, (_contexts, columns) in _tables(_type_key(prior.states), seq)
@@ -628,7 +617,7 @@ def _fixpoints(
     labels = prior.labels
     e_alpha = {s.label: s.types.alpha for s in prior.states}
     chi = {s.label: s.types.chi for s in prior.states}
-    mass = _chi_alpha(prior)
+    mass = chi_alpha(prior)
     thresholds = list(thresholds)
     out: list = [None] * len(thresholds)
     pending: dict[frozenset, list[int]] = {}

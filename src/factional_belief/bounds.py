@@ -16,7 +16,13 @@ from typing import Union
 import mpmath
 
 from .errors import ValidationError
-from .model import ConcreteGraph, DegreeSequence, Prior, validate_degree_sequence
+from .model import (
+    ConcreteGraph,
+    DegreeSequence,
+    Prior,
+    chi_alpha,
+    validate_degree_sequence,
+)
 
 PRECISION_BITS = 240
 REPORT_TOLERANCE = 1e-15
@@ -135,11 +141,8 @@ def high_degree_separation(prior: Prior, epsilon0) -> bool:
     comparison is exact.)"""
     prior.require_two_states()
     epsilon0 = Fraction(epsilon0)
-    masses = []
-    for label in ("A", "B"):
-        d = prior.state(label).types
-        masses.append(d.chi + d.alpha)
-    return abs(masses[0] - masses[1]) > 2 * epsilon0
+    mass = chi_alpha(prior)
+    return abs(mass["A"] - mass["B"]) > 2 * epsilon0
 
 
 def chernoff_envelope(n: int, chi_star: int, trials: int, level=Fraction(1, 100)) -> mpmath.mpf:
@@ -149,6 +152,8 @@ def chernoff_envelope(n: int, chi_star: int, trials: int, level=Fraction(1, 100)
     level = Fraction(level)
     if n < 1:
         raise ValidationError("n must be at least 1")
+    if chi_star < 1:
+        raise ValidationError("chi_star must be at least 1")
     if trials < 1 or not 0 < level <= 1:
         raise ValidationError("need trials >= 1 and 0 < level <= 1")
     with mpmath.workprec(PRECISION_BITS):

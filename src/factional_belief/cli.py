@@ -226,10 +226,7 @@ def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
     if known.config is None:
         return argv, None
     path = known.config
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise fileio.ParseError(f"cannot read config {path}: {exc}") from None
+    doc = fileio.read_input(path, "config", json.loads)
     if not isinstance(doc, dict):
         raise fileio.ParseError(f"config {path}: expected a JSON object")
     extra = []

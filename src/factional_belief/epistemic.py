@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import ceil, comb
 from typing import Hashable, Iterable, Mapping
 
 from .errors import InvalidAgentError, SpaceTooLargeError, ValidationError
+from .model import integer_weights
 
 Outcome = Hashable
 Event = frozenset
@@ -153,9 +154,7 @@ class _BeliefKernel:
         self.outcomes = model.space.outcomes
         self.full = (1 << len(self.outcomes)) - 1
         self._bit = {o: 1 << i for i, o in enumerate(self.outcomes)}
-        probs = model.space.probs
-        common = lcm(*(q.denominator for q in probs))
-        self._weights = [q.numerator * (common // q.denominator) for q in probs]
+        _common, self._weights = integer_weights(model.space.probs)
         self.cells = []
         for part in model.partitions:
             masks = [self.mask(c) for c in part.cells]
@@ -209,13 +208,9 @@ def _check_mu(mu) -> Fraction:
     return mu
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def _need(model: EpistemicModel, mu: Fraction) -> int:
     """The least whole number of agents that makes up a mu fraction."""
-    return _ceil_fraction(mu * len(model.agents))
+    return ceil(mu * len(model.agents))
 
 
 def is_evident_belief(
@@ -280,7 +275,7 @@ def _fixpoint(kernel: _BeliefKernel, mu: Fraction, f: int) -> int:
     run once per distinct nonempty anchor, and stop once the anchor is
     already covered (each chain's event lies inside its anchor)."""
     agents = range(len(kernel.cells))
-    need = _ceil_fraction(mu * len(agents))
+    need = ceil(mu * len(agents))
     if need == 0:
         return kernel.full
     pairs = comb(len(agents), need) ** 2

@@ -28,7 +28,7 @@ from . import bounds as bounds_mod
 from .algorithms import algorithm1_auto_grid, equilibria_map, revolting_rule
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
 from .fileio import format_decimal, format_rational
-from .model import ConcreteGraph, Prior
+from .model import ALPHA_CODE, CHI_CODE, ConcreteGraph, Prior
 from .netgen import (
     FAMILIES,
     GenSpec,
@@ -243,8 +243,8 @@ def run_promise_map(
 
 def sample_type_assignment(prior: Prior, state: str, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. types from the state's distribution (PCG64-seeded), as
-    codes 0 alpha, 1 chi, 2 nu: a draw's code is the number of the cuts
-    alpha and alpha + chi at or below it."""
+    `model.TYPES` codes (alpha 0, chi 1, nu 2): a draw's code is the number
+    of the cuts alpha and alpha + chi at or below it."""
     dist = prior.state(state).types
     cuts = (float(dist.alpha), float(dist.alpha + dist.chi))
     return np.searchsorted(cuts, _Stream(seed).doubles(n), side="right").astype(np.int8)
@@ -306,13 +306,13 @@ def run_validate(
     cand_sum = 0
     for t in range(trials):
         codes = sample_type_assignment(prior, state, n, derive_seed(seed, t))
-        chi = codes == 1
+        chi = codes == CHI_CODE
         if cand_keys is None:
             n_cand = int(np.count_nonzero(chi))
         else:
             tail_codes = codes[tails]
-            alpha_nbrs = np.bincount(heads[tail_codes == 0], minlength=n)
-            chi_nbrs = np.bincount(heads[tail_codes == 1], minlength=n)
+            alpha_nbrs = np.bincount(heads[tail_codes == ALPHA_CODE], minlength=n)
+            chi_nbrs = np.bincount(heads[tail_codes == CHI_CODE], minlength=n)
             keys = (deg[chi] * m + alpha_nbrs[chi]) * m + chi_nbrs[chi]
             n_cand = _count_members(keys, cand_keys)
         dev = abs(n_cand - float(exp_candidate) * n)
@@ -321,7 +321,7 @@ def run_validate(
         trial_rows.append(
             {
                 "trial": t,
-                "n_alpha": int(np.count_nonzero(codes == 0)),
+                "n_alpha": int(np.count_nonzero(codes == ALPHA_CODE)),
                 "n_chi": int(np.count_nonzero(chi)),
                 "n_candidates": n_cand,
                 "candidate_fraction": format_decimal(n_cand / n),

@@ -23,6 +23,16 @@ from .model import (
 PathLike = Union[str, Path]
 
 
+def read_input(path: PathLike, what: str, parse=str):
+    """`parse` of the text of the input file at `path`. A file that cannot
+    be read, or that `parse` rejects as JSON, raises ParseError "cannot
+    read {what} {path}: ..."."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+
+
 def parse_rational(text) -> Fraction:
     """Parse "num/den", an integer string, or a decimal string, exactly."""
     if isinstance(text, Fraction):
@@ -102,11 +112,7 @@ def prior_to_dict(prior: Prior) -> dict:
 
 
 def load_prior(path: PathLike) -> Prior:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read prior file {path}: {exc}") from None
-    return prior_from_dict(doc)
+    return prior_from_dict(read_input(path, "prior file", json.loads))
 
 
 def dump_prior(prior: Prior, path: PathLike) -> None:
@@ -173,11 +179,7 @@ def epistemic_model_to_dict(model: EpistemicModel) -> dict:
 
 
 def load_epistemic_model(path: PathLike) -> EpistemicModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read model file {path}: {exc}") from None
-    return epistemic_model_from_dict(doc)
+    return epistemic_model_from_dict(read_input(path, "model file", json.loads))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +211,7 @@ def parse_degree_sequence(text: str, source: str = "<degrees>") -> list[int]:
 
 
 def load_degree_sequence(path: PathLike) -> list[int]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read degree file {path}: {exc}") from None
-    return parse_degree_sequence(text, source=str(path))
+    return parse_degree_sequence(read_input(path, "degree file"), source=str(path))
 
 
 def format_degree_sequence(seq: Sequence[int]) -> str:
@@ -251,11 +249,7 @@ def parse_edge_list(text: str, source: str = "<edges>") -> ConcreteGraph:
 
 
 def load_edge_list(path: PathLike) -> ConcreteGraph:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read edge list {path}: {exc}") from None
-    return parse_edge_list(text, source=str(path))
+    return parse_edge_list(read_input(path, "edge list"), source=str(path))
 
 
 def format_edge_list(graph: ConcreteGraph) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,12 +28,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def integer_weights(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(D, ints): D the lcm of the values' denominators and ints the values
+    times D, so that the values add and compare as integers over one scale."""
+    values = list(values)
+    common = lcm(*(x.denominator for x in values))
+    return common, [x.numerator * (common // x.denominator) for x in values]
+
+
 class AgentType(Enum):
     """The three agent types: always-revolt, never-revolt, conditional."""
 
     ALPHA = "alpha"
     CHI = "chi"
     NU = "nu"
+
+
+# Type codes, where types are held as small ints: alpha 0, chi 1, nu 2.
+TYPES = tuple(AgentType)
+ALPHA_CODE = TYPES.index(AgentType.ALPHA)
+CHI_CODE = TYPES.index(AgentType.CHI)
 
 
 class Action(Enum):
@@ -131,6 +145,12 @@ class Prior:
                 "this operation needs exactly two states labeled A and B; "
                 f"got {sorted(self.labels)}"
             )
+
+
+def chi_alpha(prior: Prior) -> dict[str, Fraction]:
+    """Each state's chi+alpha mass: its revolt size when every chi agent
+    revolts, which a state must reach mu with to start as a candidate."""
+    return {s.label: s.types.chi + s.types.alpha for s in prior.states}
 
 
 def two_state_prior(

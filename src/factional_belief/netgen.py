@@ -77,16 +77,11 @@ _handoff = {"python_doubles": 0, "generator": None}
 
 
 def _pcg64_seed(seed: int) -> tuple[int, int]:
-    """The (state, inc) of `np.random.PCG64(seed)`: numpy's SeedSequence
-    hashes the seed's 32-bit words into a pool of four and draws four
-    64-bit words from it, the first two PCG's initial state and the last
-    two its stream; then PCG's srandom steps twice."""
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
+    """The (state, inc) of `np.random.PCG64(seed)` for a seed below 2**64:
+    numpy's SeedSequence hashes the seed's two 32-bit words, low first, and
+    two zero words into a pool of four and draws four 64-bit words from it,
+    the first two PCG's initial state and the last two its stream; then
+    PCG's srandom steps twice."""
     hash_const = 0x43B0D7E5
 
     def hashmix(value: int) -> int:
@@ -100,14 +95,11 @@ def _pcg64_seed(seed: int) -> tuple[int, int]:
         result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
         return result ^ result >> 16
 
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
     hash_const = 0x8B51F9DD
     out = []
     for i in range(8):

@@ -21,18 +21,22 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import ceil, lcm
+from math import ceil
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .model import (
+    ALPHA_CODE,
+    CHI_CODE,
+    TYPES,
     AgentType,
     ConcreteGraph,
     ContextClass,
     Prior,
     StatePrior,
     TypeDistribution,
+    integer_weights,
 )
 
 ZERO = Fraction(0)
@@ -93,10 +97,6 @@ class StrategyProfile:
     trace: tuple = field(default=(), compare=False)
 
 
-TYPES = tuple(AgentType)  # type code -> type: alpha 0, chi 1, nu 2
-CHI_CODE = TYPES.index(AgentType.CHI)
-
-
 def _weigh(keys, classes, counts, weights, out) -> None:
     """out[key] += count * weights[class] for each nonzero (key, class)
     count: the one place where int64 counts meet big-int class weights."""
@@ -121,7 +121,7 @@ class _Support:
         code_of = np.asarray(codes, np.int8)
         for v in range(n):
             types[:, v] = code_of[row // k ** (n - 1 - v) % k]
-        alpha = np.count_nonzero(types[:, :n] == 0, axis=1)
+        alpha = np.count_nonzero(types[:, :n] == ALPHA_CODE, axis=1)
         chi = types[:, :n] == CHI_CODE
         class_keys, self.cls = np.unique(
             alpha * (n + 1) + np.count_nonzero(chi, axis=1), return_inverse=True
@@ -214,12 +214,10 @@ class _Enumeration:
         self._nums = []
         scales = []
         for s in prior.states:
-            dist = s.types
-            den_s = lcm(*(dist.prob(t).denominator for t in TYPES))
-            self._nums.append([int(dist.prob(t) * den_s) for t in TYPES])
+            den_s, nums = integer_weights(s.types.prob(t) for t in TYPES)
+            self._nums.append(nums)
             scales.append(s.prob / den_s**n)
-        self.den = lcm(*(f.denominator for f in scales))
-        self._scales = [int(f * self.den) for f in scales]
+        self.den, self._scales = integer_weights(scales)
 
         # Row v lists v's neighbors (CSR order, ascending) and the base-3
         # place value of each, 3^(d-1) for the first; pads are vertex n.

@@ -151,6 +151,14 @@ class TestEnvelope:
         with pytest.raises(ValidationError, match="0 < level <= 1"):
             chernoff_envelope(9, 5, 1, level)
 
+    @pytest.mark.parametrize("chi_star", [0, -1])
+    def test_chi_star_below_one_rejected(self, chi_star):
+        # Below 1 the root is of zero or of a negative number: a zero
+        # deviation, or a complex one.
+        with pytest.raises(ValidationError, match="^chi_star must be at least 1$"):
+            chernoff_envelope(5, chi_star, 1)
+        assert chernoff_envelope(5, 1, 1) > 0
+
     def test_union_bound_consistency(self):
         # at the envelope, trials * two-sided tail equals the level
         n, chi, trials, level = 800, 13, 150, F(1, 50)

@@ -74,6 +74,15 @@ class TestAnalyze:
         )
         assert "error" in capsys.readouterr().err
 
+    def test_multistate(self, prior_file, const4_file, capsys):
+        argv = ["analyze", "--prior", prior_file, "--degrees", const4_file]
+        assert main(argv + ["--multistate"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "state,X_exact,X_decimal", "A,2432/3125,0.77824", "B,113/3125,0.03616"
+        ]
+
     @pytest.mark.parametrize("variant", [[], ["--multistate"]])
     def test_zero_probability_state_rejected(self, variant, tmp_path, capsys):
         # Contexts only the zero-probability state produces have no posterior;
@@ -308,6 +317,21 @@ class TestPromise:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
+    def test_show_thresholds(self, prior_file, const4_file, capsys):
+        argv = ["promise", "--prior", prior_file, "--degrees", const4_file,
+                "--mu-star", "3/5", "--epsilon", "1/200", "--delta", "1/200",
+                "--show-thresholds"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "mu_star,mu_star_decimal,outcome\n3/5,0.6,A\n"
+        thresholds = json.loads(captured.err)
+        assert {k: thresholds[k] for k in list(thresholds)[:4]} == {
+            "e_A(chi+alpha)": "4/5",
+            "e_B(chi+alpha)": "1/5",
+            "e_A(candidates+alpha)": "2432/3125",
+            "posterior_A_level_0": "1/65",
+        }
+
     def test_point_is_its_grid_row(self, prior_file, const4_file, capsys):
         base = ["promise", "--prior", prior_file, "--degrees", const4_file,
                 "--epsilon", "1/200", "--delta", "1/200"]
@@ -443,6 +467,9 @@ class TestOracleCommand:
         assert main(["oracle", "--edges", "0:1", "--clique-reduce", "1"]) == 2
 
 
+HALVES = {"1": "1/2", "2": "1/2"}
+
+
 class TestEpistemicCommand:
     def test_die_report(self, tmp_path, capsys):
         model = {
@@ -491,6 +518,21 @@ class TestEpistemicCommand:
          "model prob must be a JSON object"),
         ({"outcomes": ["1"], "prob": {"1": "1"}, "partitions": [["1"]]},
          "model partitions must be a JSON object"),
+        # The model checks the loader reaches.
+        ({"outcomes": [], "prob": {}, "partitions": {"i": []}}, "outcome space must be nonempty"),
+        ({"outcomes": ["1", "2"], "prob": {"1": "0", "2": "1"}, "partitions": {"i": [["1", "2"]]}},
+         "outcome '1' must have positive probability"),
+        ({"outcomes": ["1", "2"], "prob": {"1": "1/2", "2": "1/3"},
+          "partitions": {"i": [["1", "2"]]}}, "probabilities must sum to exactly 1"),
+        ({"outcomes": ["1", "2"], "prob": HALVES, "partitions": {"i": [[], ["1", "2"]]}},
+         "partition cells must be nonempty"),
+        ({"outcomes": ["1", "2"], "prob": HALVES, "partitions": {}}, "at least one agent required"),
+        ({"outcomes": ["1", "2"], "prob": HALVES, "partitions": {"i": [["1", "3"], ["2"]]}},
+         "partition of agent 'i' leaves the outcome space"),
+        ({"outcomes": ["1", "2"], "prob": HALVES, "partitions": {"i": [["1", "2"], ["2"]]}},
+         "partition cells of agent 'i' overlap"),
+        ({"outcomes": ["1", "2"], "prob": HALVES, "partitions": {"i": [["1"]]}},
+         "partition of agent 'i' does not cover the space"),
     ])
     def test_malformed_model_exits_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -650,6 +692,32 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"prior": str(other), "degrees": const4_file}))
         assert main(["analyze", "--config", str(cfg), f"--prior={prior_file}"]) == 0
         assert "2432/3125" in capsys.readouterr().out
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["--smallest"]))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config {cfg}: expected a JSON object\n"
+
+    def test_list_value_is_spliced_as_words(self, prior_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"torus": [3, 3]}))
+        argv = ["validate", "--prior", prior_file, "--trials", "2"]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(argv + ["--torus", "3", "3"]) == 0
+        assert capsys.readouterr().out == from_config != ""
+
+    def test_abbreviated_config_flag_exits_2(self, prior_file, const4_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"smallest": True}))
+        argv = ["analyze", "--prior", prior_file, "--degrees", const4_file]
+        assert main(argv + ["--conf", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spell out --config in full\n"
 
     def test_jobs_is_a_sweep_flag(self, prior_file, const4_file):
         argv = ["analyze", "--prior", prior_file, "--degrees", const4_file]
@@ -868,11 +936,59 @@ OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("line, message", OUT_OF_RANGE)
+# Arguments that are missing or malformed exit the same way.
+MISSING_ARGUMENTS = [
+    (VALIDATE + "--family ba", "generated validate graphs need --n and --param"),
+    (VALIDATE + "--family ba --n 10", "generated validate graphs need --n and --param"),
+    (VALIDATE + "--family ba --param 2", "generated validate graphs need --n and --param"),
+    ("oracle --edges 0-1-2 --clique-reduce 3", "bad inline edge list '0-1-2'; want 'u-v,u-v'"),
+    ("bounds --prior {prior}", "bounds needs --degrees or --n"),
+]
+
+
+@pytest.mark.parametrize("line, message", OUT_OF_RANGE + MISSING_ARGUMENTS)
 def test_out_of_range_exits_2(line, message, files, capsys):
     assert main(shlex.split(line.format(**files))) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+UNREADABLE = [
+    ("analyze --prior {bad} --degrees {degrees}", "prior file"),
+    ("analyze --prior {prior} --degrees {bad}", "degree file"),
+    ("epistemic --model {bad} --event 1", "model file"),
+    ("oracle --graph {bad} --clique-reduce 3", "edge list"),
+    ("validate --prior {prior} --graph {bad}", "edge list"),
+    ("analyze --prior {prior} --degrees {degrees} --config {bad}", "config"),
+]
+
+
+@pytest.mark.parametrize("line, what", UNREADABLE)
+def test_missing_input_file_exits_2(line, what, files, tmp_path, capsys):
+    bad = tmp_path / "missing.txt"
+    assert main(shlex.split(line.format(bad=bad, **files))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {what} {bad}: [Errno 2] No such file or directory: {str(bad)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("line, what", [
+    ("epistemic --model {bad} --event 1", "model file"),
+    ("analyze --prior {bad} --degrees {degrees}", "prior file"),
+    ("analyze --prior {prior} --degrees {degrees} --config {bad}", "config"),
+])
+def test_malformed_json_input_exits_2(line, what, files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    try:
+        json.loads("{")
+    except json.JSONDecodeError as exc:
+        detail = str(exc)
+    assert main(shlex.split(line.format(bad=bad, **files))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: cannot read {what} {bad}: {detail}\n"
 
 
 class TestHugeNumbers:

@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
 from factional_belief import (
+    AgentPartition,
     EpistemicModel,
+    FiniteProbSpace,
     belief_operator,
     common_belief_by_search,
     common_belief_fixpoint,
@@ -203,6 +206,24 @@ P_QUERIES = dict(
 )
 
 
+HALVES = FiniteProbSpace(("1", "2"), (F(1, 2), F(1, 2)))
+SPLIT = AgentPartition(({"1"}, {"2"}))
+
+
+# The checks the model loader cannot reach: its outcomes come as a list
+# read against a "prob" object, and its agents as the keys of an object.
+@pytest.mark.parametrize("build, message", [
+    (lambda: FiniteProbSpace(("1", "2"), (F(1),)), "one probability per outcome required"),
+    (lambda: FiniteProbSpace(("1", "1"), (F(1, 2), F(1, 2))),
+     "outcome labels must be unique"),
+    (lambda: EpistemicModel(HALVES, ("i", "j"), (SPLIT,)), "one partition per agent required"),
+    (lambda: EpistemicModel(HALVES, ("i", "i"), (SPLIT, SPLIT)), "agent ids must be unique"),
+])
+def test_model_classes_reject(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
 @pytest.mark.parametrize("p", [F(3), F(-1, 2)])
 @pytest.mark.parametrize("query", P_QUERIES.values(), ids=P_QUERIES.keys())
 def test_p_outside_unit_interval_rejected_at_mu_zero(query, p):
@@ -249,13 +270,11 @@ class TestBattery:
     def test_fixpoint_output_pointwise_evident(self):
         # Every outcome of the common-belief event has at least a mu
         # fraction of agents believing the event there.
-        from factional_belief.epistemic import _ceil_fraction
-
         for i in range(80):
             model, p, mu = random_epistemic_model(derive_seed(91, i))
             outcomes = list(model.space.outcomes)
             m = len(outcomes)
-            need = _ceil_fraction(mu * len(model.agents))
+            need = ceil(mu * len(model.agents))
             for bits in range(1 << m):
                 f = frozenset(outcomes[j] for j in range(m) if bits >> j & 1)
                 fix = common_belief_fixpoint(model, p, mu, f)
