@@ -24,12 +24,12 @@ PathLike = Union[str, Path]
 
 
 def read_input(path: PathLike, what: str, parse=str):
-    """`parse` of the text of the input file at `path`. A file that cannot
-    be read, or that `parse` rejects as JSON, raises ParseError "cannot
-    read {what} {path}: ..."."""
+    """`parse` of the UTF-8 text of the input file at `path`. A file that
+    cannot be read or decoded, or that `parse` rejects as JSON, raises
+    ParseError "cannot read {what} {path}: ..."."""
     try:
-        return parse(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
 
 

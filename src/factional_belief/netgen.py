@@ -2,10 +2,11 @@
 Havel-Hakimi realization.
 
 All randomness flows through `_Stream`, numpy's PCG64 computed in Python
-ints: seeded from explicit 64-bit integers as `np.random.PCG64(seed)` is,
+ints and, for blocks of doubles, in numpy uint64 words through 128-bit jump
+tables: seeded from explicit 64-bit integers as `np.random.PCG64(seed)` is,
 and bit-identical to `np.random.Generator(np.random.PCG64(seed))` for the
-bounded integers and doubles it draws; nothing reads OS entropy. Large
-blocks of doubles are drawn by numpy's own PCG64 from the stream's state.
+bounded integers and doubles it draws, without importing `numpy.random`;
+nothing reads OS entropy.
 Derived seeds (per trial, per sweep point) come from `derive_seed`, a
 SplitMix64 chain, so experiment batches are reproducible from a single
 master seed.
@@ -70,10 +71,72 @@ def derive_seed(master: int, *indices: int) -> int:
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
-_DOUBLE_UNIT = 2.0**-53
-HANDOFF_DOUBLES = 1 << 14  # doubles a process draws in Python before numpy takes over
-HANDOFF_BLOCK = 1 << 11  # a block of doubles this large goes to numpy at once
-_handoff = {"python_doubles": 0, "generator": None}
+_DOUBLE_UNIT = np.float64(2.0**-53)
+DOUBLE_CHUNK = 1 << 12  # most LCG states one pass of `_Stream.doubles` computes
+# Word constants stay np.uint64 so that every operand of the word arithmetic
+# is uint64, which gives the same wrapping results under numpy 1.x's
+# value-based casting and under NEP 50.
+_LOW32 = np.uint64(_MASK32)
+_W1, _W11, _W32, _W58, _W63 = (np.uint64(w) for w in (1, 11, 32, 58, 63))
+
+
+def _words(x: int) -> tuple[np.uint64, np.uint64]:
+    """The (high, low) 64-bit words of a 128-bit int."""
+    return np.uint64(x >> 64), np.uint64(x & _MASK64)
+
+
+def _as_int(hi, lo) -> int:
+    """The 128-bit int whose words are the uint64 scalars hi and lo."""
+    return int(hi) << 64 | int(lo)
+
+
+def _mul128(hi, lo, c: int):
+    """(hi, lo) * c mod 2**128 for uint64 word arrays hi, lo and an int c:
+    the high word of lo * c_lo is summed from 32-bit limb products, none of
+    whose partial sums can pass 2**64; the cross terms wrap mod 2**64."""
+    c_hi, c_lo = _words(c)
+    c0, c1 = np.uint64(c & _MASK32), np.uint64(c >> 32 & _MASK32)
+    a0, a1 = lo & _LOW32, lo >> _W32
+    low_mid = a0 * c0
+    low_mid >>= _W32
+    mid = a1 * c0
+    mid += low_mid
+    other_mid = a0 * c1
+    other_mid += mid & _LOW32
+    top = a1 * c1
+    mid >>= _W32
+    top += mid
+    other_mid >>= _W32
+    top += other_mid
+    top += hi * c_lo
+    top += lo * c_hi
+    return top, lo * c_lo
+
+
+def _add128(hi, lo, c_hi, c_lo) -> None:
+    """(hi, lo) += (c_hi, c_lo) mod 2**128 in place, for uint64 words."""
+    lo += c_lo
+    hi += c_hi
+    hi += lo < c_lo
+
+
+# Row 0 holds M**i and row 1 holds sum_{j<i} M**j, for i = 1..width, as
+# high and low words: the i-th LCG state after s is M**i*s + (sum M**j)*inc.
+_jumps = [np.array([[w], [g]], np.uint64) for w, g in zip(_words(_PCG_MULT), (0, 1))]
+
+
+def _jump_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The jump words for at least k states, grown by doubling: with A_i =
+    M**i and G_i = sum_{j<i} M**j, A_{n+j} = A_n*A_j and G_{n+j} = A_n*G_j
+    + G_n. Built once a process, up to the first power of two >= k."""
+    hi, lo = _jumps
+    while hi.shape[1] < k:
+        top_hi, top_lo = _mul128(hi, lo, _as_int(hi[0, -1], lo[0, -1]))
+        _add128(top_hi[1], top_lo[1], hi[1, -1], lo[1, -1])
+        hi = np.concatenate((hi, top_hi), axis=1)
+        lo = np.concatenate((lo, top_lo), axis=1)
+        _jumps[:] = hi, lo
+    return hi, lo
 
 
 def _pcg64_seed(seed: int) -> tuple[int, int]:
@@ -114,18 +177,19 @@ def _pcg64_seed(seed: int) -> tuple[int, int]:
 
 
 class _Stream:
-    """`np.random.Generator(np.random.PCG64(seed))` in Python ints, for the
-    draws the generators make: `below(k)` is `integers(k)` (a run of calls
-    is `integers(k, size=m)`) and `doubles(k)` is `random(k)`.
+    """`np.random.Generator(np.random.PCG64(seed))` in Python ints and numpy
+    words, for the draws the generators make: `below(k)` is `integers(k)`
+    (a run of calls is `integers(k, size=m)`) and `doubles(k)` is
+    `random(k)`.
 
     A draw steps the 128-bit LCG and outputs XSL-RR of the new state.
-    `below` takes 32-bit halves as numpy's `next_uint32` does, low half
-    first with the high half kept for the next call, and bounds them by
-    Lemire's multiply-and-reject method. A double is the top 53 bits of a
-    64-bit output times 2**-53. Python draws save a process the
-    `numpy.random` import; once a block reaches HANDOFF_BLOCK or the
-    process has drawn HANDOFF_DOUBLES doubles here, blocks are drawn by
-    numpy's PCG64 from this stream's state, which is then read back."""
+    `below` steps it in Python ints and takes 32-bit halves as numpy's
+    `next_uint32` does, low half first with the high half kept for the next
+    call, and bounds them by Lemire's multiply-and-reject method. `doubles`
+    computes its states in blocks of at most DOUBLE_CHUNK from the jump
+    table (`_jump_table`) and leaves the kept half alone, as numpy's
+    `next_double` does; a double is the top 53 bits of a 64-bit output
+    times 2**-53."""
 
     __slots__ = ("state", "inc", "has_uint32", "uinteger")
 
@@ -161,32 +225,28 @@ class _Stream:
         return m >> 32
 
     def doubles(self, k: int) -> np.ndarray:
-        """k uniform doubles in [0, 1)."""
-        if k < HANDOFF_BLOCK and _handoff["python_doubles"] + k <= HANDOFF_DOUBLES:
-            _handoff["python_doubles"] += k
-            s, inc, out = self.state, self.inc, [0.0] * k
-            mult, mask128, mask64, unit = _PCG_MULT, _MASK128, _MASK64, _DOUBLE_UNIT
-            for i in range(k):
-                s = (s * mult + inc) & mask128
-                x = (s >> 64 ^ s) & mask64
-                rot = s >> 122
-                out[i] = (((x >> rot | x << (64 - rot)) & mask64) >> 11) * unit
-            self.state = s
-            return np.array(out)
-        _handoff["python_doubles"] = HANDOFF_DOUBLES + 1
-        if _handoff["generator"] is None:
-            from numpy.random import PCG64, Generator
-
-            _handoff["generator"] = Generator(PCG64(0))
-        generator = _handoff["generator"]
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": self.state, "inc": self.inc},
-            "has_uint32": self.has_uint32,
-            "uinteger": self.uinteger,
-        }
-        out = generator.random(k)
-        self.state = generator.bit_generator.state["state"]["state"]
+        """k uniform doubles in [0, 1). Each block of states is A_i*s + C_i
+        for the block's start state s, with C_i = G_i*inc computed once."""
+        out = np.empty(k)
+        width = min(k, DOUBLE_CHUNK)
+        table_hi, table_lo = _jump_table(width)
+        inc_hi, inc_lo = _mul128(table_hi[1, :width], table_lo[1, :width], self.inc)
+        s = self.state
+        for start in range(0, k, DOUBLE_CHUNK):
+            n = min(DOUBLE_CHUNK, k - start)
+            hi, lo = _mul128(table_hi[0, :n], table_lo[0, :n], s)
+            _add128(hi, lo, inc_hi[:n], inc_lo[:n])
+            s = _as_int(hi[-1], lo[-1])
+            lo ^= hi  # XSL-RR: rotate hi ^ lo right by the top 6 bits
+            hi >>= _W58
+            rotated = lo >> hi
+            hi ^= _W63  # lo << (64 - rot) as lo << 1 << (63 - rot)
+            lo <<= _W1
+            lo <<= hi
+            rotated |= lo
+            rotated >>= _W11
+            np.multiply(rotated, _DOUBLE_UNIT, out=out[start : start + n])
+        self.state = s
         return out
 
 

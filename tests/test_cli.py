@@ -974,6 +974,20 @@ def test_missing_input_file_exits_2(line, what, files, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("line, what", UNREADABLE)
+def test_non_utf8_input_file_exits_2(line, what, files, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    data = b"\xff\xfe4 4\n"
+    bad.write_bytes(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        detail = str(exc)
+    assert main(shlex.split(line.format(bad=bad, **files))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: cannot read {what} {bad}: {detail}\n"
+
+
 @pytest.mark.parametrize("line, what", [
     ("epistemic --model {bad} --event 1", "model file"),
     ("analyze --prior {bad} --degrees {degrees}", "prior file"),
@@ -1170,11 +1184,15 @@ assert "numpy.random" not in sys.modules
     "gen --family powerlaw --n 250 --param 5/2 --kind graph",
     "gen --family er --n 250 --param 3/100 --kind graph",
     "gen --family ba --n 250 --param 3",
+    "validate --prior {prior} --torus 64 64 --trials 2",
+    "validate --prior {prior} --family ba --n 1000 --param 2 --trials 17",
+    "gen --family er --n 3000 --param 1/100",
+    "epistemic --verify-prop1 3",
 ])
 def test_sampling_jobs_do_not_import_numpy_random(line, prior_file, tmp_path):
-    # A sampling job of this size draws every number on the Python-int
-    # PCG64 stream, so it never pays the numpy.random import (about 15 ms
-    # in a fresh process); only blocks past the hand-off would load it.
+    # Every draw, a bounded integer or a block of doubles of any size, is
+    # made on the package's own PCG64 stream, so no job pays the
+    # numpy.random import (about 15 ms in a fresh process).
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

@@ -1238,6 +1238,25 @@ def test_ba_matches_scalar_sampler(n, m):
         assert ba_sequence(n, m, seed) == reference.degree_sequence()
 
 
+WORD128 = st.one_of(
+    st.integers(0, 2**128 - 1),
+    st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1, netgen._PCG_MULT]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(WORD128, min_size=1, max_size=8), WORD128, WORD128)
+def test_word_arithmetic_matches_python_ints(xs, c, d):
+    # The stream's 128-bit products and sums on uint64 words, against ints.
+    hi, lo = (np.array(words, np.uint64) for words in zip(*map(netgen._words, xs)))
+    hi, lo = netgen._mul128(hi, lo, c)
+    assert list(map(netgen._as_int, hi, lo)) == [x * c % 2**128 for x in xs]
+    netgen._add128(hi, lo, *netgen._words(d))
+    assert list(map(netgen._as_int, hi, lo)) == [(x * c + d) % 2**128 for x in xs]
+
+
+CHUNK = netgen.DOUBLE_CHUNK
+
 STREAM_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("below"), st.integers(1, 2**32)),
@@ -1246,7 +1265,7 @@ STREAM_OPS = st.lists(
         st.tuples(st.just("double")),
         st.tuples(st.just("block"), st.one_of(
             st.integers(0, 40),
-            st.sampled_from([netgen.HANDOFF_BLOCK - 1, netgen.HANDOFF_BLOCK]),
+            st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
         )),
     ),
     max_size=40,
@@ -1254,39 +1273,30 @@ STREAM_OPS = st.lists(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@example(0, 0, [("below", 2**32), ("size", 3, 2), ("block", 5)])
-@example(2**32, 0, [("double",), ("below", 7), ("block", 2048)])
-@example(2**64 - 1, 0, [("below", 5), ("block", 2047), ("block", 3), ("below", 9)])
-@given(
-    st.integers(0, 2**64 - 1),
-    st.sampled_from([0, netgen.HANDOFF_DOUBLES - 30, netgen.HANDOFF_DOUBLES + 1]),
-    STREAM_OPS,
-)
-def test_stream_matches_numpy_generator(seed, drawn, ops):
+@example(0, [("below", 2**32), ("size", 3, 2), ("block", 5)])
+@example(2**32, [("double",), ("below", 7), ("block", CHUNK)])
+@example(2**64 - 1, [("below", 5), ("block", CHUNK - 1), ("block", 3), ("below", 9)])
+@example(7, [("below", 3), ("block", 2 * CHUNK + 3), ("below", 2**31 + 1), ("block", CHUNK + 1)])
+@given(st.integers(0, 2**64 - 1), STREAM_OPS)
+def test_stream_matches_numpy_generator(seed, ops):
     # Seeding, interleaved bounded draws (scalar and size=m, k up to 2^32,
     # which share numpy's buffered 32-bit half), scalar doubles, and blocks
-    # drawn in Python, handed to numpy at HANDOFF_BLOCK, or handed over
-    # once the process has drawn HANDOFF_DOUBLES in Python.
-    saved = netgen._handoff["python_doubles"]
-    netgen._handoff["python_doubles"] = drawn
-    try:
-        stream = _Stream(seed)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        for op in ops:
-            if op[0] == "below":
-                assert stream.below(op[1]) == int(rng.integers(op[1]))
-            elif op[0] == "size":
-                got = [stream.below(op[1]) for _ in range(op[2])]
-                assert got == rng.integers(op[1], size=op[2]).tolist()
-            elif op[0] == "double":
-                assert stream.doubles(1).tolist() == [rng.random()]
-            else:
-                assert stream.doubles(op[1]).tolist() == rng.random(op[1]).tolist()
-        state = rng.bit_generator.state
-        assert (stream.state, stream.inc) == (state["state"]["state"], state["state"]["inc"])
-        assert (stream.has_uint32, stream.uinteger) == (state["has_uint32"], state["uinteger"])
-    finally:
-        netgen._handoff["python_doubles"] = saved
+    # of doubles on either side of the chunk boundaries of the jump table.
+    stream = _Stream(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for op in ops:
+        if op[0] == "below":
+            assert stream.below(op[1]) == int(rng.integers(op[1]))
+        elif op[0] == "size":
+            got = [stream.below(op[1]) for _ in range(op[2])]
+            assert got == rng.integers(op[1], size=op[2]).tolist()
+        elif op[0] == "double":
+            assert stream.doubles(1).tolist() == [rng.random()]
+        else:
+            assert stream.doubles(op[1]).tolist() == rng.random(op[1]).tolist()
+    state = rng.bit_generator.state
+    assert (stream.state, stream.inc) == (state["state"]["state"], state["state"]["inc"])
+    assert (stream.has_uint32, stream.uinteger) == (state["has_uint32"], state["uinteger"])
 
 
 def reference_is_graphical(seq):
