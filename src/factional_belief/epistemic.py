@@ -340,20 +340,24 @@ def _events(model: EpistemicModel) -> range:
     return range(1 << m)
 
 
-def _search(events: range, kernel: _BeliefKernel, need: int, f: int) -> int:
-    """Union of the witness events: every event e that at least `need`
-    agents p-believe f on (e <= B_a(f)) and at least `need` agents find
-    evident (e <= B_a(e)). The cheap test on f runs first, and an event
-    already inside the union can add nothing, so neither pays for its own
-    belief sets. The empty event is vacuously a witness but contains no
-    outcome."""
-    agents = range(len(kernel.cells))
-    believe_f = [kernel.belief(j, f) for j in agents]
+def _evident(kernel: _BeliefKernel, need: int, e: int) -> bool:
+    """Whether at least `need` agents find the event evident (e <= B_a(e))."""
+    return sum(1 for j in range(len(kernel.cells)) if not e & ~kernel.belief(j, e)) >= need
+
+
+def _search(events, kernel: _BeliefKernel, need: int, f: int, *, evident: bool = False) -> int:
+    """Union of the witness events among `events`: every event e that at
+    least `need` agents p-believe f on (e <= B_a(f)) and that is evident
+    (`_evident`), a test skipped when the caller passes only evident events
+    (`evident=True`). The cheap test on f runs first, and an event already
+    inside the union can add nothing, so neither pays for the evidence
+    test. The empty event is vacuously a witness but contains no outcome."""
+    believe_f = [kernel.belief(j, f) for j in range(len(kernel.cells))]
     result = 0
     for e in events:
         if not e & ~result or sum(1 for b in believe_f if not e & ~b) < need:
             continue
-        if sum(1 for j in agents if not e & ~kernel.belief(j, e)) >= need:
+        if evident or _evident(kernel, need, e):
             result |= e
     return result
 
@@ -392,13 +396,17 @@ def check_fixpoint_search_agreement(
     """Verify, for every event f, that search-certified common belief agrees
     with membership in the hierarchy fixpoint. Both sides share one kernel,
     so every agent's belief in an event is computed once for the whole
-    sweep, which is feasible for the small models this is meant for."""
+    sweep, which is feasible for the small models this is meant for.
+    Whether an event is evident does not depend on f, so every event is
+    tested once and each f's search runs over the evident ones."""
     events = _events(model)
     mu = _check_mu(mu)
     kernel = _BeliefKernel(model, p)
     need = _need(model, mu)
+    evident = [e for e in events if _evident(kernel, need, e)]
     return all(
-        _search(events, kernel, need, f) == _fixpoint(kernel, mu, f) for f in events
+        _search(evident, kernel, need, f, evident=True) == _fixpoint(kernel, mu, f)
+        for f in events
     )
 
 

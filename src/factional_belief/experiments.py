@@ -25,10 +25,16 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import bounds as bounds_mod
-from .algorithms import algorithm1_auto_grid, equilibria_map, revolting_rule
+from .algorithms import (
+    _possible_types,
+    _type_key,
+    algorithm1_auto_grid,
+    equilibria_map,
+    revolting_rule,
+)
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
 from .fileio import format_decimal, format_rational
-from .model import ALPHA_CODE, CHI_CODE, ConcreteGraph, Prior
+from .model import ALPHA_CODE, CHI_CODE, NU_CODE, ConcreteGraph, Prior, integer_weights
 from .netgen import (
     FAMILIES,
     GenSpec,
@@ -169,12 +175,19 @@ def _chunks(cfg: SweepConfig):
         yield values, [(spec, cfg.prior, values) for spec in specs]
 
 
+def _mean(values: list[Fraction]) -> Fraction:
+    """The mean of the values, as one integer sum over their common
+    denominator."""
+    common, ints = integer_weights(values)
+    return Fraction(sum(ints), common * len(ints))
+
+
 def _aggregate(value: Fraction, results) -> dict:
     xa = [r[0] for r in results]
     xb = [r[1] for r in results]
     relabeled = sum(1 for r in results if r[2])
-    mean_a = sum(xa, Fraction(0)) / len(xa)
-    mean_b = sum(xb, Fraction(0)) / len(xb)
+    mean_a = _mean(xa)
+    mean_b = _mean(xb)
     std_a = stdev(float(x) for x in xa) if len(xa) > 1 else 0.0
     std_b = stdev(float(x) for x in xb) if len(xb) > 1 else 0.0
     return {
@@ -246,16 +259,33 @@ def sample_type_assignment(prior: Prior, state: str, n: int, seed: int) -> np.nd
     `model.TYPES` codes (alpha 0, chi 1, nu 2): a draw's code is the number
     of the cuts alpha and alpha + chi at or below it."""
     dist = prior.state(state).types
-    cuts = (float(dist.alpha), float(dist.alpha + dist.chi))
-    return np.searchsorted(cuts, _Stream(seed).doubles(n), side="right").astype(np.int8)
+    u = _Stream(seed).doubles(n)
+    codes = (u >= float(dist.alpha)).view(np.int8)
+    codes += u >= float(dist.alpha + dist.chi)
+    return codes
 
 
-def _count_members(keys: np.ndarray, sorted_keys: np.ndarray) -> int:
-    """How many of `keys` occur in the ascending array `sorted_keys`."""
-    if not len(sorted_keys):
-        return 0
-    at = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
-    return int(np.count_nonzero(sorted_keys[at] == keys))
+def _context_lookup(prior: Prior, deg: np.ndarray, contexts) -> tuple[np.ndarray, ...]:
+    """The revolting contexts as one flat bool table, with each vertex's
+    block start and alpha stride: a chi vertex with a alpha and v nu
+    neighbors is a candidate iff table[start + a * stride + v]. A block
+    per distinct degree d holds one cell for each (a, v) its degree table
+    can hold (`_possible_types`): (d + 1)^2 with alpha and nu agents
+    possible (stride d + 1), d + 1 with one of them and 1 with neither
+    (stride 1), so the table is never more than twice the rows of the
+    degree tables behind `contexts`."""
+    alpha, _chi, nu = _possible_types(_type_key(prior.states)[1])
+    degrees, at = np.unique(deg, return_inverse=True)
+    stride = degrees + 1 if nu else np.ones_like(degrees)
+    blocks = stride * (degrees + 1 if alpha else 1)
+    starts = np.cumsum(blocks) - blocks
+    index_of = {d: i for i, d in enumerate(degrees.tolist())}
+    i, a, v = np.array(
+        [(index_of[c.degree], c.alpha_neighbors, c.nu_neighbors) for c in contexts]
+    ).T
+    table = np.zeros(int(blocks.sum()), bool)
+    table[starts[i] + a * stride[i] + v] = True
+    return table, starts[at], stride[at]
 
 
 def run_validate(
@@ -271,10 +301,11 @@ def run_validate(
     expectations and the dependent-Chernoff envelope.
 
     The expected candidate fraction is the fixpoint's size less the alpha
-    mass. When every state survives, every chi vertex is a candidate;
-    otherwise a chi vertex of degree d with a alpha and c chi neighbors is a
-    candidate iff its key (d*M + a)*M + c, M = max degree + 1, is a
-    revolting context's.
+    mass. When every state survives, every chi vertex is a candidate, and
+    when none does, none is. Otherwise a chi vertex is a candidate iff its
+    cell of `_context_lookup` is set: one bincount over the arcs, in which
+    an alpha neighbor weighs the vertex's alpha stride and a nu neighbor
+    weighs 1, gives every vertex its cell.
 
     The envelope is the deviation at which the union bound over all trials
     of the two-sided tail reaches `level`: sqrt(chi* n ln(2 trials / level) / 2).
@@ -288,15 +319,12 @@ def run_validate(
     dist = prior.state(state).types
     exp_candidate = sizes[state] - dist.alpha
 
-    m = max(degseq) + 1
-    if m**3 >= 2**63:  # the largest key, M^3 - 1, must fit in an int64
-        raise SpaceTooLargeError(f"validate needs max degree < {2**21 - 1}, not {m - 1}")
-    cand_keys = None if contexts is None else np.sort(np.array(
-        [(c.degree * m + c.alpha_neighbors) * m + c.chi_neighbors for c in contexts],
-        np.int64,
-    ))
-    heads = np.repeat(np.arange(n), deg)
-    tails = graph.indices
+    if contexts:
+        table, start, stride = _context_lookup(prior, deg, contexts)
+        heads = np.repeat(np.arange(n), deg)
+        tails = graph.indices
+        # An alpha tail weighs its head's stride, kept in the narrowest int.
+        alpha_weight = np.repeat(stride.astype(np.min_scalar_type(stride.max())), deg)
 
     chi_star = bounds_mod.dependency_chi_star_bound(degseq)
     envelope = float(bounds_mod.chernoff_envelope(n, chi_star, trials, level))
@@ -307,14 +335,19 @@ def run_validate(
     for t in range(trials):
         codes = sample_type_assignment(prior, state, n, derive_seed(seed, t))
         chi = codes == CHI_CODE
-        if cand_keys is None:
+        if contexts is None:
             n_cand = int(np.count_nonzero(chi))
+        elif not contexts:
+            n_cand = 0
         else:
             tail_codes = codes[tails]
-            alpha_nbrs = np.bincount(heads[tail_codes == ALPHA_CODE], minlength=n)
-            chi_nbrs = np.bincount(heads[tail_codes == CHI_CODE], minlength=n)
-            keys = (deg[chi] * m + alpha_nbrs[chi]) * m + chi_nbrs[chi]
-            n_cand = _count_members(keys, cand_keys)
+            cells = np.bincount(
+                heads,
+                np.where(tail_codes == ALPHA_CODE, alpha_weight, tail_codes == NU_CODE),
+                n,
+            )
+            cells += start
+            n_cand = int(np.count_nonzero(table[cells.astype(np.intp)] & chi))
         dev = abs(n_cand - float(exp_candidate) * n)
         devs.append(dev)
         cand_sum += n_cand

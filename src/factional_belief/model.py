@@ -48,6 +48,7 @@ class AgentType(Enum):
 TYPES = tuple(AgentType)
 ALPHA_CODE = TYPES.index(AgentType.ALPHA)
 CHI_CODE = TYPES.index(AgentType.CHI)
+NU_CODE = TYPES.index(AgentType.NU)
 
 
 class Action(Enum):

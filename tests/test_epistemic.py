@@ -240,6 +240,35 @@ class TestBattery:
             model, p, mu = random_epistemic_model(derive_seed(2024, i))
             assert check_fixpoint_search_agreement(model, p, mu), (i, p, mu)
 
+    def test_battery_fails_when_the_fixpoint_drops_an_outcome(self, monkeypatch):
+        # f = the universe is common belief everywhere, so a fixpoint that
+        # loses its lowest outcome disagrees with the search on every model.
+        real = epistemic._fixpoint
+
+        def lossy(kernel, mu, f):
+            result = real(kernel, mu, f)
+            return result & (result - 1)
+
+        models = [random_epistemic_model(derive_seed(404, i)) for i in range(20)]
+        assert all(check_fixpoint_search_agreement(*m) for m in models)
+        monkeypatch.setattr(epistemic, "_fixpoint", lossy)
+        assert not any(check_fixpoint_search_agreement(*m) for m in models)
+
+    def test_search_over_evident_events_equals_search_set(self):
+        # The battery's search, run over the events found evident once per
+        # model, against the single-f search over all events, for every f.
+        for i in range(200):
+            model, p, mu = random_epistemic_model(derive_seed(303, i))
+            kernel = epistemic._BeliefKernel(model, p)
+            need = epistemic._need(model, mu)
+            events = epistemic._events(model)
+            evident = [e for e in events if epistemic._evident(kernel, need, e)]
+            for f in events:
+                hoisted = epistemic._search(evident, kernel, need, f, evident=True)
+                assert kernel.event(hoisted) == common_belief_search_set(
+                    model, p, mu, kernel.event(f)
+                ), (i, f)
+
     def test_operator_laws_on_random_models(self):
         for i in range(120):
             model, p, _mu = random_epistemic_model(derive_seed(55, i))

@@ -1,4 +1,5 @@
 import os
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 
 from factional_belief import (
-    ConcreteGraph, TypeDistribution, algorithm1, torus_grid, two_state_prior,
+    AgentType, ConcreteGraph, ContextClass, TypeDistribution, algorithm1,
+    enumerate_contexts, torus_grid, two_state_prior,
 )
 from factional_belief import experiments
 from factional_belief.errors import (
     GenerationError, MislabeledStatesError, SpaceTooLargeError, ValidationError,
 )
+from factional_belief.fileio import format_rational
 from factional_belief.netgen import VERTEX_GUARD, derive_seed
 from factional_belief.experiments import (
     SweepConfig,
@@ -24,6 +27,7 @@ from factional_belief.experiments import (
     sample_type_assignment,
     worker_count,
 )
+from test_properties import per_vertex_counts
 
 class TestGrid:
     def test_inclusive_exact(self):
@@ -285,6 +289,26 @@ class TestSweepPool:
         assert str(os.getpid()) not in pids
 
 
+class TestAggregate:
+    def test_means_match_fraction_sums(self):
+        # One integer sum over the common denominator, against Fraction sums
+        # one value at a time, on random rationals of mixed denominators.
+        rng = random.Random(17)
+
+        def rational():
+            den = rng.choice([1, 3, 2 ** rng.randint(0, 40), rng.randint(1, 10**9)])
+            return F(rng.randint(-10**6, 10**6), den)
+
+        for _ in range(200):
+            k = rng.randint(1, 12)
+            xa = [rational() for _ in range(k)]
+            xb = [rational() for _ in range(k)]
+            assert experiments._mean(xa) == sum(xa, F(0)) / k
+            row = experiments._aggregate(F(1, 3), [(a, b, False) for a, b in zip(xa, xb)])
+            assert row["mean_eA_exact"] == format_rational(sum(xa, F(0)) / k)
+            assert row["mean_eB_exact"] == format_rational(sum(xb, F(0)) / k)
+
+
 class TestPromiseMap:
     def test_rows(self, motivating_prior):
         rows = run_promise_map(
@@ -333,21 +357,80 @@ class TestValidate:
             expected = codes[3:].count(1) + (len(triangle) if len(triangle) > 1 else 0)
             assert row["n_candidates"] == expected
 
-    def test_context_key_guard(self, monkeypatch):
-        # Keys (d*M + a)*M + c stay below 2^63 iff M = max degree + 1 < 2^21.
-        # A one-vertex stand-in for a graph with such a hub; revolting_rule
-        # and the sampling are patched to keep the test cheap.
+    def test_hub_lookup_sized_by_table_shape(self, monkeypatch):
+        # A hub of degree 2^21 - 2 or 2^21 - 1 (either side of the limit the
+        # former int64 context keys had) gets a lookup block of 1 cell with
+        # only chi agents possible and d + 1 with chi and nu, and validate
+        # reaches the sampling. A one-vertex stand-in for a graph with such
+        # a hub; revolting_rule and the sampling are patched to keep the
+        # test cheap.
         def sampled(*_args):
             raise LookupError("sampled")
 
-        monkeypatch.setattr(experiments, "revolting_rule", lambda *_a: ({"A": F(1)}, []))
+        tables = []
+
+        def lookup(*args):
+            out = real_lookup(*args)
+            tables.append(len(out[0]))
+            return out
+
+        real_lookup = experiments._context_lookup
+        monkeypatch.setattr(experiments, "_context_lookup", lookup)
         monkeypatch.setattr(experiments, "sample_type_assignment", sampled)
-        dist = TypeDistribution(F(0), F(1), F(0))
-        prior = two_state_prior(F(1, 2), F(1, 2), dist, dist)
-        for d, error in ((2**21 - 2, LookupError), (2**21 - 1, SpaceTooLargeError)):
+        chi_only = TypeDistribution(F(0), F(1), F(0))
+        chi_nu = TypeDistribution(F(0), F(1, 2), F(1, 2))
+        for d in (2**21 - 2, 2**21 - 1):
             hub = SimpleNamespace(n=1, indptr=np.array([0, d]), indices=np.arange(d))
-            with pytest.raises(error):
-                run_validate(hub, prior, "A", trials=1, seed=0)
+            for dist, context in (
+                (chi_only, ContextClass(AgentType.CHI, 0, d, 0)),
+                (chi_nu, ContextClass(AgentType.CHI, 0, 1, d - 1)),
+            ):
+                prior = two_state_prior(F(1, 2), F(1, 2), dist, dist)
+                monkeypatch.setattr(
+                    experiments, "revolting_rule", lambda *_a: ({"A": F(1)}, [context])
+                )
+                with pytest.raises(LookupError):
+                    run_validate(hub, prior, "A", trials=1, seed=0)
+        assert tables == [1, 2**21 - 1, 1, 2**21]
+
+    def test_every_state_survives_every_chi_vertex_counts(self, motivating_prior):
+        # At mu = 1/10 both states reach mu: no table, every chi vertex.
+        prior = replace(motivating_prior, mu=F(1, 10))
+        graph = torus_grid(4, 5)
+        assert experiments.revolting_rule(graph.degree_sequence(), prior)[1] is None
+        report = run_validate(graph, prior, "A", trials=6, seed=4)
+        assert all(r["n_candidates"] == r["n_chi"] > 0 for r in report["trial_rows"])
+
+    def test_no_state_survives_no_candidate(self, motivating_prior):
+        # At mu = 1 no state reaches mu: no table, and no candidate.
+        prior = replace(motivating_prior, mu=F(1))
+        graph = torus_grid(4, 5)
+        assert experiments.revolting_rule(graph.degree_sequence(), prior)[1] == []
+        report = run_validate(graph, prior, "A", trials=6, seed=4)
+        assert all(r["n_candidates"] == 0 < r["n_chi"] for r in report["trial_rows"])
+
+    def test_revolting_subset_matches_per_vertex_count(self):
+        # A star, a path, a triangle and an isolated vertex (degrees 0, 1, 2
+        # and 5) under a prior with alpha agents in both states: some but
+        # not all chi contexts revolt, and the lookup counts what a
+        # vertex-by-vertex count does, with chi vertices both in and out.
+        edges = [(0, i) for i in range(1, 6)]
+        edges += [(6, 7), (7, 8), (8, 9), (11, 12), (12, 13), (11, 13)]
+        graph = ConcreteGraph(14, edges)
+        prior = two_state_prior(
+            F(2, 5), F(1, 2),
+            TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+            TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+        )
+        degseq = graph.degree_sequence()
+        contexts = experiments.revolting_rule(degseq, prior)[1]
+        possible = sum(len(enumerate_contexts(d, AgentType.CHI)) for d in set(degseq))
+        assert 0 < len(contexts) < possible
+        for state in "AB":
+            report = run_validate(graph, prior, state, trials=40, seed=3)
+            rows = [(r["n_alpha"], r["n_chi"], r["n_candidates"]) for r in report["trial_rows"]]
+            assert rows == per_vertex_counts(graph, prior, state, 3, 40)
+            assert any(0 < cand < chi for _a, chi, cand in rows)
 
     def test_forced_type_has_zero_deviation(self):
         dist = TypeDistribution(F(0), F(1), F(0))
