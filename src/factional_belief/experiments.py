@@ -271,9 +271,9 @@ def _context_lookup(prior: Prior, deg: np.ndarray, contexts) -> tuple[np.ndarray
     neighbors is a candidate iff table[start + a * stride + v]. A block
     per distinct degree d holds one cell for each (a, v) its degree table
     can hold (`_possible_types`): (d + 1)^2 with alpha and nu agents
-    possible (stride d + 1), d + 1 with one of them and 1 with neither
-    (stride 1), so the table is never more than twice the rows of the
-    degree tables behind `contexts`."""
+    possible, d + 1 with one of them and 1 with neither, so the table is
+    never more than twice the rows of the degree tables behind
+    `contexts`. The stride is d + 1 where nu agents are possible, else 1."""
     alpha, _chi, nu = _possible_types(_type_key(prior.states)[1])
     degrees, at = np.unique(deg, return_inverse=True)
     stride = degrees + 1 if nu else np.ones_like(degrees)

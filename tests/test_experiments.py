@@ -358,12 +358,12 @@ class TestValidate:
             assert row["n_candidates"] == expected
 
     def test_hub_lookup_sized_by_table_shape(self, monkeypatch):
-        # A hub of degree 2^21 - 2 or 2^21 - 1 (either side of the limit the
-        # former int64 context keys had) gets a lookup block of 1 cell with
-        # only chi agents possible and d + 1 with chi and nu, and validate
-        # reaches the sampling. A one-vertex stand-in for a graph with such
-        # a hub; revolting_rule and the sampling are patched to keep the
-        # test cheap.
+        # A hub of degree 2^21 - 2 or 2^21 - 1, whose (d + 1)^2 cells would
+        # not fit in memory, gets a lookup block of 1 cell with only chi
+        # agents possible and d + 1 with chi and nu, and validate reaches
+        # the sampling. A one-vertex stand-in for a graph with such a hub;
+        # revolting_rule and the sampling are patched to keep the test
+        # cheap.
         def sampled(*_args):
             raise LookupError("sampled")
 
