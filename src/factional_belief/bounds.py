@@ -3,17 +3,33 @@ dependent Chernoff-Hoeffding bound parameterized by a fractional-chromatic
 bound on the dependency graph, and the high-degree state-detection bound.
 
 Rational quantities stay exact; the exponential bounds are evaluated in
-240-bit binary floating point via mpmath. Comparisons of bound values
-against data use a documented 1e-15 tolerance at report precision.
+90-digit decimal floating point with the standard library's `decimal`,
+whose exp, ln and sqrt are correctly rounded. Its exponent range is opened
+to the widest the module allows, so that tails such as e^(-2*10^18) keep
+their digits; a bound below that range is refused rather than rounded to 0.
+Comparisons of bound values against data use a documented 1e-15 tolerance
+at report precision.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_UP,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    Subnormal,
+    Underflow,
+    localcontext,
+)
 from fractions import Fraction
 from typing import Union
-
-import mpmath
 
 from .errors import ValidationError
 from .model import (
@@ -24,10 +40,17 @@ from .model import (
     validate_degree_sequence,
 )
 
-PRECISION_BITS = 240
+PRECISION_DIGITS = 90
+REPORT_DIGITS = 20
 REPORT_TOLERANCE = 1e-15
+CONTEXT = Context(
+    prec=PRECISION_DIGITS,
+    Emin=MIN_EMIN,
+    Emax=MAX_EMAX,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Underflow, Subnormal],
+)
 
-BoundValue = Union[Fraction, mpmath.mpf]
+BoundValue = Union[Fraction, Decimal]
 
 
 @dataclass(frozen=True)
@@ -51,7 +74,7 @@ class BoundReport:
     def value_str(self) -> str:
         if isinstance(self.value, Fraction):
             return str(self.value)
-        return mpmath.nstr(self.value, 20)
+        return _report_digits(self.value)
 
 
 def markov_noncandidate_bound(
@@ -77,7 +100,7 @@ def noncandidate_expectation_torus(prior: Prior, state: str) -> Fraction:
     return dist.nu + chi * (none + one)
 
 
-def dependent_chernoff(n: int, t, chi_star) -> mpmath.mpf:
+def dependent_chernoff(n: int, t, chi_star) -> Decimal:
     """One-sided tail bound exp(-2 t^2 / (chi_star * n)) for sums of [0,1]
     variables whose dependency graph has fractional chromatic number at most
     chi_star."""
@@ -89,9 +112,8 @@ def dependent_chernoff(n: int, t, chi_star) -> mpmath.mpf:
         raise ValidationError("t must be positive")
     if chi_star < 1:
         raise ValidationError("chi_star must be at least 1")
-    with mpmath.workprec(PRECISION_BITS):
-        expo = mpmath.mpf(-2) * _to_mpf(t) ** 2 / (_to_mpf(chi_star) * n)
-        return mpmath.exp(expo)
+    with _evaluation():
+        return (-2 * _to_decimal(t) ** 2 / (_to_decimal(chi_star) * n)).exp()
 
 
 def dependency_chi_star_bound(degseq: DegreeSequence) -> int:
@@ -99,8 +121,10 @@ def dependency_chi_star_bound(degseq: DegreeSequence) -> int:
     dependency graph from a degree sequence: indicators of agents within two
     hops can be correlated, so the dependency degree is at most
     d_max + d_max*(d_max - 1); plus one for the coloring bound."""
-    seq = validate_degree_sequence(degseq)
-    d_max = max(seq)
+    return _chi_star_from_max_degree(max(validate_degree_sequence(degseq)))
+
+
+def _chi_star_from_max_degree(d_max: int) -> int:
     return d_max + d_max * (d_max - 1) + 1
 
 
@@ -119,7 +143,7 @@ def dependency_chi_star_bound_graph(graph: ConcreteGraph) -> int:
     return best + 1
 
 
-def high_degree_state_bound(epsilon0, c, n: int) -> mpmath.mpf:
+def high_degree_state_bound(epsilon0, c, n: int) -> Decimal:
     """Tail bound 2 exp(-2 (epsilon0 * c)^2 * n^(1/3)) on a high-degree
     agent's neighborhood count deviating enough to confuse the state."""
     epsilon0 = Fraction(epsilon0)
@@ -128,9 +152,9 @@ def high_degree_state_bound(epsilon0, c, n: int) -> mpmath.mpf:
         raise ValidationError("epsilon0 and c must be positive")
     if n < 1:
         raise ValidationError("n must be at least 1")
-    with mpmath.workprec(PRECISION_BITS):
-        root = mpmath.cbrt(mpmath.mpf(n))
-        return 2 * mpmath.exp(mpmath.mpf(-2) * _to_mpf((epsilon0 * c) ** 2) * root)
+    with _evaluation():
+        root = (Decimal(n).ln() / 3).exp()
+        return 2 * (-2 * _to_decimal((epsilon0 * c) ** 2) * root).exp()
 
 
 def high_degree_separation(prior: Prior, epsilon0) -> bool:
@@ -145,7 +169,7 @@ def high_degree_separation(prior: Prior, epsilon0) -> bool:
     return abs(mass["A"] - mass["B"]) > 2 * epsilon0
 
 
-def chernoff_envelope(n: int, chi_star: int, trials: int, level=Fraction(1, 100)) -> mpmath.mpf:
+def chernoff_envelope(n: int, chi_star: int, trials: int, level=Fraction(1, 100)) -> Decimal:
     """Deviation t at which the union bound over `trials` two-sided
     dependent-Chernoff tails reaches `level`:
     t = sqrt(chi_star * n * ln(2 * trials / level) / 2)."""
@@ -156,10 +180,40 @@ def chernoff_envelope(n: int, chi_star: int, trials: int, level=Fraction(1, 100)
         raise ValidationError("chi_star must be at least 1")
     if trials < 1 or not 0 < level <= 1:
         raise ValidationError("need trials >= 1 and 0 < level <= 1")
-    with mpmath.workprec(PRECISION_BITS):
-        inner = mpmath.log(_to_mpf(Fraction(2 * trials) / level))
-        return mpmath.sqrt(mpmath.mpf(chi_star) * n * inner / 2)
+    with _evaluation():
+        inner = _to_decimal(Fraction(2 * trials) / level).ln()
+        return (Decimal(chi_star) * n * inner / 2).sqrt()
 
 
-def _to_mpf(x: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+@contextmanager
+def _evaluation():
+    """Evaluate in CONTEXT, refusing a result below its exponent range."""
+    with localcontext(CONTEXT):
+        try:
+            yield
+        except Subnormal:  # Underflow is a Subnormal too
+            raise ValidationError(
+                f"bound is below 1E{MIN_EMIN}, the smallest value it can be evaluated to"
+            ) from None
+
+
+def _to_decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / x.denominator
+
+
+def _report_digits(x: Decimal) -> str:
+    """A positive x in the report format: REPORT_DIGITS significant digits,
+    rounded half up on the next one, trailing zeros stripped but one kept
+    after the point, and fixed point when the leading digit's exponent lies
+    strictly between -6 and 20, else `<digits>e<signed exponent>`."""
+    with localcontext(CONTEXT):
+        lead = x.adjusted()
+        head = int(x.scaleb(REPORT_DIGITS - 1 - lead).to_integral_value(ROUND_HALF_UP))
+    if head == 10**REPORT_DIGITS:  # the rounding carried into a new digit
+        head, lead = head // 10, lead + 1
+    digits = str(head).rstrip("0")
+    if not -6 < lead < REPORT_DIGITS:
+        return f"{digits[0]}.{digits[1:] or '0'}e{lead:+d}"
+    if lead < 0:
+        return "0." + "0" * (-lead - 1) + digits
+    return f"{digits[: lead + 1].ljust(lead + 1, '0')}.{digits[lead + 1 :] or '0'}"

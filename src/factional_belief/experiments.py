@@ -326,7 +326,8 @@ def run_validate(
         # An alpha tail weighs its head's stride, kept in the narrowest int.
         alpha_weight = np.repeat(stride.astype(np.min_scalar_type(stride.max())), deg)
 
-    chi_star = bounds_mod.dependency_chi_star_bound(degseq)
+    # revolting_rule has already refused an empty or invalid degseq.
+    chi_star = bounds_mod._chi_star_from_max_degree(int(deg.max()))
     envelope = float(bounds_mod.chernoff_envelope(n, chi_star, trials, level))
 
     trial_rows = []

@@ -42,6 +42,7 @@ EDGE_GUARD = 5_000_000  # edges, or expected edges for G(n, p), one generator ma
 REALIZE_EDGE_GUARD = 500_000  # edges realize_graph may make: 10 swap attempts each
 ER_BLOCK = 1 << 16  # most uniforms er_graph draws at once
 POWERLAW_ATTEMPTS = 10_000  # whole-sequence draws powerlaw_sequence makes
+POWERLAW_DOUBLES = 25_000_000  # doubles those draws take in all (n each)
 
 
 def splitmix64(x: int) -> int:
@@ -301,7 +302,9 @@ def powerlaw_sequence(n: int, gamma, seed: int) -> list[int]:
     the sequence is graphical.
 
     The truncation window [1, n-1] is fixed and recorded by `gen` output
-    metadata. Heavy exponents below ~1.7 may exhaust the attempt cap.
+    metadata. Heavy exponents below ~1.7 may exhaust the attempt cap,
+    POWERLAW_ATTEMPTS draws, or POWERLAW_DOUBLES // n draws past n = 2,500,
+    so that a request that cannot succeed fails in seconds.
     """
     try:
         gamma = float(gamma)
@@ -316,14 +319,16 @@ def powerlaw_sequence(n: int, gamma, seed: int) -> list[int]:
     weights = support.astype(np.float64) ** (-gamma)
     cumulative = np.cumsum(weights)
     cumulative /= cumulative[-1]
-    for _ in range(POWERLAW_ATTEMPTS):
+    attempts = min(POWERLAW_ATTEMPTS, POWERLAW_DOUBLES // n)
+    for _ in range(attempts):
         draws = support[np.searchsorted(cumulative, stream.doubles(n), side="left")]
         seq = [int(d) for d in draws]
         if is_graphical(seq):
             return seq
     raise GenerationError(
-        f"no graphical power-law sequence in {POWERLAW_ATTEMPTS} attempts "
-        f"(n={n}, gamma={gamma})"
+        f"no graphical power-law sequence in {attempts} attempts "
+        f"(n={n}, gamma={gamma}; at most {POWERLAW_ATTEMPTS} attempts "
+        f"and {POWERLAW_DOUBLES} doubles in all)"
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from factional_belief import ConcreteGraph, torus_grid, two_state_prior
 from factional_belief.bounds import (
     BoundReport,
+    CONTEXT,
     REPORT_TOLERANCE,
     chernoff_envelope,
     dependency_chi_star_bound,
@@ -179,3 +180,67 @@ def test_population_below_one_rejected(bound):
         with pytest.raises(ValidationError, match="^n must be at least 1$"):
             bound(n)
     assert bound(1) > 0
+
+
+# Report strings and floats recorded from an independent 240-bit binary
+# floating-point evaluation. They cover the inputs above, leading digits at
+# 10^-6 (exponent form) and 10^-5 (fixed point), exponents 19 and 20,
+# roundings that carry through a run of 9s (into a new leading digit for
+# exp(-2e-30)), and tails far below the default context's range.
+GOLDEN = [
+    ("dependent_chernoff", (1000, 100, 10), "0.13533528323661269189", "0.1353352832366127"),
+    ("dependent_chernoff", (10**6, F(1, 1000), 1), "0.999999999998", "0.999999999998"),
+    ("dependent_chernoff", (500, 30, 1), "0.027323722447292560802", "0.027323722447292562"),
+    ("dependent_chernoff", (1000, 200, 10), "0.00033546262790251183882", "0.00033546262790251185"),
+    ("dependent_chernoff", (2000, 200, 10), "0.018315638888734180294", "0.01831563888873418"),
+    ("dependent_chernoff", (1, 1, 1), "0.13533528323661269189", "0.1353352832366127"),
+    ("dependent_chernoff", (800, F(53, 7), F(13, 2)), "0.9781926295419553998",
+     "0.9781926295419554"),
+    ("dependent_chernoff", (1000, 70, 1), "0.000055451599432176981809", "5.545159943217698e-05"),
+    ("dependent_chernoff", (1000, 78, 1), "5.1940334740028534222e-6", "5.1940334740028535e-06"),
+    ("dependent_chernoff", (10**30, 1, 1), "1.0", "1.0"),
+    ("dependent_chernoff", (1, 10**4, 1), "4.1624557960450326312e-86858897", "0.0"),
+    ("dependent_chernoff", (1, 10**6, 1), "3.1357735874670372591e-868588963807", "0.0"),
+    ("dependent_chernoff", (1000, 10**7, 1), "2.2368376793064795184e-86858896381", "0.0"),
+    ("high_degree_state_bound", (F(1, 10), 1, 1000), "1.6374615061559637173",
+     "1.6374615061559636"),
+    ("high_degree_state_bound", (F(1, 2), 2, 10**6), "2.7677930534734750613e-87",
+     "2.767793053473475e-87"),
+    ("high_degree_state_bound", (F(1, 10), 1, 1), "1.9603973466135106044", "1.9603973466135105"),
+    ("high_degree_state_bound", (F(3, 7), F(2, 5), 12345), "0.5141449737994353019",
+     "0.5141449737994354"),
+    ("high_degree_state_bound", (10**9, 1, 1), "9.9717678172210289955e-868588963806503656", "0.0"),
+    ("chernoff_envelope", (1000, 17, 200, F(1, 100)), "300.11896846303571073",
+     "300.1189684630357"),
+    ("chernoff_envelope", (9, 5, 1, F(1)), "3.9491532716012390118", "3.949153271601239"),
+    ("chernoff_envelope", (5, 1, 1), "3.6394770800720935016", "3.6394770800720937"),
+    ("chernoff_envelope", (800, 13, 150, F(1, 50)), "223.61169132323695434", "223.61169132323695"),
+    ("chernoff_envelope", (1, 1, 1), "1.6276236307187292551", "1.6276236307187293"),
+    ("chernoff_envelope", (70, 1, 5), "15.549001085741", "15.549001085741"),
+    ("chernoff_envelope", (10**6, 10**4, 10**5), "289924.4973395510183", "289924.49733955105"),
+    ("chernoff_envelope", (10**38, 1, 1), "16276236307187292551.0", "1.6276236307187292e+19"),
+    ("chernoff_envelope", (10**40, 1, 1), "1.6276236307187292551e+20", "1.6276236307187293e+20"),
+]
+BOUNDS = {
+    "dependent_chernoff": dependent_chernoff,
+    "high_degree_state_bound": high_degree_state_bound,
+    "chernoff_envelope": chernoff_envelope,
+}
+
+
+@pytest.mark.parametrize("name,args,text,float_repr", GOLDEN)
+def test_golden_values(name, args, text, float_repr):
+    value = BOUNDS[name](*args)
+    assert BoundReport(name, {}, value).value_str() == text
+    assert repr(float(value)) == float_repr
+
+
+@pytest.mark.parametrize("bound", [
+    lambda: dependent_chernoff(1, 10**10, 1),
+    lambda: high_degree_state_bound(10**10, 1, 1),
+])
+def test_below_decimal_range_rejected(bound):
+    # e^(-2*10^20) is below the least positive value of the context; it is
+    # refused, never reported as 0.
+    with pytest.raises(ValidationError, match=f"^bound is below 1E{CONTEXT.Emin},"):
+        bound()

@@ -647,6 +647,13 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "--n must be at least 1" in captured.err
 
+    def test_bound_below_decimal_range_exits_2(self, prior_file, capsys):
+        # The tail e^(-2*10^20) is refused, never printed as 0.
+        argv = ["bounds", "--prior", prior_file, "--n", "1", "--epsilon0", "10000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bound is below 1E-" in captured.err
+
 
 @pytest.mark.parametrize("level", ["4", "3/2", "0", "-1/2"])
 def test_validate_level_outside_unit_interval_exits_2(level, prior_file, capsys):
@@ -1167,9 +1174,14 @@ def test_jobs_do_not_import_numpy_ma(prior_file, tmp_path):
 
 NUMPY_RANDOM_PROBE = """
 import sys
+before = set(sys.modules)
 from factional_belief.cli import main
 assert main(sys.argv[1:]) == 0
 assert "numpy.random" not in sys.modules
+imported = {name.partition(".")[0] for name in set(sys.modules) - before}
+outside = imported - set(sys.stdlib_module_names)
+# A leading underscore marks an alias such as multiprocessing's __mp_main__.
+assert {name for name in outside if name[0] != "_"} <= {"factional_belief", "numpy"}, outside
 """
 
 
@@ -1188,15 +1200,20 @@ assert "numpy.random" not in sys.modules
     "validate --prior {prior} --family ba --n 1000 --param 2 --trials 17",
     "gen --family er --n 3000 --param 1/100",
     "epistemic --verify-prop1 3",
+    "validate --prior {prior} --torus 8 8 --trials 2",
+    "bounds --prior {prior} --degrees {degrees}",
 ])
-def test_sampling_jobs_do_not_import_numpy_random(line, prior_file, tmp_path):
+def test_sampling_jobs_do_not_import_numpy_random(line, prior_file, const4_file, tmp_path):
     # Every draw, a bounded integer or a block of doubles of any size, is
     # made on the package's own PCG64 stream, so no job pays the
-    # numpy.random import (about 15 ms in a fresh process).
+    # numpy.random import (about 15 ms in a fresh process). The bounds are
+    # evaluated in the standard library's decimal, so numpy is the only
+    # package outside it that a job imports.
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
+    argv = shlex.split(line.format(prior=prior_file, degrees=const4_file))
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_RANDOM_PROBE, *shlex.split(line.format(prior=prior_file))],
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE, *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

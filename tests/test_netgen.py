@@ -18,7 +18,12 @@ from factional_belief import (
     torus_grid,
 )
 from factional_belief import netgen
-from factional_belief.errors import NotGraphicalError, SpaceTooLargeError, ValidationError
+from factional_belief.errors import (
+    GenerationError,
+    NotGraphicalError,
+    SpaceTooLargeError,
+    ValidationError,
+)
 from factional_belief.netgen import (
     VERTEX_GUARD,
     generate_graph,
@@ -108,6 +113,21 @@ class TestPowerLaw:
     def test_gamma_guard(self):
         with pytest.raises(ValidationError):
             powerlaw_sequence(10, 1.0, 0)
+
+    def test_attempts_capped_by_doubles_drawn(self, monkeypatch):
+        # Up to n = 2,500 every request keeps its 10,000 attempts.
+        assert netgen.POWERLAW_DOUBLES // 2_500 == netgen.POWERLAW_ATTEMPTS == 10_000
+        monkeypatch.setattr(netgen, "POWERLAW_ATTEMPTS", 7)
+        monkeypatch.setattr(netgen, "POWERLAW_DOUBLES", 500)
+        drawn = []
+        monkeypatch.setattr(netgen, "is_graphical", lambda seq: drawn.append(len(seq)) and False)
+        for n, attempts in ((50, 7), (100, 5), (250, 2), (501, 0)):
+            drawn.clear()
+            with pytest.raises(GenerationError, match=(
+                rf"in {attempts} attempts .*at most 7 attempts and 500 doubles in all"
+            )):
+                powerlaw_sequence(n, 2.5, 0)
+            assert drawn == [n] * attempts
 
 
 class TestBarabasiAlbert:
