@@ -609,8 +609,6 @@ def _fixpoints(
     reveal the true state: a chi agent among them believes the candidate
     set exactly in the states inside it, and revolts there (everywhere
     when p = 0)."""
-    if revealed < 0:
-        raise ValidationError("revealed agent count must be nonnegative")
     # Revealed agents alone make a nonempty population.
     seq = [] if revealed and not degseq else validate_degree_sequence(degseq)
     n = len(seq) + revealed

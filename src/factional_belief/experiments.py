@@ -438,7 +438,7 @@ def random_epistemic_model(seed: int):
     )
     p = Fraction(stream.below(9), 8)
     mu = Fraction(stream.below(9), 8)
-    return model, min(p, Fraction(1)), min(mu, Fraction(1))
+    return model, p, mu
 
 
 def prop1_battery(count: int, seed: int) -> tuple[int, int]:

@@ -74,10 +74,6 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
 _DOUBLE_UNIT = np.float64(2.0**-53)
 DOUBLE_CHUNK = 1 << 12  # most LCG states one pass of `_Stream.doubles` computes
-# Widest draw whose C_i = G_i*inc and A_i*s share one product. On wider rows
-# the stacked product, whose multiplier column is read at stride 0 and whose
-# temporaries are twice as large, is slower than the call it saves.
-STACKED_WIDTH = 1 << 10
 # Word constants stay np.uint64 so that every operand of the word arithmetic
 # is uint64, which gives the same wrapping results under numpy 1.x's
 # value-based casting and under NEP 50.
@@ -95,19 +91,12 @@ def _as_int(hi, lo) -> int:
     return int(hi) << 64 | int(lo)
 
 
-def _mul128(hi, lo, c):
-    """(hi, lo) * c mod 2**128 for uint64 word arrays hi, lo and an int c,
-    or a tuple of ints, one per row of hi and lo: the high word of lo * c_lo
-    is summed from 32-bit limb products, none of whose partial sums can pass
-    2**64; the cross terms wrap mod 2**64."""
-    if isinstance(c, tuple):  # the multipliers' words as a column
-        c_hi, c_lo, c0, c1 = np.array(
-            [[[x >> 64], [x & _MASK64], [x & _MASK32], [x >> 32 & _MASK32]] for x in c],
-            np.uint64,
-        ).transpose(1, 0, 2)
-    else:
-        c_hi, c_lo = _words(c)
-        c0, c1 = np.uint64(c & _MASK32), np.uint64(c >> 32 & _MASK32)
+def _mul128(hi, lo, c: int):
+    """(hi, lo) * c mod 2**128 for uint64 word arrays hi, lo and an int c:
+    the high word of lo * c_lo is summed from 32-bit limb products, none of
+    whose partial sums can pass 2**64; the cross terms wrap mod 2**64."""
+    c_hi, c_lo = _words(c)
+    c0, c1 = np.uint64(c & _MASK32), np.uint64(c >> 32 & _MASK32)
     a0, a1 = lo & _LOW32, lo >> _W32
     low_mid = a0 * c0
     low_mid >>= _W32
@@ -238,22 +227,15 @@ class _Stream:
 
     def doubles(self, k: int) -> np.ndarray:
         """k uniform doubles in [0, 1). Each block of states is A_i*s + C_i
-        for the block's start state s, with C_i = G_i*inc computed once; a
-        draw of at most STACKED_WIDTH doubles, one block, computes C in the
-        same product as the block's A_i*s."""
+        for the block's start state s, with C_i = G_i*inc computed once."""
         out = np.empty(k)
         width = min(k, DOUBLE_CHUNK)
         table_hi, table_lo = _jump_table(width)
+        inc_hi, inc_lo = _mul128(table_hi[1, :width], table_lo[1, :width], self.inc)
         s = self.state
-        stacked = k <= STACKED_WIDTH
-        if stacked:
-            (hi, inc_hi), (lo, inc_lo) = _mul128(table_hi[:, :k], table_lo[:, :k], (s, self.inc))
-        else:
-            inc_hi, inc_lo = _mul128(table_hi[1, :width], table_lo[1, :width], self.inc)
         for start in range(0, k, DOUBLE_CHUNK):
             n = min(DOUBLE_CHUNK, k - start)
-            if not stacked:
-                hi, lo = _mul128(table_hi[0, :n], table_lo[0, :n], s)
+            hi, lo = _mul128(table_hi[0, :n], table_lo[0, :n], s)
             _add128(hi, lo, inc_hi[:n], inc_lo[:n])
             s = _as_int(hi[-1], lo[-1])
             lo ^= hi  # XSL-RR: rotate hi ^ lo right by the top 6 bits

@@ -781,3 +781,20 @@ class TestMultistate:
                     break
                 survivors.remove(failing[0])
             assert frozenset(survivors) == batch
+
+
+# Each call gets the motivating prior.
+REFUSALS = [
+    pytest.param(lambda prior: high_degree_cutoff(0, 1), ValidationError,
+                 "need cutoff_c > 0 and n >= 1", id="cutoff-n-0"),
+    pytest.param(lambda prior: high_degree_cutoff(5, 0), ValidationError,
+                 "need cutoff_c > 0 and n >= 1", id="cutoff-c-0"),
+    pytest.param(lambda prior: algorithm1_general([1, 1], prior, epsilon=0), ValidationError,
+                 "epsilon must be positive", id="general-epsilon-0"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message, motivating_prior):
+    with pytest.raises(error) as info:
+        call(motivating_prior)
+    assert type(info.value) is error and str(info.value) == message

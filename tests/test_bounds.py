@@ -244,3 +244,15 @@ def test_below_decimal_range_rejected(bound):
     # refused, never reported as 0.
     with pytest.raises(ValidationError, match=f"^bound is below 1E{CONTEXT.Emin},"):
         bound()
+
+
+REFUSALS = [
+    pytest.param(lambda: high_degree_state_bound(0, 1, 5), ValidationError,
+                 "epsilon0 and c must be positive", id="state-bound-epsilon0-0"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -13,8 +13,15 @@ import pytest
 
 from factional_belief import algorithms, cli, experiments, netgen
 from factional_belief.cli import HANDLERS, build_parser, main
-from factional_belief.fileio import format_edge_list, parse_edge_list
+from factional_belief.fileio import (
+    format_decimal,
+    format_edge_list,
+    format_rational,
+    parse_edge_list,
+    prior_from_dict,
+)
 from factional_belief.model import ConcreteGraph
+from factional_belief.oracle import RevoltInstance, revolt_decision
 
 MOTIVATING = {
     "p": "2/5",
@@ -465,6 +472,33 @@ class TestOracleCommand:
 
     def test_bad_inline_edges(self, capsys):
         assert main(["oracle", "--edges", "0:1", "--clique-reduce", "1"]) == 2
+
+    @pytest.mark.parametrize("source, graph", [
+        ("graph", ConcreteGraph(3, [(0, 1), (1, 2), (0, 2)])),
+        ("edges", ConcreteGraph(4, [(0, 1), (1, 2)])),  # vertex 3 is isolated
+    ])
+    def test_prior_decision(self, source, graph, tmp_path, capsys):
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps(ALPHA_PRIOR))
+        if source == "graph":
+            path = tmp_path / "graph.txt"
+            path.write_text(format_edge_list(graph))
+            argv = ["--graph", str(path)]
+        else:
+            argv = ["--edges", "0-1,1-2", "--n", "4"]
+        thresholds = ["--mu-star", "1/2", "--q-star", "1/4"]
+        assert main(["oracle", *argv, "--prior", str(prior), *thresholds]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        inst = RevoltInstance(graph, prior_from_dict(ALPHA_PRIOR), F(1, 2), F(1, 4))
+        supported, prob = revolt_decision(inst)
+        assert doc == {
+            "n": graph.n,
+            "mu_star": "1/2",
+            "q_star": "1/4",
+            "revolt_supported": supported,
+            "probability_exact": format_rational(prob),
+            "probability_decimal": format_decimal(prob),
+        }
 
 
 HALVES = {"1": "1/2", "2": "1/2"}
@@ -950,6 +984,9 @@ MISSING_ARGUMENTS = [
     (VALIDATE + "--family ba --param 2", "generated validate graphs need --n and --param"),
     ("oracle --edges 0-1-2 --clique-reduce 3", "bad inline edge list '0-1-2'; want 'u-v,u-v'"),
     ("bounds --prior {prior}", "bounds needs --degrees or --n"),
+    ("gen --family ba --n 10 --param 3/2", "family 'ba' needs an integer parameter, got 3/2"),
+    (VALIDATE + "--family ba --n 10 --param 3/2",
+     "family 'ba' needs an integer parameter, got 3/2"),
 ]
 
 

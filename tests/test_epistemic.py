@@ -312,3 +312,16 @@ class TestBattery:
                 ]
                 for omega in fix:
                     assert sum(1 for b in beliefs if omega in b) >= need
+
+
+REFUSALS = [
+    pytest.param(lambda: common_belief_by_search(EpistemicModel(HALVES, ("i",), (SPLIT,)),
+                                                 F(1, 2), F(1, 2), {"1"}, "3"),
+                 ValidationError, "unknown outcome '3'", id="search-omega-unknown"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -489,3 +489,27 @@ class TestRandomModelGenerator:
             assert 1 <= len(model.agents) <= 3
             assert 0 <= p <= 1 and 0 <= mu <= 1
             assert p.denominator in (1, 2, 4, 8)
+
+
+def sweep_config(prior, **changes):
+    fields = dict(family="constant", n=10, axis="param", values=(F(2),), prior=prior, trials=2)
+    return SweepConfig(**{**fields, **changes})
+
+
+# Each call gets the motivating prior.
+REFUSALS = [
+    pytest.param(lambda prior: sweep_config(prior, family="ring"), ValidationError,
+                 "unknown family 'ring'", id="sweep-family-unknown"),
+    pytest.param(lambda prior: sweep_config(prior, axis="mu"), ValidationError,
+                 "axis must be 'param' or 'p'", id="sweep-axis-unknown"),
+    pytest.param(lambda prior: sweep_config(prior, values=()), ValidationError,
+                 "sweep range is empty", id="sweep-values-empty"),
+    pytest.param(lambda prior: sweep_config(prior, trials=0), ValidationError,
+                 "trials must be at least 1", id="sweep-trials-0"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message, motivating_prior):
+    with pytest.raises(error) as info:
+        call(motivating_prior)
+    assert type(info.value) is error and str(info.value) == message

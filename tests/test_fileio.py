@@ -202,3 +202,21 @@ class TestReports:
         rows = [{"a": 1, "b": "x"}, {"a": 2}]
         text = rows_to_csv(rows, ("a", "b"))
         assert text == "a,b\n1,x\n2,\n"
+
+
+REFUSALS = [
+    pytest.param(lambda: parse_edge_list("0 x"), ParseError,
+                 "<edges>:1: non-integer endpoint in '0 x'", id="edge-endpoint-not-integer"),
+    pytest.param(lambda: parse_degree_sequence("-2 x 3"), ParseError,
+                 "<degrees>:1: bad degree line '-2 x 3' (negative count)",
+                 id="degree-count-negative"),
+    pytest.param(lambda: epistemic_model_from_dict({"outcomes": ["1"], "prob": {"1": "1"}}),
+                 ParseError, "model document missing field 'partitions'",
+                 id="model-without-partitions"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -243,3 +243,28 @@ class TestConcreteGraph:
             ConcreteGraph(model.VERTEX_GUARD, [])
         with pytest.raises(SpaceTooLargeError, match=str(model.VERTEX_GUARD + 1)):
             ConcreteGraph(model.VERTEX_GUARD + 1, [(0, 1)])
+
+
+HALF_CHI = TypeDistribution(F(0), F(1, 2), F(1, 2))
+
+REFUSALS = [
+    pytest.param(lambda: Prior(F(3, 2), F(1, 2), (StatePrior("A", F(1, 2), HALF_CHI),
+                                                  StatePrior("B", F(1, 2), HALF_CHI))),
+                 ValidationError, "p and mu must lie in [0, 1]", id="prior-p-3/2"),
+    pytest.param(lambda: Prior(F(1, 2), F(1, 2), (StatePrior("A", F(1, 2), HALF_CHI),) * 2),
+                 ValidationError, "state labels must be unique", id="prior-duplicate-labels"),
+    pytest.param(lambda: ContextClass(CHI, 0, -1, 0), ValidationError,
+                 "neighbor counts must be nonnegative", id="context-count-negative"),
+    pytest.param(lambda: enumerate_contexts(-1), ValidationError,
+                 "degree must be nonnegative", id="contexts-degree-negative"),
+    pytest.param(lambda: ConcreteGraph(-1, []), ValidationError,
+                 "graph size must be nonnegative", id="graph-n-negative"),
+    pytest.param(lambda: model.validate_degree_sequence([]), ValidationError,
+                 "degree sequence must be nonempty", id="degrees-empty"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -275,3 +275,23 @@ class TestGenSpec:
         ]
         for spec in specs:
             assert is_graphical(generate_sequence(spec)), spec.family
+
+
+REFUSALS = [
+    pytest.param(lambda: GenSpec("ba", 0, 2), ValidationError,
+                 "n must be at least 1", id="genspec-n-0"),
+    pytest.param(lambda: generate_sequence(GenSpec("ba", 10, F(3, 2))), ValidationError,
+                 "family 'ba' needs an integer parameter, got 3/2", id="ba-sequence-param-3/2"),
+    pytest.param(lambda: generate_graph(GenSpec("ba", 10, F(3, 2))), ValidationError,
+                 "family 'ba' needs an integer parameter, got 3/2", id="ba-graph-param-3/2"),
+    pytest.param(lambda: powerlaw_sequence(1, 3, 0), ValidationError,
+                 "need n >= 2 for a power-law sequence", id="powerlaw-n-1"),
+    pytest.param(lambda: er_graph(-1, F(1, 2), 0), ValidationError,
+                 "n must be nonnegative", id="er-n-negative"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

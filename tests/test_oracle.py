@@ -256,3 +256,17 @@ class TestCatalog:
             for k in range(1, 5):
                 dec, _prob = revolt_decision(clique_reduction(g, k))
                 assert dec == clique_exists(g, k), (sorted(g.edges), k)
+
+
+REFUSALS = [
+    pytest.param(lambda: clique_exists(ConcreteGraph(21, []), 3), ValidationError,
+                 "clique search limited to 20 vertices", id="clique-n-21"),
+    pytest.param(lambda: clique_exists(TRIANGLE, 0), ValidationError,
+                 "k must be positive", id="clique-k-0"),
+]
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

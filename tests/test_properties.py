@@ -1248,13 +1248,13 @@ WORD128 = st.one_of(
 @given(st.lists(WORD128, min_size=1, max_size=8), WORD128, WORD128, WORD128, WORD128)
 def test_word_arithmetic_matches_python_ints(xs, c, d, c2, offset):
     # The stream's 128-bit products and sums on uint64 words, against ints:
-    # one row times an int, and two stacked rows times a tuple of ints, one
-    # multiplier per row (the second row is xs reversed and offset).
+    # one row times an int, and two rows times an int, the form the jump
+    # table's doubling uses (the second row is xs reversed and offset).
     hi, lo = (np.array(words, np.uint64) for words in zip(*map(netgen._words, xs)))
     ys = [(x + offset) % 2**128 for x in reversed(xs)]
     y_hi, y_lo = (np.array(words, np.uint64) for words in zip(*map(netgen._words, ys)))
-    rows_hi, rows_lo = netgen._mul128(np.stack([hi, y_hi]), np.stack([lo, y_lo]), (c, c2))
-    assert list(map(netgen._as_int, rows_hi[0], rows_lo[0])) == [x * c % 2**128 for x in xs]
+    rows_hi, rows_lo = netgen._mul128(np.stack([hi, y_hi]), np.stack([lo, y_lo]), c2)
+    assert list(map(netgen._as_int, rows_hi[0], rows_lo[0])) == [x * c2 % 2**128 for x in xs]
     assert list(map(netgen._as_int, rows_hi[1], rows_lo[1])) == [y * c2 % 2**128 for y in ys]
     hi, lo = netgen._mul128(hi, lo, c)
     assert list(map(netgen._as_int, hi, lo)) == [x * c % 2**128 for x in xs]
@@ -1273,8 +1273,7 @@ STREAM_OPS = st.lists(
         st.tuples(st.just("block"), st.one_of(
             st.integers(0, 40),
             st.sampled_from([
-                netgen.STACKED_WIDTH, netgen.STACKED_WIDTH + 1,
-                CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+                1024, 1025, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
             ]),
         )),
     ),
@@ -1291,8 +1290,8 @@ STREAM_OPS = st.lists(
 def test_stream_matches_numpy_generator(seed, ops):
     # Seeding, interleaved bounded draws (scalar and size=m, k up to 2^32,
     # which share numpy's buffered 32-bit half), scalar doubles, and blocks
-    # of doubles on either side of the stacked width and of the chunk
-    # boundaries of the jump table.
+    # of doubles around 1,024 and on either side of the chunk boundaries of
+    # the jump table.
     stream = _Stream(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     for op in ops:
