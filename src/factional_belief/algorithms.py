@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, groupby, repeat
-from math import comb
-from operator import add, le, mul
+from math import comb, gcd
+from operator import add, le, mul, sub
 from typing import Iterable, Optional
 
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
@@ -163,7 +163,8 @@ def _degree_table(
 
 def _check_table_rows(key, degrees: Iterable[int]) -> list[int]:
     """The distinct degrees, in increasing order. Raises SpaceTooLargeError
-    when the rows of their degree tables sum past TABLE_ROW_GUARD."""
+    when the rows of their degree tables sum past TABLE_ROW_GUARD, whether
+    or not the tables are built."""
     distinct = sorted(set(degrees))
     # `_degree_table` iterates over the (a, c, v) with a + c + v = d, a and v
     # nonzero only for possible types: with k of alpha and nu possible, the
@@ -209,11 +210,7 @@ def candidate_contexts(
 def _scan_contexts(scan, j: int) -> list[ContextClass]:
     """The chi-centered contexts of the rows of `scan` (from
     `_candidate_masses`) that reach its levels[j], in table order."""
-    return [
-        ContextClass(AgentType.CHI, *contexts[i])
-        for contexts, bins in scan
-        for i in sorted(chain.from_iterable(bins[j + 1 :]))
-    ]
+    return [ContextClass(AgentType.CHI, *row) for rows in scan for row in rows(j)]
 
 
 def _combined(columns, coeffs):
@@ -229,69 +226,188 @@ def _candidate_masses(
     levels: list[Fraction],
     total_n: int,
 ) -> tuple[list[dict[str, Fraction]], list]:
-    """The one candidacy test of the degree tables. A context is a
+    """The one candidacy test of the degree-sequence core. A context is a
     candidate at threshold p when its posterior mass on the candidate-state
-    set is at least p; with S and R a row's probability-weighted weights
+    set is at least p; with S and R its probability-weighted weights
     inside and outside the set, and T = S + R, that is S / T >= p, or
-    num T <= den S for p = num/den, exact and division-free. S and R are
-    lazy combinations of the table's columns, never stored.
+    num R <= (den - num) S for p = num/den, exact and division-free.
 
-    At one level the test is one whole-column pass, num R <= (den - num) S
-    compared row by row in one `map`. At several ascending distinct levels
-    a bisection over the levels puts each row's index in the bin of the
-    levels it reaches. Returns, per level, each state's expected fraction
-    (relative to total_n agents) of agents whose context is a candidate
-    over the given degree entries; and the scan, per degree table its
-    contexts and bins, whose rows reaching levels[j] are those in
-    bins[j + 1:]. The bins' weights are summed per degree, lifted to the
-    top degree's scale D^(top+1) with one multiply per degree, summed from
+    Each distinct degree goes through one of two kernels, chosen by the
+    prior's shape alone. With two states, each with positive alpha, chi
+    and nu mass, and one of them the candidate set, `_boundary_walk`
+    walks each level's candidacy boundary through the degree's a-runs
+    and builds no table. Every other prior (three or more states, a type
+    with zero mass in some state) goes through `_row_scan`, which tests
+    every row of the cached degree table.
+
+    Both kernels give the degree's parts, pairs (j, weights) of the
+    summed weights, over the scale D^(d+1), of the rows whose highest
+    level reached is levels[j]; and the degree's rows(j), the contexts
+    (a, c, v) reaching levels[j], in table order. The parts are lifted to
+    the top degree's scale D^(top+1) with one multiply each, summed from
     the highest level down, and divided by the scale once per level and
-    state."""
+    state. Returns, per level, each state's expected fraction (relative to
+    total_n agents) of agents whose context is a candidate over the given
+    degree entries; and the scan, the rows of every distinct degree in
+    increasing order, which `_scan_contexts` reads. The TABLE_ROW_GUARD
+    check comes first on both paths."""
     key = _type_key(prior.states)
-    common = key[0]
+    common, nums = key
     counts = Counter(degrees)
-    inside, outside = _split_weights(prior, candidate_states)
-    bounds = [(p.numerator, p.denominator) for p in levels]
-    k = len(bounds)
+    inside, outside = map(tuple, _split_weights(prior, candidate_states))
+    distinct = _check_table_rows(key, counts)
+    bounds = tuple((p.numerator, p.denominator) for p in levels)
+    walk = len(nums) == 2 and all(map(all, nums)) and inside.count(0) == 1
+    kernel = _boundary_walk if walk else _row_scan
     top = max(counts, default=0)
-    totals = [[0] * len(inside) for _ in range(k)]
+    totals = [[0] * len(nums) for _ in bounds]
     scan = []
-    for d, (contexts, columns) in _tables(key, counts):
-        if k == 1:
-            num, den = bounds[0]
-            lhs = _combined(columns, [num * w for w in outside])
-            rhs = _combined(columns, [(den - num) * w for w in inside])
-            bins = [[], list(compress(range(len(contexts)), map(le, lhs, rhs)))]
-        else:
-            bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
-            rows = zip(_combined(columns, inside), _combined(columns, outside))
-            for r, (s, rest) in enumerate(rows):
-                t = s + rest
-                lo, hi = 0, k
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    num, den = bounds[mid]
-                    if num * t <= den * s:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if lo:
-                    bins[lo].append(r)
+    for d in distinct:
+        parts, rows = kernel(key, inside, outside, bounds, d)
         lift = counts[d] * common ** (top - d)
-        for b in range(1, k + 1):
-            if bins[b]:
-                total = totals[b - 1]
-                for i, column in enumerate(columns):
-                    total[i] += lift * sum(map(column.__getitem__, bins[b]))
-        scan.append((contexts, bins))
-    for j in range(k - 2, -1, -1):
-        totals[j] = list(map(int.__add__, totals[j], totals[j + 1]))
+        for j, part in parts:
+            total = totals[j]
+            for i, x in enumerate(part):
+                total[i] += lift * x
+        scan.append(rows)
+    for j in range(len(bounds) - 2, -1, -1):
+        totals[j] = list(map(add, totals[j], totals[j + 1]))
     scale = common ** (top + 1) * total_n
     masses = [
         {s.label: Fraction(x, scale) for s, x in zip(prior.states, total)}
         for total in totals
     ]
     return masses, scan
+
+
+def _row_scan(key, inside, outside, bounds, d):
+    """`_candidate_masses`' kernel for any prior: the degree table's rows
+    tested one by one. At one level the test is one whole-column pass,
+    num R <= (den - num) S compared row by row in one `map`, with S and R
+    lazy combinations of the columns, never stored. At several ascending
+    distinct levels a bisection over the levels puts each row's index in
+    the bin of the levels it reaches. The parts are the bins' weights."""
+    contexts, columns = _degree_table(key, d)
+    k = len(bounds)
+    if k == 1:
+        num, den = bounds[0]
+        lhs = _combined(columns, [num * w for w in outside])
+        rhs = _combined(columns, [(den - num) * w for w in inside])
+        bins = [[], list(compress(range(len(contexts)), map(le, lhs, rhs)))]
+    else:
+        bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
+        rows = zip(_combined(columns, inside), _combined(columns, outside))
+        for r, (s, rest) in enumerate(rows):
+            t = s + rest
+            lo, hi = 0, k
+            while lo < hi:
+                mid = (lo + hi) // 2
+                num, den = bounds[mid]
+                if num * t <= den * s:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo:
+                bins[lo].append(r)
+    parts = [
+        (b - 1, [sum(map(column.__getitem__, bins[b])) for column in columns])
+        for b in range(1, k + 1)
+        if bins[b]
+    ]
+    return parts, partial(_binned_rows, contexts, bins)
+
+
+def _binned_rows(contexts, bins, j: int) -> list[tuple[int, int, int]]:
+    return [contexts[i] for i in sorted(chain.from_iterable(bins[j + 1 :]))]
+
+
+@lru_cache(maxsize=4096)
+def _boundary_walk(key, inside, outside, bounds, d):
+    """`_candidate_masses`' kernel for two states, i the candidate and o
+    the other, each with positive alpha, chi and nu numerators. With q_s =
+    alpha_s^a chi_s^(c+1) nu_s^v, row (a, c, v = m - c), m = d - a, is a
+    candidate at p = num/den iff num pi_o q_o <= (den - num) pi_i q_i: the
+    binomials cancel. Along an a-run, q_i / q_o changes by the constant
+    factor chi_i nu_o / (chi_o nu_i), so a run's candidates are a suffix
+    in c when that factor is at least 1 and a prefix otherwise.
+
+    Per level, the walk goes from a = d down to 0 and keeps, per state,
+    the suffix sum U_s(m, b) = sum over c >= b of C(m, c) chi_s^c
+    nu_s^(m-c) at the run's boundary b. Stepping m with b fixed is
+    U_s(m, b) = (chi_s + nu_s) U_s(m-1, b) + C(m-1, b-1) chi_s^b
+    nu_s^(m-b); moving b adds or removes one term, and exact integer
+    compares move it. The run adds C(d, a) alpha_s^a chi_s U_s to state
+    s's weight, or the complement (chi_s + nu_s)^m - U_s for a prefix.
+    That is O(d + boundary moves) terms per level, against the table's
+    (d+1)(d+2)/2 rows; the rows(j) are the runs' ranges. Results are
+    cached, as the tables are, so a p sweep's trials share their degrees'
+    walks."""
+    i = 0 if inside[0] else 1
+    (al_i, x_i, v_i), (al_o, x_o, v_o) = key[1][i], key[1][1 - i]
+    suffix = x_i * v_o >= x_o * v_i
+
+    def powers(base):
+        return list(accumulate(repeat(base, d + 1), mul, initial=1))
+
+    pa_i, px_i, pv_i, pt_i = map(powers, (al_i, x_i, v_i, x_i + v_i))
+    pa_o, px_o, pv_o, pt_o = map(powers, (al_o, x_o, v_o, x_o + v_o))
+    binomials = [comb(d, a) for a in range(d + 1)]
+    f_i = [x_i * k * p for k, p in zip(binomials, pa_i)]  # C(d, a) alpha^a chi
+    f_o = [x_o * k * p for k, p in zip(binomials, pa_o)]
+    sums, boundaries = [], []
+    for num, den in bounds:
+        w_o, w_i = num * outside[1 - i], (den - num) * inside[i]
+        b, u_i, u_o, s_i, s_o, level = 0, 1, 1, 0, 0, []  # U(0, 0) = 1
+        for a in range(d, -1, -1):
+            m = d - a
+            if m and b:
+                k = comb(m - 1, b - 1)
+                u_i = pt_i[1] * u_i + k * px_i[b] * pv_i[m - b]
+                u_o = pt_o[1] * u_o + k * px_o[b] * pv_o[m - b]
+            elif m:
+                u_i *= pt_i[1]
+                u_o *= pt_o[1]
+            left, right = w_o * pa_o[a], w_i * pa_i[a]
+            # Row c is a candidate iff left chi_o^(c+1) nu_o^(m-c) <= right
+            # chi_i^(c+1) nu_i^(m-c); the boundary b is the first row of
+            # the suffix of candidates, or of the suffix of non-candidates.
+            while b and (
+                left * px_o[b] * pv_o[m - b + 1] <= right * px_i[b] * pv_i[m - b + 1]
+            ) == suffix:
+                b -= 1
+                k = comb(m, b)
+                u_i += k * px_i[b] * pv_i[m - b]
+                u_o += k * px_o[b] * pv_o[m - b]
+            while b <= m and (
+                left * px_o[b + 1] * pv_o[m - b] <= right * px_i[b + 1] * pv_i[m - b]
+            ) != suffix:
+                k = comb(m, b)
+                u_i -= k * px_i[b] * pv_i[m - b]
+                u_o -= k * px_o[b] * pv_o[m - b]
+                b += 1
+            if suffix:
+                s_i += f_i[a] * u_i
+                s_o += f_o[a] * u_o
+            else:
+                s_i += f_i[a] * (pt_i[m] - u_i)
+                s_o += f_o[a] * (pt_o[m] - u_o)
+            level.append(b)
+        sums.append([s_i, s_o] if i == 0 else [s_o, s_i])
+        boundaries.append(level[::-1])
+    # The part of levels[j]: its candidates' weights less those of levels[j + 1].
+    above = sums[1:] + [[0, 0]]
+    parts = [(j, list(map(sub, s, t))) for j, (s, t) in enumerate(zip(sums, above))]
+    return parts, partial(_run_rows, d, suffix, boundaries)
+
+
+def _run_rows(d, suffix, boundaries, j: int) -> list[tuple[int, int, int]]:
+    """The rows of each a-run's candidate range at levels[j], in table
+    order: c from the boundary on for a suffix, below it for a prefix."""
+    out = []
+    for a, b in enumerate(boundaries[j]):
+        m = d - a
+        out += ((a, c, m - c) for c in (range(b, m + 1) if suffix else range(b)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -460,37 +576,48 @@ def _level_key(pair: tuple[int, int]) -> tuple[float, float]:
     return x / t, (x - t) / t
 
 
-def _ordered_levels(pairs: Iterable[tuple[int, int]]) -> list[Fraction]:
+def _ordered_levels(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """The distinct values x / t of the integer pairs (x, t), 0 <= x <= t,
-    in increasing order. They are sorted by the floats x / t and, to tell
-    apart values near 1, x / t - 1: int true division is correctly rounded
-    and rounding is monotone, so keys that differ are in the exact order.
-    Only runs of equal keys (duplicates, and values too small for a float)
-    are ordered and deduplicated exactly, with Fractions; a level alone in
-    its run builds one Fraction and hashes none."""
+    in increasing order, each as its reduced pair. They are sorted by the
+    floats x / t and, to tell apart values near 1, x / t - 1: int true
+    division is correctly rounded and rounding is monotone, so keys that
+    differ are in the exact order. Only runs of equal keys (duplicates,
+    and values too small for a float) are ordered and deduplicated
+    exactly, with Fractions; a level alone in its run is reduced with one
+    gcd and builds no Fraction."""
     out = []
     for _key, run in groupby(sorted(pairs, key=_level_key), key=_level_key):
         run = list(run)
         if len(run) == 1:
-            out.append(Fraction(*run[0]))
+            x, t = run[0]
+            g = gcd(x, t)
+            out.append((x // g, t // g))
         else:
-            out += sorted({Fraction(x, t) for x, t in run})
+            levels = sorted({Fraction(x, t) for x, t in run})
+            out += ((q.numerator, q.denominator) for q in levels)
     return out
 
 
-def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
+def crucial_threshold_pairs(
+    degseq: DegreeSequence, prior: Prior
+) -> dict[str, tuple[int, int]]:
     """The finite set of values the two-state computation compares p and mu
     against on this instance, for auditing how far a promise input sits from
-    a decision boundary. `e_A(candidates+alpha)` is X_A at the
-    candidate-state fixpoint: A's alpha mass plus the mass of the candidate
-    contexts of the surviving states. A's posterior levels are ordered by
-    `_ordered_levels` from the columns' pairs (pi_A W_A, sum of pi W)."""
+    a decision boundary, each as its reduced integer pair (numerator,
+    denominator). `e_A(candidates+alpha)` is X_A at the candidate-state
+    fixpoint: A's alpha mass plus the mass of the candidate contexts of the
+    surviving states. A's posterior levels are ordered by `_ordered_levels`
+    from the degree tables' pairs (pi_A W_A, sum of pi W)."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     mass = chi_alpha(prior)
-    out = {"e_A(chi+alpha)": mass["A"], "e_B(chi+alpha)": mass["B"]}
     sizes, _survivors = multistate_fixpoint(seq, prior)
-    out["e_A(candidates+alpha)"] = sizes["A"]
+    values = {
+        "e_A(chi+alpha)": mass["A"],
+        "e_B(chi+alpha)": mass["B"],
+        "e_A(candidates+alpha)": sizes["A"],
+    }
+    out = {k: (q.numerator, q.denominator) for k, q in values.items()}
     a = prior.labels.index("A")
     _common, probs = integer_weights(s.prob for s in prior.states)
     posts = _ordered_levels(chain.from_iterable(
@@ -500,6 +627,11 @@ def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fracti
     for i, q in enumerate(posts):
         out[f"posterior_A_level_{i}"] = q
     return out
+
+
+def crucial_thresholds(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
+    """`crucial_threshold_pairs` as Fractions."""
+    return {k: Fraction(*q) for k, q in crucial_threshold_pairs(degseq, prior).items()}
 
 
 # ---------------------------------------------------------------------------

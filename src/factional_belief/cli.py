@@ -29,7 +29,7 @@ from .algorithms import (
     algorithm1,
     algorithm1_auto,
     algorithm1_general,
-    crucial_thresholds,
+    crucial_threshold_pairs,
     multistate_fixpoint,
     smallest_revolt,
 )
@@ -342,8 +342,8 @@ def cmd_promise(args) -> int:
     payload = {k: rows[0][k] for k in ("mu_star", "outcome")} if point else rows
     if args.show_thresholds:
         thresholds = {
-            k: fileio.format_rational(v)
-            for k, v in crucial_thresholds(degseq, prior).items()
+            k: fileio.format_reduced(*q)
+            for k, q in crucial_threshold_pairs(degseq, prior).items()
         }
         print(json.dumps(thresholds, indent=2), file=sys.stderr)
     _report(args, payload, rows, MAP_COLUMNS)

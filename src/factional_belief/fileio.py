@@ -53,6 +53,11 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def format_reduced(num: int, den: int) -> str:
+    """`format_rational` of num/den given in lowest terms, with no Fraction."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 def format_decimal(x) -> str:
     return repr(float(x))
 

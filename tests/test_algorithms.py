@@ -158,27 +158,32 @@ class TestCandidacyTies:
 
 
 class TestOneTablePass:
-    """The revolting contexts come from the fixpoint's last table pass: one
-    pass per candidate-state set the fixpoint visits, and no other."""
+    """The revolting contexts come from the fixpoint's last candidacy
+    pass: one pass per candidate-state set the fixpoint visits, each
+    running one kernel call per distinct degree, and no other."""
 
     GRAPH = ConcreteGraph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (5, 6)])
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        visited, tables = [], []
-        masses, build = algorithms._candidate_masses, algorithms._tables
+        visited, scans = [], []
+        masses = algorithms._candidate_masses
 
         def spy_masses(prior, degrees, states, *args):
             visited.append(frozenset(states))
             return masses(prior, degrees, states, *args)
 
-        def spy_tables(*args):
-            tables.append(args)
-            return build(*args)
+        def spy(kernel):
+            def scan(*args):
+                scans.append(args[-1])
+                return kernel(*args)
+
+            return scan
 
         monkeypatch.setattr(algorithms, "_candidate_masses", spy_masses)
-        monkeypatch.setattr(algorithms, "_tables", spy_tables)
-        return visited, tables
+        for name in ("_row_scan", "_boundary_walk"):
+            monkeypatch.setattr(algorithms, name, spy(getattr(algorithms, name)))
+        return visited, scans
 
     # prior, the candidate-state sets passed over, and what revolting_rule
     # lists: some contexts, None (every state survives) or [] (none does).
@@ -201,9 +206,10 @@ class TestOneTablePass:
     @pytest.mark.parametrize("case", CASES)
     def test_revolting_rule(self, case, passes):
         prior, sets, listed = self.CASES[case]
-        visited, tables = passes
-        _sizes, contexts = revolting_rule([4] * 20 + [1, 2, 6], prior)
-        assert visited == sets and len(tables) == len(sets)
+        visited, scans = passes
+        degrees = [4] * 20 + [1, 2, 6]
+        _sizes, contexts = revolting_rule(degrees, prior)
+        assert visited == sets and scans == [1, 2, 4, 6] * len(sets)
         if listed == "every":
             assert contexts is None
         else:
@@ -212,9 +218,35 @@ class TestOneTablePass:
     @pytest.mark.parametrize("case", CASES)
     def test_run_validate(self, case, passes):
         prior, sets, _listed = self.CASES[case]
-        visited, tables = passes
+        visited, scans = passes
         experiments.run_validate(self.GRAPH, prior, "A", trials=2, seed=1)
-        assert visited == sets and len(tables) == len(sets)
+        assert visited == sets and scans == [1, 2, 3] * len(sets)
+
+
+class TestTwoStateWalk:
+    """Two states with positive alpha, chi and nu mass in both take the
+    boundary walk: no degree table is built, except for the threshold
+    listing."""
+
+    PRIOR = two_state_prior(
+        F(2, 5), F(1, 2),
+        TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+        TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+    )
+
+    def test_analyze_builds_no_table(self, monkeypatch):
+        built = []
+        table = algorithms._degree_table
+        monkeypatch.setattr(
+            algorithms, "_degree_table", lambda *args: built.append(args) or table(*args)
+        )
+        degrees = [1, 2, 3, 8, 8, 40]
+        sizes = algorithm1(degrees, self.PRIOR)
+        assert sizes["A"] > sizes["B"] and revolting_rule(degrees, self.PRIOR)[1]
+        assert built == []
+        thresholds = crucial_thresholds(degrees, self.PRIOR)
+        assert thresholds["e_A(candidates+alpha)"] == sizes["A"]
+        assert sorted(d for _key, d in built) == [1, 2, 3, 8, 40]
 
 
 class TestAlgorithm1:

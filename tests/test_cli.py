@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -225,6 +226,106 @@ def test_validate_all_survive_builds_no_table(tmp_path, monkeypatch, capsys):
     assert main([*argv, str(star)]) == 2
     captured = capsys.readouterr()
     assert "501504" in captured.err and not captured.out
+
+
+# Degrees 1-8 three times and a degree-128 hub (n = 25). Outputs recorded
+# with the full degree-table row scan; --general --cutoff-c 8 reveals the
+# hub (cutoff 24) and runs the low degrees.
+HUB_DEGREES = "".join(f"{d}\n" for d in [*range(1, 9)] * 3 + [128])
+HUB_SMALLEST_PRIOR = dict(MOTIVATING, states={
+    "A": {"prob": "1/2", "types": {"alpha": "3/5", "chi": "3/10", "nu": "1/10"}},
+    "B": {"prob": "1/2", "types": {"alpha": "1/10", "chi": "1/5", "nu": "7/10"}},
+})
+HUB_SIZES = {
+    "": {
+        "A": (
+            "349753912587384318112024144584191966709229340571862829720836127780"
+            "076141617984958138474507680889030142600630326581/44408920985006261"
+            "616945266723632812500000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000"
+        ),
+        "B": (
+            "716569874124795833615382017477235384746178777392484547899767305992"
+            "083087438063335583773864603416022080874596513309405736054645631995"
+            "993/59863107065073783529622930748058952485106996960296960000000000"
+            "000000000000000000000000000000000000000000000000000000000000000000"
+            "00000000"
+        ),
+    },
+    "--multistate": {
+        "A": (
+            "349753912587384318112024144584191966709229340571862829720836127780"
+            "076141617984958138474507680889030142600630326581/44408920985006261"
+            "616945266723632812500000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000"
+        ),
+        "B": (
+            "716569874124795833615382017477235384746178777392484547899767305992"
+            "083087438063335583773864603416022080874596513309405736054645631995"
+            "993/59863107065073783529622930748058952485106996960296960000000000"
+            "000000000000000000000000000000000000000000000000000000000000000000"
+            "00000000"
+        ),
+    },
+    "--smallest": {
+        "A": (
+            "888138714599999999921558909659314839198898445485256353115802785075"
+            "789786843177471909993528226721211397401327028801573036491459731/10"
+            "000000000000000000000000000000000000000000000000000000000000000000"
+            "00000000000000000000000000000000000000000000000000000000000000"
+        ),
+        "B": (
+            "306425686600000000269539876043020508911021625822780130823329790072"
+            "229323010993718465024726023352385900750032529524400742544257849/25"
+            "000000000000000000000000000000000000000000000000000000000000000000"
+            "00000000000000000000000000000000000000000000000000000000000000"
+        ),
+    },
+    "--general --cutoff-c 8": {
+        "A": "61529359/78125000",
+        "B": "122574251/1024000000",
+    },
+}
+# sha256 of the 8,554-line `--show-thresholds` listing.
+HUB_THRESHOLDS_SHA256 = "6d597a30e69ee7d9f6e79aa5e8af3705ba2560a69d3a492b36fd334bd0be3365"
+
+
+@pytest.fixture
+def hub_files(tmp_path):
+    files = {"degrees": tmp_path / "hub.txt", "prior": tmp_path / "alpha.json",
+             "smallest": tmp_path / "smallest.json"}
+    files["degrees"].write_text(HUB_DEGREES)
+    files["prior"].write_text(json.dumps(ALPHA_PRIOR))
+    files["smallest"].write_text(json.dumps(HUB_SMALLEST_PRIOR))
+    return {k: str(v) for k, v in files.items()}
+
+
+@pytest.mark.parametrize("variant", HUB_SIZES)
+def test_hub_analyze_matches_recorded_sizes(variant, hub_files, capsys):
+    prior = hub_files["smallest" if variant == "--smallest" else "prior"]
+    argv = ["analyze", "--prior", prior, "--degrees", hub_files["degrees"],
+            *variant.split(), "--format", "json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"sizes": HUB_SIZES[variant], "relabeled": False}
+    assert captured.err == ""
+
+
+def test_hub_promise_matches_recorded_outcomes(hub_files, capsys):
+    argv = ["promise", "--prior", hub_files["prior"], "--degrees", hub_files["degrees"],
+            "--epsilon", "1/100", "--delta", "1/100", "--format", "json"]
+    assert main([*argv, "--grid-step", "1/5"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["mu_star"], r["outcome"]) for r in rows] == [
+        ("0", "omega"), ("1/5", "A"), ("2/5", "A"), ("3/5", "A"),
+        ("4/5", "empty"), ("1", "empty"),
+    ]
+    assert main([*argv, "--mu-star", "1/2", "--show-thresholds"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"mu_star": "1/2", "outcome": "A"}
+    listing = captured.err.encode()
+    assert hashlib.sha256(listing).hexdigest() == HUB_THRESHOLDS_SHA256
+    assert listing.count(b"\n") == 8554
 
 
 VERTICES, TRIALS = netgen.VERTEX_GUARD + 1, experiments.TRIAL_GUARD + 1

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import ceil, comb, lcm
 from unittest.mock import patch
 
@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from factional_belief import (
     AgentType,
     ConcreteGraph,
+    ContextClass,
     EpistemicModel,
     Prior,
     RevoltInstance,
@@ -463,10 +464,131 @@ def test_one_level_scan_matches_many_level_scan(instance):
     masses, scan = _candidate_masses(prior, degrees, chosen, levels, n)
     j = levels.index(p)
     assert masses[j] == one
-    assert [sorted(chain.from_iterable(bins[j + 1 :])) for _c, bins in scan] == [
-        bins[1] for _c, bins in one_scan
-    ]
+    assert [rows(j) for rows in scan] == [rows(0) for rows in one_scan]
     assert _scan_contexts(scan, j) == _scan_contexts(one_scan, 0)
+
+
+WALK_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def walk_priors(draw):
+    """A two-state prior with all six type masses positive and unequal
+    state probabilities; half the time chi_A nu_B = chi_B nu_A, so that
+    every a-run is all-or-none."""
+    weights = st.integers(1, 6)
+    alpha_a, chi_a, nu_a, alpha_b = (draw(weights) for _ in range(4))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        chi_b, nu_b = k * chi_a, k * nu_a
+    else:
+        chi_b, nu_b = draw(weights), draw(weights)
+
+    def dist(*w):
+        return TypeDistribution(*(F(x, sum(w)) for x in w))
+
+    prob_a = F(draw(st.sampled_from([1, 2, 3, 4, 6, 7, 8, 9])), 10)
+    return two_state_prior(
+        F(1, 2), F(1, 2), dist(alpha_a, chi_a, nu_a), dist(alpha_b, chi_b, nu_b), prob_a
+    )
+
+
+@st.composite
+def row_posteriors(draw, prior, degrees, state):
+    """The exact posterior on `state` of a row of one of the degrees."""
+    d = draw(st.sampled_from(degrees))
+    a = draw(st.integers(0, d))
+    c = draw(st.integers(0, d - a))
+    return state_posterior(ContextClass(AgentType.CHI, a, c, d - a - c), prior)[state]
+
+
+def walk_levels(prior, degrees, state):
+    """1-4 ascending distinct levels from {0, 1}, the eighths and the exact
+    posteriors on `state` of rows of the degrees (ties)."""
+    level = st.one_of(
+        st.sampled_from([F(0), F(1)]),
+        st.integers(0, 8).map(lambda j: F(j, 8)),
+        row_posteriors(prior, degrees, state),
+        row_posteriors(prior, degrees, state),
+    )
+    return st.lists(level, min_size=1, max_size=4).map(lambda ls: sorted(set(ls)))
+
+
+@st.composite
+def walk_instances(draw):
+    """A walk prior, degrees 0-40 with at least one repeat, a candidate
+    state and its levels."""
+    prior = draw(walk_priors())
+    degrees = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    degrees.append(draw(st.sampled_from(degrees)))
+    state = draw(st.sampled_from(["A", "B"]))
+    return prior, degrees, state, draw(walk_levels(prior, degrees, state))
+
+
+def no_table(*_args):
+    raise AssertionError("the walk prior went through the row scan")
+
+
+@WALK_SETTINGS
+@given(walk_instances())
+def test_boundary_walk_matches_row_scan_and_reference(instance):
+    prior, degrees, state, levels = instance
+    n = len(degrees)
+    with patch.object(algorithms, "_row_scan", no_table):
+        masses, scan = _candidate_masses(prior, degrees, {state}, levels, n)
+    with patch.object(algorithms, "_boundary_walk", algorithms._row_scan):
+        row_masses, row_scan = _candidate_masses(prior, degrees, {state}, levels, n)
+    assert masses == row_masses
+    posts = posteriors(prior, degrees)
+    for j, p in enumerate(levels):
+        assert masses[j] == reference_candidate_mass(replace(prior, p=p), degrees, {state}, n)
+        want = [c for c, post in posts if post[state] >= p]
+        assert _scan_contexts(scan, j) == _scan_contexts(row_scan, j) == want
+
+
+@st.composite
+def walk_thresholds(draw):
+    """A walk prior, up to 3 revealed agents, degrees 0-40 with a repeat
+    (empty, half the time, when agents are revealed) and up to 5 (p, mu)
+    pairs with p from the levels of either state."""
+    prior = draw(walk_priors())
+    revealed = draw(st.integers(0, 3))
+    degrees = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    degrees.append(draw(st.sampled_from(degrees)))
+    ps = draw(walk_levels(prior, degrees, "A")) + draw(walk_levels(prior, degrees, "B"))
+    if revealed and draw(st.booleans()):
+        degrees = []
+    mus = st.integers(0, 8).map(lambda j: F(j, 8))
+    thresholds = draw(st.lists(st.tuples(st.sampled_from(ps), mus), min_size=1, max_size=5))
+    return prior, degrees, revealed, thresholds
+
+
+WALK_PRIOR = two_state_prior(
+    F(1, 2), F(1, 2),
+    TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
+    TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+    F(2, 5),
+)
+
+
+@WALK_SETTINGS
+@given(walk_thresholds())
+@example((WALK_PRIOR, [1, 2, 2, 40], 3, [(F(2, 5), F(1, 2)), (F(0), F(1, 2)), (F(1), F(1, 4))]))
+@example((WALK_PRIOR, [], 2, [(F(2, 5), F(1, 2)), (F(0), F(3, 4)), (F(1), F(1, 4))]))
+def test_walk_fixpoints_match_row_scan_and_reference(instance):
+    prior, degrees, revealed, thresholds = instance
+    with patch.object(algorithms, "_row_scan", no_table):
+        got = _fixpoints(degrees, prior, thresholds, revealed=revealed)
+    with patch.object(algorithms, "_boundary_walk", algorithms._row_scan):
+        rows = _fixpoints(degrees, prior, thresholds, revealed=revealed)
+    assert [answer[:2] for answer in got] == [answer[:2] for answer in rows] == [
+        reference_fixpoint(degrees, replace(prior, p=p, mu=mu), revealed)
+        for p, mu in thresholds
+    ]
+    for (_sizes, _survivors, last), (_s, _v, row_last) in zip(got, rows):
+        assert (last is None) == (row_last is None)
+        if last is not None:
+            assert _scan_contexts(*last) == _scan_contexts(*row_last)
 
 
 BIG = 10**20
@@ -498,7 +620,9 @@ def level_pairs(draw):
 @given(level_pairs())
 @example(TIED_PAIRS)
 def test_ordered_levels_match_sorted_fractions(pairs):
-    assert _ordered_levels(pairs) == sorted({F(x, t) for x, t in pairs})
+    assert _ordered_levels(pairs) == [
+        (q.numerator, q.denominator) for q in sorted({F(x, t) for x, t in pairs})
+    ]
 
 
 def swap_state_labels(prior):
