@@ -232,13 +232,16 @@ def _candidate_masses(
     inside and outside the set, and T = S + R, that is S / T >= p, or
     num R <= (den - num) S for p = num/den, exact and division-free.
 
-    Each distinct degree goes through one of two kernels, chosen by the
-    prior's shape alone. With two states, each with positive alpha, chi
-    and nu mass, and one of them the candidate set, `_boundary_walk`
-    walks each level's candidacy boundary through the degree's a-runs
-    and builds no table. Every other prior (three or more states, a type
-    with zero mass in some state) goes through `_row_scan`, which tests
-    every row of the cached degree table.
+    Each distinct degree goes through one of two kernels. With two
+    states, each with positive alpha, chi and nu mass, and one of them the
+    candidate set, `_boundary_walk` walks each level's candidacy boundary
+    through the degree's a-runs and builds no table, at about k d terms
+    for k levels against the table's (d+1)(d+2)/2 rows; so it takes the
+    degrees with k <= (d + 2)/2, every degree at one level. Every other
+    degree and prior (three or more states, a type with zero mass in some
+    state) goes through `_row_scan`, which tests every row of the cached
+    degree table. Both kernels are memoised on the same key, so the
+    trials of a sweep share their degrees' results.
 
     Both kernels give the degree's parts, pairs (j, weights) of the
     summed weights, over the scale D^(d+1), of the rows whose highest
@@ -258,11 +261,11 @@ def _candidate_masses(
     distinct = _check_table_rows(key, counts)
     bounds = tuple((p.numerator, p.denominator) for p in levels)
     walk = len(nums) == 2 and all(map(all, nums)) and inside.count(0) == 1
-    kernel = _boundary_walk if walk else _row_scan
     top = max(counts, default=0)
     totals = [[0] * len(nums) for _ in bounds]
     scan = []
     for d in distinct:
+        kernel = _boundary_walk if walk and 2 * len(bounds) <= d + 2 else _row_scan
         parts, rows = kernel(key, inside, outside, bounds, d)
         lift = counts[d] * common ** (top - d)
         for j, part in parts:
@@ -280,20 +283,22 @@ def _candidate_masses(
     return masses, scan
 
 
+@lru_cache(maxsize=4096)
 def _row_scan(key, inside, outside, bounds, d):
     """`_candidate_masses`' kernel for any prior: the degree table's rows
     tested one by one. At one level the test is one whole-column pass,
     num R <= (den - num) S compared row by row in one `map`, with S and R
     lazy combinations of the columns, never stored. At several ascending
     distinct levels a bisection over the levels puts each row's index in
-    the bin of the levels it reaches. The parts are the bins' weights."""
+    the bin of the levels it reaches. The parts are the bins' weights.
+    Results are cached, as `_boundary_walk`'s are, and immutable."""
     contexts, columns = _degree_table(key, d)
     k = len(bounds)
     if k == 1:
         num, den = bounds[0]
         lhs = _combined(columns, [num * w for w in outside])
         rhs = _combined(columns, [(den - num) * w for w in inside])
-        bins = [[], list(compress(range(len(contexts)), map(le, lhs, rhs)))]
+        bins = ((), tuple(compress(range(len(contexts)), map(le, lhs, rhs))))
     else:
         bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
         rows = zip(_combined(columns, inside), _combined(columns, outside))
@@ -309,11 +314,12 @@ def _row_scan(key, inside, outside, bounds, d):
                     hi = mid
             if lo:
                 bins[lo].append(r)
-    parts = [
-        (b - 1, [sum(map(column.__getitem__, bins[b])) for column in columns])
+        bins = tuple(map(tuple, bins))
+    parts = tuple(
+        (b - 1, tuple(sum(map(column.__getitem__, bins[b])) for column in columns))
         for b in range(1, k + 1)
         if bins[b]
-    ]
+    )
     return parts, partial(_binned_rows, contexts, bins)
 
 
@@ -340,8 +346,8 @@ def _boundary_walk(key, inside, outside, bounds, d):
     s's weight, or the complement (chi_s + nu_s)^m - U_s for a prefix.
     That is O(d + boundary moves) terms per level, against the table's
     (d+1)(d+2)/2 rows; the rows(j) are the runs' ranges. Results are
-    cached, as the tables are, so a p sweep's trials share their degrees'
-    walks."""
+    cached and immutable, as the tables and `_row_scan`'s results are, so
+    a p sweep's trials share their degrees' walks."""
     i = 0 if inside[0] else 1
     (al_i, x_i, v_i), (al_o, x_o, v_o) = key[1][i], key[1][1 - i]
     suffix = x_i * v_o >= x_o * v_i
@@ -393,11 +399,11 @@ def _boundary_walk(key, inside, outside, bounds, d):
                 s_o += f_o[a] * (pt_o[m] - u_o)
             level.append(b)
         sums.append([s_i, s_o] if i == 0 else [s_o, s_i])
-        boundaries.append(level[::-1])
+        boundaries.append(tuple(level[::-1]))
     # The part of levels[j]: its candidates' weights less those of levels[j + 1].
     above = sums[1:] + [[0, 0]]
-    parts = [(j, list(map(sub, s, t))) for j, (s, t) in enumerate(zip(sums, above))]
-    return parts, partial(_run_rows, d, suffix, boundaries)
+    parts = tuple((j, tuple(map(sub, s, t))) for j, (s, t) in enumerate(zip(sums, above)))
+    return parts, partial(_run_rows, d, suffix, tuple(boundaries))
 
 
 def _run_rows(d, suffix, boundaries, j: int) -> list[tuple[int, int, int]]:

@@ -199,31 +199,31 @@ class _Stream:
         self.has_uint32 = 0
         self.uinteger = 0
 
-    def _next32(self) -> int:
-        if self.has_uint32:
-            self.has_uint32 = 0
-            return self.uinteger
-        s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        x = (s >> 64 ^ s) & _MASK64
-        rot = s >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        self.has_uint32, self.uinteger = 1, x >> 32
-        return x & _MASK32
-
     def below(self, k: int) -> int:
-        """A uniform integer in [0, k), 1 <= k <= 2**32."""
+        """A uniform integer in [0, k), 1 <= k <= 2**32, drawn as numpy's
+        bounded Lemire draw: u is the kept high half or the low half of a
+        fresh output, and m = u * k is accepted when its low word reaches
+        the threshold (2**32 - k) mod k. Every threshold is below k, so it
+        is computed only for a low word below k; at k = 2**32 it is 0 and
+        m >> 32 is u."""
         if k == 1:
             return 0
         assert 1 < k <= 1 << 32, k
-        u = self._next32()
-        if k == 1 << 32:
-            return u
-        m = u * k
-        if m & _MASK32 < k:
-            threshold = ((1 << 32) - k) % k
-            while m & _MASK32 < threshold:
-                m = self._next32() * k
-        return m >> 32
+        while True:
+            if self.has_uint32:
+                self.has_uint32 = 0
+                u = self.uinteger
+            else:
+                s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+                x = (s >> 64 ^ s) & _MASK64
+                rot = s >> 122
+                x = (x >> rot | x << (64 - rot)) & _MASK64
+                self.has_uint32, self.uinteger = 1, x >> 32
+                u = x & _MASK32
+            m = u * k
+            low = m & _MASK32
+            if low >= k or low >= ((1 << 32) - k) % k:
+                return m >> 32
 
     def doubles(self, k: int) -> np.ndarray:
         """k uniform doubles in [0, 1). Each block of states is A_i*s + C_i
@@ -252,18 +252,29 @@ class _Stream:
 
 
 def is_graphical(degseq: DegreeSequence) -> bool:
-    """Can a simple graph realize this degree sequence? Erdos-Gallai test
-    (equivalent to Havel-Hakimi, which `realize_graph` uses to build an
-    actual realization) on int64 arrays: with d sorted descending, prefix
-    sums S and c_k the count of degrees >= k, S_k <= k(k - 1) + (j - k)k +
-    S_n - S_j, j = max(k, c_k), for every k. Cheap inside resampling loops."""
+    """Can a simple graph realize this degree sequence? The Erdos-Gallai
+    test of `_graphical` (equivalent to Havel-Hakimi, which `realize_graph`
+    uses to build an actual realization) on the validated sequence."""
     seq = validate_degree_sequence(degseq)
-    n = len(seq)
-    if max(seq) >= n or sum(seq) % 2:
+    # A degree of n or more fails, and failing here keeps int64 in range.
+    if max(seq) >= len(seq):
         return False
-    ascending = np.sort(np.array(seq, dtype=np.int64))
+    return _graphical(np.sort(np.array(seq, dtype=np.int64)))
+
+
+def _graphical(ascending: np.ndarray) -> bool:
+    """The Erdos-Gallai test on a nonempty ascending int64 array of
+    nonnegative degrees: with d sorted descending, prefix sums S and c_k the
+    count of degrees >= k, the degree sum is even and S_k <= k(k - 1) +
+    (j - k)k + S_n - S_j, j = max(k, c_k), for every k. Cheap inside
+    resampling loops."""
+    n = len(ascending)
+    if ascending[-1] >= n:
+        return False
     prefix = np.zeros(n + 1, np.int64)
     np.cumsum(ascending[::-1], out=prefix[1:])
+    if prefix[n] % 2:
+        return False
     k = np.arange(1, n + 1, dtype=np.int64)
     j = np.maximum(k, n - np.searchsorted(ascending, k))
     return bool(np.all(prefix[1:] <= k * (k - 1) + (j - k) * k + prefix[n] - prefix[j]))
@@ -304,9 +315,8 @@ def powerlaw_sequence(n: int, gamma, seed: int) -> list[int]:
     attempts = min(POWERLAW_ATTEMPTS, POWERLAW_DOUBLES // n)
     for _ in range(attempts):
         draws = support[np.searchsorted(cumulative, stream.doubles(n), side="left")]
-        seq = [int(d) for d in draws]
-        if is_graphical(seq):
-            return seq
+        if _graphical(np.sort(draws)):
+            return draws.tolist()
     raise GenerationError(
         f"no graphical power-law sequence in {attempts} attempts "
         f"(n={n}, gamma={gamma}; at most {POWERLAW_ATTEMPTS} attempts "
@@ -328,7 +338,7 @@ def _ba_endpoints(n: int, m: int, seed: int) -> list[int]:
     if not 1 <= m < n:
         raise ValidationError(f"need 1 <= m < n, got m={m}, n={n}")
     check_edge_count(m * (n - m))
-    stream = _Stream(seed)
+    below = _Stream(seed).below
     ends: list[int] = []  # one entry per endpoint, so draws ~ degree
     for new in range(m, n):
         if new == m:
@@ -337,7 +347,7 @@ def _ba_endpoints(n: int, m: int, seed: int) -> list[int]:
             targets = []
             chosen: set[int] = set()
             while len(targets) < m:
-                t = ends[stream.below(len(ends))]
+                t = ends[below(len(ends))]
                 if t not in chosen:
                     chosen.add(t)
                     targets.append(t)
@@ -417,7 +427,7 @@ def realize_graph(degseq: DegreeSequence, seed: int) -> ConcreteGraph:
             f"realized graphs limited to {REALIZE_EDGE_GUARD} edges "
             f"(10 edge-swap attempts each), not {count}"
         )
-    if not is_graphical(seq):
+    if not _graphical(np.sort(np.array(seq, dtype=np.int64))):
         raise NotGraphicalError(f"degree sequence {seq} is not graphical")
     n = len(seq)
     # Havel-Hakimi: the vertex of highest (d, v) joins the d next highest.

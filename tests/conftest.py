@@ -8,6 +8,20 @@ from factional_belief import (
     TypeDistribution,
     two_state_prior,
 )
+from factional_belief import algorithms
+
+
+def clear_kernel_caches():
+    for cached in (algorithms._degree_table, algorithms._row_scan, algorithms._boundary_walk):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the degree-table and candidacy-kernel caches first, so that a
+    test that counts table builds or kernel calls (or forbids them) does not
+    depend on which tests ran before it."""
+    clear_kernel_caches()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import re
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +35,8 @@ from factional_belief import (
 from factional_belief import algorithms, experiments
 from factional_belief.algorithms import (
     _candidate_masses,
+    _split_weights,
+    _type_key,
     high_degree_cutoff,
     revolting_rule,
 )
@@ -157,6 +160,7 @@ class TestCandidacyTies:
         }]
 
 
+@pytest.mark.usefixtures("cold_caches")
 class TestOneTablePass:
     """The revolting contexts come from the fixpoint's last candidacy
     pass: one pass per candidate-state set the fixpoint visits, each
@@ -223,10 +227,11 @@ class TestOneTablePass:
         assert visited == sets and scans == [1, 2, 3] * len(sets)
 
 
+@pytest.mark.usefixtures("cold_caches")
 class TestTwoStateWalk:
     """Two states with positive alpha, chi and nu mass in both take the
-    boundary walk: no degree table is built, except for the threshold
-    listing."""
+    boundary walk at one level: no degree table is built, except for the
+    threshold listing. At k levels a degree d walks when k <= (d + 2)/2."""
 
     PRIOR = two_state_prior(
         F(2, 5), F(1, 2),
@@ -247,6 +252,37 @@ class TestTwoStateWalk:
         thresholds = crucial_thresholds(degrees, self.PRIOR)
         assert thresholds["e_A(candidates+alpha)"] == sizes["A"]
         assert sorted(d for _key, d in built) == [1, 2, 3, 8, 40]
+
+    def test_kernel_follows_cost_rule(self, monkeypatch):
+        calls = []
+        for name in ("_row_scan", "_boundary_walk"):
+            kernel = getattr(algorithms, name)
+            monkeypatch.setattr(algorithms, name, partial(self.spy, calls, name, kernel))
+        degrees = list(range(13))
+        for k in (1, 2, 5):
+            levels = [F(j, k + 1) for j in range(1, k + 1)]
+            _candidate_masses(self.PRIOR, degrees, {"A"}, levels, len(degrees))
+        walked = {k: [d for name, kk, d in calls if kk == k and name == "_boundary_walk"]
+                  for k in (1, 2, 5)}
+        scanned = {k: [d for name, kk, d in calls if kk == k and name == "_row_scan"]
+                   for k in (1, 2, 5)}
+        # One level (every analyze and promise run) keeps the walk on every degree.
+        assert walked == {1: degrees, 2: degrees[2:], 5: degrees[8:]}
+        assert scanned == {1: [], 2: degrees[:2], 5: degrees[:8]}
+
+    @pytest.mark.parametrize("name", ["_row_scan", "_boundary_walk"])
+    def test_kernel_results_are_immutable(self, name):
+        key = _type_key(self.PRIOR.states)
+        inside, outside = map(tuple, _split_weights(self.PRIOR, {"A"}))
+        for bounds in (((2, 5),), ((1, 5), (2, 5), (3, 5))):
+            parts, rows = getattr(algorithms, name)(key, inside, outside, bounds, 6)
+            assert isinstance(parts, tuple)
+            hash((parts, rows.args))  # a list anywhere inside raises TypeError
+
+    @staticmethod
+    def spy(calls, name, kernel, key, inside, outside, bounds, d):
+        calls.append((name, len(bounds), d))
+        return kernel(key, inside, outside, bounds, d)
 
 
 class TestAlgorithm1:
@@ -272,6 +308,7 @@ class TestAlgorithm1:
         sizes = algorithm1(CONST4, prior)
         assert sizes == {"A": F(4, 5), "B": F(1, 5)}
 
+    @pytest.mark.usefixtures("cold_caches")
     def test_mislabeled_raises(self, motivating_prior, monkeypatch):
         # Only B reaches mu, which raises before any degree table is built.
         def built(*_args):

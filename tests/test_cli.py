@@ -189,6 +189,7 @@ BOTH_SURVIVE_PRIOR = dict(MOTIVATING, states={
     (BOTH_SURVIVE_PRIOR, ["promise", "--mu-star", "1/2", "--epsilon", "1/100",
                           "--delta", "1/100", "--show-thresholds"]),
 ])
+@pytest.mark.usefixtures("cold_caches")
 def test_table_row_guard_exits_2(doc, task, tmp_path, monkeypatch, capsys):
     # alpha and nu are both possible, so the degree-1000 table would hold
     # 1001 * 1002 / 2 = 501,501 rows, past TABLE_ROW_GUARD.
@@ -206,6 +207,7 @@ def test_table_row_guard_exits_2(doc, task, tmp_path, monkeypatch, capsys):
     assert "501501" in captured.err and not captured.out
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_validate_all_survive_builds_no_table(tmp_path, monkeypatch, capsys):
     # Every state survives, so every chi vertex is a candidate and no degree
     # table is built; a star's leaves and degree-1000 hub still trip the row

@@ -11,12 +11,12 @@ from factional_belief import (
     AgentType, ConcreteGraph, ContextClass, TypeDistribution, algorithm1,
     enumerate_contexts, torus_grid, two_state_prior,
 )
-from factional_belief import experiments
+from factional_belief import algorithms, experiments
 from factional_belief.errors import (
     GenerationError, MislabeledStatesError, SpaceTooLargeError, ValidationError,
 )
 from factional_belief.fileio import format_rational
-from factional_belief.netgen import VERTEX_GUARD, derive_seed
+from factional_belief.netgen import VERTEX_GUARD, derive_seed, generate_sequence
 from factional_belief.experiments import (
     SweepConfig,
     grid,
@@ -108,6 +108,22 @@ class TestSweep:
                 trials=2,
                 seed=0,
             )
+
+    @pytest.mark.usefixtures("cold_caches")
+    def test_p_sweep_trials_share_kernel_results(self, motivating_prior):
+        # Only A reaches mu, so every trial makes one pass over {A} at the
+        # same four levels, with the same key: a kernel misses at most once
+        # per distinct degree of all the trials.
+        cfg = SweepConfig(
+            family="ba", n=250, axis="p", values=grid(F(1, 5), F(4, 5), F(1, 5)),
+            prior=motivating_prior, fixed_param=F(2), trials=20, seed=11,
+        )
+        run_sweep(cfg)
+        specs = experiments._specs(cfg, cfg.fixed_param)
+        degrees = set().union(*map(generate_sequence, specs))
+        kernels = (algorithms._row_scan, algorithms._boundary_walk)
+        misses = sum(kernel.cache_info().misses for kernel in kernels)
+        assert 0 < misses <= len(degrees)
 
     def test_p_axis_raises_first_error_in_point_order(self, monkeypatch):
         # Trial 0 fails its relabel retry at p = 1 only (state A survives

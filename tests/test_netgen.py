@@ -120,7 +120,9 @@ class TestPowerLaw:
         monkeypatch.setattr(netgen, "POWERLAW_ATTEMPTS", 7)
         monkeypatch.setattr(netgen, "POWERLAW_DOUBLES", 500)
         drawn = []
-        monkeypatch.setattr(netgen, "is_graphical", lambda seq: drawn.append(len(seq)) and False)
+        monkeypatch.setattr(
+            netgen, "_graphical", lambda ascending: drawn.append(len(ascending)) and False
+        )
         for n, attempts in ((50, 7), (100, 5), (250, 2), (501, 0)):
             drawn.clear()
             with pytest.raises(GenerationError, match=(

@@ -63,6 +63,7 @@ from factional_belief.algorithms import (
     _fixpoints,
     _ordered_levels,
     _perturbed_sizes,
+    _row_scan,
     _scan_contexts,
     _tables,
     _type_key,
@@ -95,6 +96,7 @@ from factional_belief.netgen import (
     is_graphical,
     realize_graph,
 )
+from conftest import clear_kernel_caches
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -468,6 +470,44 @@ def test_one_level_scan_matches_many_level_scan(instance):
     assert _scan_contexts(scan, j) == _scan_contexts(one_scan, 0)
 
 
+@st.composite
+def cache_instances(draw):
+    """A prior that is, in turn, two-state with alpha = 0 in both states
+    (as the sweep priors are), two-state as `mixed_dists` draws it (zero
+    masses mixed in, or all six positive) or three-state; degrees 0-12, a
+    proper subset of the states and 1-4 ascending levels from the eighths."""
+    shape = draw(st.sampled_from(["alpha0", "mixed", "three"]))
+    count = 3 if shape == "three" else 2
+    weights = draw(st.lists(st.integers(1, 9), min_size=count, max_size=count, unique=True))
+    dists = [draw(mixed_dists()) for _ in weights]
+    if shape == "alpha0":
+        dists = [TypeDistribution(F(0), t.chi, t.alpha + t.nu) for t in dists]
+    states = tuple(
+        StatePrior(f"s{i}", F(w, sum(weights)), t) for i, (w, t) in enumerate(zip(weights, dists))
+    )
+    prior = Prior(F(1, 2), F(1, 2), states)
+    degrees = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    chosen = draw(st.lists(st.sampled_from(prior.labels), min_size=1, max_size=count - 1, unique=True))
+    eighths = st.integers(0, 8).map(lambda j: F(j, 8))
+    levels = sorted(set(draw(st.lists(eighths, min_size=1, max_size=4))))
+    return prior, degrees, chosen, levels
+
+
+@SETTINGS
+@given(cache_instances())
+def test_candidate_masses_same_cold_and_warm(instance):
+    prior, degrees, chosen, levels = instance
+
+    def answer():
+        masses, scan = _candidate_masses(prior, degrees, chosen, levels, len(degrees))
+        return masses, [_scan_contexts(scan, j) for j in range(len(levels))]
+
+    before = answer()
+    clear_kernel_caches()
+    cold = answer()
+    assert before == cold == answer()
+
+
 WALK_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -525,8 +565,12 @@ def walk_instances(draw):
     return prior, degrees, state, draw(walk_levels(prior, degrees, state))
 
 
-def no_table(*_args):
-    raise AssertionError("the walk prior went through the row scan")
+def no_table(key, inside, outside, bounds, d):
+    """`_row_scan`, except on the degrees that the cost rule sends to the
+    walk (k <= (d + 2)/2 for k levels), which must not reach it."""
+    if 2 * len(bounds) <= d + 2:
+        raise AssertionError("the walk prior went through the row scan")
+    return _row_scan(key, inside, outside, bounds, d)
 
 
 @WALK_SETTINGS
