@@ -200,17 +200,14 @@ def candidate_contexts(
     prior: Prior, degrees: Iterable[int], candidate_states: Iterable[str]
 ) -> list[ContextClass]:
     """Chi-centered contexts (over the given degrees, in table order) whose
-    posterior mass on the candidate-state set is at least p: the rows that
-    `_candidate_masses` puts at the one level p."""
+    posterior mass on the candidate-state set is at least p: the rows of
+    the runs that `_candidate_masses` puts at the one level p."""
     degrees = validate_degree_sequence(degrees)
     _masses, scan = _candidate_masses(prior, degrees, candidate_states, [prior.p], 1)
-    return _scan_contexts(scan, 0)
-
-
-def _scan_contexts(scan, j: int) -> list[ContextClass]:
-    """The chi-centered contexts of the rows of `scan` (from
-    `_candidate_masses`) that reach its levels[j], in table order."""
-    return [ContextClass(AgentType.CHI, *row) for rows in scan for row in rows(j)]
+    return [
+        ContextClass(AgentType.CHI, a, c, d - a - c)
+        for d, runs in scan for a, lo, hi in runs(0) for c in range(lo, hi)
+    ]
 
 
 def _combined(columns, coeffs):
@@ -245,15 +242,15 @@ def _candidate_masses(
 
     Both kernels give the degree's parts, pairs (j, weights) of the
     summed weights, over the scale D^(d+1), of the rows whose highest
-    level reached is levels[j]; and the degree's rows(j), the contexts
-    (a, c, v) reaching levels[j], in table order. The parts are lifted to
-    the top degree's scale D^(top+1) with one multiply each, summed from
-    the highest level down, and divided by the scale once per level and
-    state. Returns, per level, each state's expected fraction (relative to
-    total_n agents) of agents whose context is a candidate over the given
-    degree entries; and the scan, the rows of every distinct degree in
-    increasing order, which `_scan_contexts` reads. The TABLE_ROW_GUARD
-    check comes first on both paths."""
+    level reached is levels[j]; and its runs(j), the maximal runs (a, lo,
+    hi) of rows (a, c, d - a - c), lo <= c < hi, that reach levels[j], in
+    table order. The parts are lifted to the top degree's scale D^(top+1)
+    with one multiply each, summed from the highest level down, and
+    divided by the scale once per level and state. Returns, per level,
+    each state's expected fraction (relative to total_n agents) of agents
+    whose context is a candidate over the given degree entries; and the
+    scan, a (d, runs) pair per distinct degree in increasing order. The
+    TABLE_ROW_GUARD check comes first on both paths."""
     key = _type_key(prior.states)
     common, nums = key
     counts = Counter(degrees)
@@ -266,13 +263,13 @@ def _candidate_masses(
     scan = []
     for d in distinct:
         kernel = _boundary_walk if walk and 2 * len(bounds) <= d + 2 else _row_scan
-        parts, rows = kernel(key, inside, outside, bounds, d)
+        parts, runs = kernel(key, inside, outside, bounds, d)
         lift = counts[d] * common ** (top - d)
         for j, part in parts:
             total = totals[j]
             for i, x in enumerate(part):
                 total[i] += lift * x
-        scan.append(rows)
+        scan.append((d, runs))
     for j in range(len(bounds) - 2, -1, -1):
         totals[j] = list(map(add, totals[j], totals[j + 1]))
     scale = common ** (top + 1) * total_n
@@ -290,8 +287,9 @@ def _row_scan(key, inside, outside, bounds, d):
     num R <= (den - num) S compared row by row in one `map`, with S and R
     lazy combinations of the columns, never stored. At several ascending
     distinct levels a bisection over the levels puts each row's index in
-    the bin of the levels it reaches. The parts are the bins' weights.
-    Results are cached, as `_boundary_walk`'s are, and immutable."""
+    the bin of the levels it reaches. The parts are the bins' weights, and
+    the runs join adjacent binned rows. Results are cached, as
+    `_boundary_walk`'s are, and immutable."""
     contexts, columns = _degree_table(key, d)
     k = len(bounds)
     if k == 1:
@@ -320,11 +318,16 @@ def _row_scan(key, inside, outside, bounds, d):
         for b in range(1, k + 1)
         if bins[b]
     )
-    return parts, partial(_binned_rows, contexts, bins)
+    return parts, partial(_bin_runs, contexts, bins)
 
 
-def _binned_rows(contexts, bins, j: int) -> list[tuple[int, int, int]]:
-    return [contexts[i] for i in sorted(chain.from_iterable(bins[j + 1 :]))]
+def _bin_runs(contexts, bins, j: int) -> tuple[tuple[int, int, int], ...]:
+    runs = []
+    for a, c, _v in map(contexts.__getitem__, sorted(chain.from_iterable(bins[j + 1 :]))):
+        # A row right after the last run's end, in the same a-run, extends it.
+        lo = runs.pop()[1] if runs and runs[-1][::2] == (a, c) else c
+        runs.append((a, lo, c + 1))
+    return tuple(runs)
 
 
 @lru_cache(maxsize=4096)
@@ -345,9 +348,9 @@ def _boundary_walk(key, inside, outside, bounds, d):
     compares move it. The run adds C(d, a) alpha_s^a chi_s U_s to state
     s's weight, or the complement (chi_s + nu_s)^m - U_s for a prefix.
     That is O(d + boundary moves) terms per level, against the table's
-    (d+1)(d+2)/2 rows; the rows(j) are the runs' ranges. Results are
-    cached and immutable, as the tables and `_row_scan`'s results are, so
-    a p sweep's trials share their degrees' walks."""
+    (d+1)(d+2)/2 rows; the runs are (a, b, m + 1) for a suffix and (a, 0,
+    b) for a prefix. Results are cached and immutable, as the tables and
+    `_row_scan`'s results are, so a p sweep's trials share their walks."""
     i = 0 if inside[0] else 1
     (al_i, x_i, v_i), (al_o, x_o, v_o) = key[1][i], key[1][1 - i]
     suffix = x_i * v_o >= x_o * v_i
@@ -360,7 +363,7 @@ def _boundary_walk(key, inside, outside, bounds, d):
     binomials = [comb(d, a) for a in range(d + 1)]
     f_i = [x_i * k * p for k, p in zip(binomials, pa_i)]  # C(d, a) alpha^a chi
     f_o = [x_o * k * p for k, p in zip(binomials, pa_o)]
-    sums, boundaries = [], []
+    sums, runs = [], []
     for num, den in bounds:
         w_o, w_i = num * outside[1 - i], (den - num) * inside[i]
         b, u_i, u_o, s_i, s_o, level = 0, 1, 1, 0, 0, []  # U(0, 0) = 1
@@ -394,26 +397,19 @@ def _boundary_walk(key, inside, outside, bounds, d):
             if suffix:
                 s_i += f_i[a] * u_i
                 s_o += f_o[a] * u_o
+                if b <= m:
+                    level.append((a, b, m + 1))
             else:
                 s_i += f_i[a] * (pt_i[m] - u_i)
                 s_o += f_o[a] * (pt_o[m] - u_o)
-            level.append(b)
+                if b:
+                    level.append((a, 0, b))
         sums.append([s_i, s_o] if i == 0 else [s_o, s_i])
-        boundaries.append(tuple(level[::-1]))
+        runs.append(tuple(level[::-1]))
     # The part of levels[j]: its candidates' weights less those of levels[j + 1].
     above = sums[1:] + [[0, 0]]
     parts = tuple((j, tuple(map(sub, s, t))) for j, (s, t) in enumerate(zip(sums, above)))
-    return parts, partial(_run_rows, d, suffix, tuple(boundaries))
-
-
-def _run_rows(d, suffix, boundaries, j: int) -> list[tuple[int, int, int]]:
-    """The rows of each a-run's candidate range at levels[j], in table
-    order: c from the boundary on for a suffix, below it for a prefix."""
-    out = []
-    for a, b in enumerate(boundaries[j]):
-        m = d - a
-        out += ((a, c, m - c) for c in (range(b, m + 1) if suffix else range(b)))
-    return out
+    return parts, tuple(runs).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +473,22 @@ def algorithm1(degseq: DegreeSequence, prior: Prior) -> dict[str, Fraction]:
 
 def revolting_rule(
     degseq: DegreeSequence, prior: Prior
-) -> tuple[dict[str, Fraction], Optional[list[ContextClass]]]:
+) -> tuple[dict[str, Fraction], Optional[list[tuple[int, tuple]]]]:
     """The fixpoint's per-state sizes (alpha mass plus the mass of the
     revolting contexts) and the chi-centered contexts that revolt under the
-    two-state largest-revolt reasoning, in table order: the rows that
-    passed the fixpoint's last table pass, with no second pass. The
-    contexts are None when every state survives: every chi agent then
-    revolts, so no degree table is built (TABLE_ROW_GUARD still applies);
-    and [] when no state survives. The labels are checked as `algorithm1`
-    checks them, by the same `_two_state` call. Used by the Monte-Carlo
-    validator to count realized candidates."""
+    two-state largest-revolt reasoning: a (d, runs) pair per distinct
+    degree in increasing order, the runs of the fixpoint's last candidacy
+    pass (see `_candidate_masses`), with no second pass. They are None
+    when every state survives: every chi agent then revolts, so no degree
+    table is built (TABLE_ROW_GUARD still applies); and [] when no state
+    survives. The labels are checked as `algorithm1` checks them, by the
+    same `_two_state` call. Used by the Monte-Carlo validator."""
     (sizes, survivors, last), _relabeled = _two_state(degseq, prior, [prior.p])[0]
     if len(survivors) == len(prior.labels):
         _check_table_rows(_type_key(prior.states), degseq)
         return sizes, None
-    return sizes, (_scan_contexts(*last) if survivors else [])
+    scan, j = last or ((), 0)  # no pass when no state survives
+    return sizes, [(d, runs(j)) for d, runs in scan]
 
 
 def algorithm1_auto(
@@ -739,9 +736,9 @@ def _fixpoints(
     will ever hold it.
 
     Each answer is (sizes, survivors, last): `last` is the scan of the
-    table pass the survivors passed and the index of p among that pass's
-    levels, from which `_scan_contexts` lists the revolting contexts; None
-    when no pass decided the answer (every state or no state survives).
+    candidacy pass the survivors passed and the index j of p among its
+    levels, so that runs(j) are the revolting contexts; None when no pass
+    decided the answer (every state or no state survives).
 
     `revealed` counts further agents, outside `degseq`, whose contexts
     reveal the true state: a chi agent among them believes the candidate

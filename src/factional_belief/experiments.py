@@ -265,26 +265,27 @@ def sample_type_assignment(prior: Prior, state: str, n: int, seed: int) -> np.nd
     return codes
 
 
-def _context_lookup(prior: Prior, deg: np.ndarray, contexts) -> tuple[np.ndarray, ...]:
+def _context_lookup(prior: Prior, deg: np.ndarray, candidacy) -> tuple[np.ndarray, ...]:
     """The revolting contexts as one flat bool table, with each vertex's
     block start and alpha stride: a chi vertex with a alpha and v nu
     neighbors is a candidate iff table[start + a * stride + v]. A block
     per distinct degree d holds one cell for each (a, v) its degree table
     can hold (`_possible_types`): (d + 1)^2 with alpha and nu agents
     possible, d + 1 with one of them and 1 with neither, so the table is
-    never more than twice the rows of the degree tables behind
-    `contexts`. The stride is d + 1 where nu agents are possible, else 1."""
+    never more than twice the rows of the degree tables. The stride is
+    d + 1 where nu agents are possible, else 1. `revolting_rule`'s
+    candidacy has a (d, runs) pair per distinct degree, in the blocks'
+    order; a run (a, lo, hi) sets one slice, d - a - hi < v <= d - a - lo."""
     alpha, _chi, nu = _possible_types(_type_key(prior.states)[1])
     degrees, at = np.unique(deg, return_inverse=True)
     stride = degrees + 1 if nu else np.ones_like(degrees)
     blocks = stride * (degrees + 1 if alpha else 1)
     starts = np.cumsum(blocks) - blocks
-    index_of = {d: i for i, d in enumerate(degrees.tolist())}
-    i, a, v = np.array(
-        [(index_of[c.degree], c.alpha_neighbors, c.nu_neighbors) for c in contexts]
-    ).T
     table = np.zeros(int(blocks.sum()), bool)
-    table[starts[i] + a * stride[i] + v] = True
+    for (d, runs), start, step in zip(candidacy, starts.tolist(), stride.tolist()):
+        for a, lo, hi in runs:
+            cell = start + a * step + d - a  # the cell of c = 0
+            table[cell - hi + 1 : cell - lo + 1] = True
     return table, starts[at], stride[at]
 
 
@@ -315,12 +316,12 @@ def run_validate(
     n = graph.n
     deg = np.diff(graph.indptr)
     degseq = deg.tolist()
-    sizes, contexts = revolting_rule(degseq, prior)
+    sizes, candidacy = revolting_rule(degseq, prior)
     dist = prior.state(state).types
     exp_candidate = sizes[state] - dist.alpha
 
-    if contexts:
-        table, start, stride = _context_lookup(prior, deg, contexts)
+    if candidacy:
+        table, start, stride = _context_lookup(prior, deg, candidacy)
         heads = np.repeat(np.arange(n), deg)
         tails = graph.indices
         # An alpha tail weighs its head's stride, kept in the narrowest int.
@@ -336,9 +337,9 @@ def run_validate(
     for t in range(trials):
         codes = sample_type_assignment(prior, state, n, derive_seed(seed, t))
         chi = codes == CHI_CODE
-        if contexts is None:
+        if candidacy is None:
             n_cand = int(np.count_nonzero(chi))
-        elif not contexts:
+        elif not candidacy:
             n_cand = 0
         else:
             tail_codes = codes[tails]

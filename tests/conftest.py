@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from factional_belief import (
+    AgentType,
+    ContextClass,
     EpistemicModel,
     Prior,
     TypeDistribution,
@@ -14,6 +16,24 @@ from factional_belief import algorithms
 def clear_kernel_caches():
     for cached in (algorithms._degree_table, algorithms._row_scan, algorithms._boundary_walk):
         cached.cache_clear()
+
+
+def run_rows(d, runs):
+    """The rows (a, c, v) of a degree's candidacy runs, in order: a run
+    (a, lo, hi) holds c = lo..hi-1, v = d - a - c."""
+    return [(a, c, d - a - c) for a, lo, hi in runs for c in range(lo, hi)]
+
+
+def listed_contexts(candidacy):
+    """The chi contexts of (d, runs) pairs, as `revolting_rule` returns them."""
+    return [
+        ContextClass(AgentType.CHI, *row) for d, runs in candidacy for row in run_rows(d, runs)
+    ]
+
+
+def scan_contexts(scan, j):
+    """The chi contexts of a `_candidate_masses` scan at its levels[j]."""
+    return listed_contexts((d, runs(j)) for d, runs in scan)
 
 
 @pytest.fixture

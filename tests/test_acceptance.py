@@ -7,6 +7,7 @@ scans, the exhaustive oracle) rather than trusted from the code under test.
 """
 
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -307,20 +308,25 @@ class TestCriterion10Extensions:
     def scan_maximal(self, degseq, prior):
         labels = prior.labels
         e_alpha = {s: prior.state(s).types.alpha for s in labels}
-        union = frozenset()
         n = len(degseq)
+        # Each possible chi context's posterior and likelihoods, once per
+        # distinct degree, the likelihoods weighted by its multiplicity.
+        contexts = []
+        for d, k in Counter(degseq).items():
+            for c in enumerate_contexts(d, CHI):
+                try:
+                    post = state_posterior(c, prior)
+                except ImpossibleContextError:
+                    continue
+                contexts.append((post, {s: k * context_likelihood(c, s, prior) for s in labels}))
+        union = frozenset()
         for r in range(len(labels) + 1):
             for sub in combinations(labels, r):
                 mass = {s: F(0) for s in labels}
-                for d in degseq:
-                    for c in enumerate_contexts(d, CHI):
-                        try:
-                            post = state_posterior(c, prior)
-                        except ImpossibleContextError:
-                            continue
-                        if sum(post[s] for s in sub) >= prior.p:
-                            for s in labels:
-                                mass[s] += context_likelihood(c, s, prior)
+                for post, weight in contexts:
+                    if sum(post[s] for s in sub) >= prior.p:
+                        for s in labels:
+                            mass[s] += weight[s]
                 if all(mass[s] / n + e_alpha[s] >= prior.mu for s in sub):
                     union |= frozenset(sub)
         return union

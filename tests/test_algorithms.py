@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
@@ -57,21 +58,35 @@ X_B = F(113, 3125)
 CONST4 = [4] * 1000
 
 
-def brute_candidate_mass(prior, degseq, states, p=None):
-    """Independent summation oracle: enumerate every chi context per degree,
-    filter on the posterior mass of the candidate-state set, and weight by
-    the degree multiset. Uses only the model-layer primitives."""
-    p = prior.p if p is None else p
-    per_state = {s: F(0) for s in prior.labels}
-    for d in degseq:
+def chi_context_weights(prior, degseq):
+    """(posterior, weight) of every possible chi context over the degree
+    entries, from the model-layer primitives once per distinct degree:
+    weight[s] is the context's likelihood in state s times the multiplicity
+    of its degree."""
+    out = []
+    for d, k in sorted(Counter(degseq).items()):
         for c in enumerate_contexts(d, CHI):
             try:
                 post = state_posterior(c, prior)
             except ImpossibleContextError:
                 continue
-            if sum(post[s] for s in states) >= p:
-                for s in prior.labels:
-                    per_state[s] += context_likelihood(c, s, prior)
+            out.append((post, {s: k * context_likelihood(c, s, prior) for s in prior.labels}))
+    return out
+
+
+def brute_candidate_mass(prior, degseq, states, p=None, contexts=None):
+    """Independent summation oracle: every chi context of every degree
+    (`contexts`, from `chi_context_weights` when not given), filtered on the
+    posterior mass of the candidate-state set and weighted by the degree
+    multiset. Uses only the model-layer primitives."""
+    p = prior.p if p is None else p
+    if contexts is None:
+        contexts = chi_context_weights(prior, degseq)
+    per_state = {s: F(0) for s in prior.labels}
+    for post, weight in contexts:
+        if sum(post[s] for s in states) >= p:
+            for s in prior.labels:
+                per_state[s] += weight[s]
     n = len(degseq)
     return {s: v / n for s, v in per_state.items()}
 
@@ -141,6 +156,31 @@ class TestExpectedFraction:
                     degseq,
                 )
                 assert full == expected_type_fraction(s, (CHI,), prior)
+
+
+class TestSplitRun:
+    """Three states can split an a-run's candidates into more than one
+    run, which two states never do: with alpha = 0 the one a-run of
+    degree 6 holds c = 0 and c = 5, 6 at p = 1/2, and c = 0, 1 and c = 4..6
+    at p = 2/5."""
+
+    PRIOR = Prior(F(1, 2), F(1, 2), tuple(
+        StatePrior(label, F(1, 3), TypeDistribution(F(0), F(x, 10), F(10 - x, 10)))
+        for label, x in (("A", 1), ("B", 5), ("C", 9))
+    ))
+
+    @pytest.mark.parametrize("p, runs", [
+        (F(1, 2), ((0, 0, 1), (0, 5, 7))),
+        (F(2, 5), ((0, 0, 2), (0, 4, 7))),
+    ])
+    def test_runs_and_listing_match_fraction_reference(self, p, runs):
+        prior = replace(self.PRIOR, p=p)
+        _masses, scan = _candidate_masses(prior, [6], {"A", "C"}, [p], 1)
+        assert [(d, got(0)) for d, got in scan] == [(6, runs)]
+        possible = [c for c in enumerate_contexts(6, CHI) if c.alpha_neighbors == 0]
+        want = [c for c in possible if sum(state_posterior(c, prior)[s] for s in "AC") >= p]
+        assert candidate_contexts(prior, [6], ("A", "C")) == want
+        assert [c.chi_neighbors for c in want] == [c for _a, lo, hi in runs for c in range(lo, hi)]
 
 
 class TestCandidacyTies:
@@ -275,9 +315,12 @@ class TestTwoStateWalk:
         key = _type_key(self.PRIOR.states)
         inside, outside = map(tuple, _split_weights(self.PRIOR, {"A"}))
         for bounds in (((2, 5),), ((1, 5), (2, 5), (3, 5))):
-            parts, rows = getattr(algorithms, name)(key, inside, outside, bounds, 6)
+            parts, runs = getattr(algorithms, name)(key, inside, outside, bounds, 6)
             assert isinstance(parts, tuple)
-            hash((parts, rows.args))  # a list anywhere inside raises TypeError
+            for j in range(len(bounds)):
+                assert isinstance(runs(j), tuple)
+                assert all(isinstance(run, tuple) and len(run) == 3 for run in runs(j))
+                hash((parts, runs(j)))  # a list anywhere inside raises TypeError
 
     @staticmethod
     def spy(calls, name, kernel, key, inside, outside, bounds, d):
@@ -755,10 +798,11 @@ class TestMultistate:
         set, built from model-layer primitives only."""
         labels = prior.labels
         e_alpha = {s: prior.state(s).types.alpha for s in labels}
+        contexts = chi_context_weights(prior, degseq)
         union = frozenset()
         for r in range(len(labels) + 1):
             for sub in combinations(labels, r):
-                mass = brute_candidate_mass(prior, degseq, sub)
+                mass = brute_candidate_mass(prior, degseq, sub, contexts=contexts)
                 if all(mass[s] + e_alpha[s] >= prior.mu for s in sub):
                     union |= frozenset(sub)
         return union

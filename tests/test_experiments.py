@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from factional_belief import (
-    AgentType, ConcreteGraph, ContextClass, TypeDistribution, algorithm1,
-    enumerate_contexts, torus_grid, two_state_prior,
+    ConcreteGraph, TypeDistribution, algorithm1, candidate_contexts, torus_grid,
+    two_state_prior,
 )
 from factional_belief import algorithms, experiments
 from factional_belief.errors import (
     GenerationError, MislabeledStatesError, SpaceTooLargeError, ValidationError,
 )
 from factional_belief.fileio import format_rational
-from factional_belief.netgen import VERTEX_GUARD, derive_seed, generate_sequence
+from factional_belief.netgen import VERTEX_GUARD, ba_graph, derive_seed, generate_sequence
 from factional_belief.experiments import (
     SweepConfig,
     grid,
@@ -27,6 +27,7 @@ from factional_belief.experiments import (
     sample_type_assignment,
     worker_count,
 )
+from conftest import clear_kernel_caches, listed_contexts
 from test_properties import per_vertex_counts
 
 class TestGrid:
@@ -397,13 +398,11 @@ class TestValidate:
         chi_nu = TypeDistribution(F(0), F(1, 2), F(1, 2))
         for d in (2**21 - 2, 2**21 - 1):
             hub = SimpleNamespace(n=1, indptr=np.array([0, d]), indices=np.arange(d))
-            for dist, context in (
-                (chi_only, ContextClass(AgentType.CHI, 0, d, 0)),
-                (chi_nu, ContextClass(AgentType.CHI, 0, 1, d - 1)),
-            ):
+            # The one run of context (0, d, 0), and of context (0, 1, d - 1).
+            for dist, run in ((chi_only, (0, d, d + 1)), (chi_nu, (0, 1, 2))):
                 prior = two_state_prior(F(1, 2), F(1, 2), dist, dist)
                 monkeypatch.setattr(
-                    experiments, "revolting_rule", lambda *_a: ({"A": F(1)}, [context])
+                    experiments, "revolting_rule", lambda *_a: ({"A": F(1)}, [(d, (run,))])
                 )
                 with pytest.raises(LookupError):
                     run_validate(hub, prior, "A", trials=1, seed=0)
@@ -425,28 +424,71 @@ class TestValidate:
         report = run_validate(graph, prior, "A", trials=6, seed=4)
         assert all(r["n_candidates"] == 0 < r["n_chi"] for r in report["trial_rows"])
 
-    def test_revolting_subset_matches_per_vertex_count(self):
-        # A star, a path, a triangle and an isolated vertex (degrees 0, 1, 2
-        # and 5) under a prior with alpha agents in both states: some but
-        # not all chi contexts revolt, and the lookup counts what a
-        # vertex-by-vertex count does, with chi vertices both in and out.
-        edges = [(0, i) for i in range(1, 6)]
-        edges += [(6, 7), (7, 8), (8, 9), (11, 12), (12, 13), (11, 13)]
-        graph = ConcreteGraph(14, edges)
-        prior = two_state_prior(
-            F(2, 5), F(1, 2),
-            TypeDistribution(F(1, 10), F(7, 10), F(1, 5)),
-            TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+    # A star, a path, a triangle and an isolated vertex: degrees 0, 1, 2 and 5.
+    SUBSET_GRAPH = ConcreteGraph(
+        14, [(0, i) for i in range(1, 6)] + [(6, 7), (7, 8), (8, 9), (11, 12), (12, 13), (11, 13)]
+    )
+    # name: (p, A's and B's (alpha, chi, nu), whether the two-state walk runs).
+    SUBSET_PRIORS = {
+        "suffix walk": (F(2, 5), [(1, 10), (7, 10), (1, 5)], [(1, 20), (1, 5), (3, 4)], True),
+        "prefix walk": (F(1, 2), [(1, 2), (1, 10), (2, 5)], [(1, 20), (1, 5), (3, 4)], True),
+        "alpha=0 scan": (F(2, 5), [(0, 1), (4, 5), (1, 5)], [(0, 1), (1, 5), (4, 5)], False),
+        # No nu agents in A and no alpha agents in B: the tables drop the
+        # rows with both alpha and nu neighbors.
+        "zero-mass scan": (F(4, 5), [(1, 4), (3, 4), (0, 1)], [(0, 1), (1, 4), (3, 4)], False),
+    }
+
+    def subset_prior(self, case):
+        p, types_a, types_b, _walked = self.SUBSET_PRIORS[case]
+        return two_state_prior(
+            p, F(1, 2),
+            TypeDistribution(*(F(*x) for x in types_a)),
+            TypeDistribution(*(F(*x) for x in types_b)),
         )
+
+    def test_revolting_subset_matches_per_vertex_count(self):
+        # Under priors whose candidacy takes either kernel, with suffix and
+        # prefix runs, some but not all chi contexts revolt, and the lookup
+        # counts what a vertex-by-vertex count does, with chi vertices both
+        # in and out.
+        graph = self.SUBSET_GRAPH
         degseq = graph.degree_sequence()
-        contexts = experiments.revolting_rule(degseq, prior)[1]
-        possible = sum(len(enumerate_contexts(d, AgentType.CHI)) for d in set(degseq))
-        assert 0 < len(contexts) < possible
-        for state in "AB":
-            report = run_validate(graph, prior, state, trials=40, seed=3)
-            rows = [(r["n_alpha"], r["n_chi"], r["n_candidates"]) for r in report["trial_rows"]]
-            assert rows == per_vertex_counts(graph, prior, state, 3, 40)
-            assert any(0 < cand < chi for _a, chi, cand in rows)
+        for case, (*_types, walked) in self.SUBSET_PRIORS.items():
+            clear_kernel_caches()
+            prior = self.subset_prior(case)
+            candidacy = experiments.revolting_rule(degseq, prior)[1]
+            possible = candidate_contexts(prior, degseq, prior.labels)
+            assert 0 < len(listed_contexts(candidacy)) < len(possible), case
+            assert (algorithms._boundary_walk.cache_info().currsize > 0) == walked, case
+            for state in "AB":
+                report = run_validate(graph, prior, state, trials=40, seed=3)
+                rows = [(r["n_alpha"], r["n_chi"], r["n_candidates"]) for r in report["trial_rows"]]
+                assert rows == per_vertex_counts(graph, prior, state, 3, 40), (case, state)
+                assert any(0 < cand < chi for _a, chi, cand in rows), (case, state)
+
+    @pytest.mark.usefixtures("cold_caches")
+    @pytest.mark.parametrize("case", SUBSET_PRIORS)
+    def test_validate_builds_no_context_class(self, case, monkeypatch):
+        def built(*_args):
+            raise AssertionError("a ContextClass was built")
+
+        graph, prior = self.SUBSET_GRAPH, self.subset_prior(case)
+        want = run_validate(graph, prior, "A", trials=5, seed=3)
+        clear_kernel_caches()
+        monkeypatch.setattr(algorithms, "ContextClass", built)
+        assert run_validate(graph, prior, "A", trials=5, seed=3) == want
+        with pytest.raises(AssertionError, match="ContextClass"):
+            candidate_contexts(prior, graph.degree_sequence(), ("A",))
+
+    def test_ba_candidacy_is_at_most_one_run_per_a_run(self):
+        # BA(10^4, 2) under an alpha > 0 prior lists 96,583 revolting
+        # contexts; their runs number at most one per a-run of each degree.
+        prior = replace(self.subset_prior("suffix walk"), p=F(1, 2))
+        degseq = ba_graph(10_000, 2, 1).degree_sequence()
+        candidacy = experiments.revolting_rule(degseq, prior)[1]
+        assert [d for d, _runs in candidacy] == sorted(set(degseq))
+        assert sum(len(runs) for _d, runs in candidacy) <= sum(d + 1 for d in set(degseq))
+        assert sum(hi - lo for _d, runs in candidacy for _a, lo, hi in runs) == 96_583
 
     def test_forced_type_has_zero_deviation(self):
         dist = TypeDistribution(F(0), F(1), F(0))

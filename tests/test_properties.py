@@ -64,7 +64,6 @@ from factional_belief.algorithms import (
     _ordered_levels,
     _perturbed_sizes,
     _row_scan,
-    _scan_contexts,
     _tables,
     _type_key,
     algorithm1_auto_grid,
@@ -96,7 +95,7 @@ from factional_belief.netgen import (
     is_graphical,
     realize_graph,
 )
-from conftest import clear_kernel_caches
+from conftest import clear_kernel_caches, listed_contexts, run_rows, scan_contexts
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -330,7 +329,7 @@ def test_one_pass_fixpoints_match_one_threshold_loop(instance):
     # whose posterior mass on the survivors reaches p.
     for (p, _mu), (_sizes, survivors, last) in zip(thresholds, got):
         if last is not None:
-            assert _scan_contexts(*last) == [
+            assert scan_contexts(*last) == [
                 c for c, post in posteriors(prior, degrees)
                 if sum(post[s] for s in survivors) >= p
             ]
@@ -466,8 +465,10 @@ def test_one_level_scan_matches_many_level_scan(instance):
     masses, scan = _candidate_masses(prior, degrees, chosen, levels, n)
     j = levels.index(p)
     assert masses[j] == one
-    assert [rows(j) for rows in scan] == [rows(0) for rows in one_scan]
-    assert _scan_contexts(scan, j) == _scan_contexts(one_scan, 0)
+    assert [(d, run_rows(d, runs(j))) for d, runs in scan] == [
+        (d, run_rows(d, runs(0))) for d, runs in one_scan
+    ]
+    assert scan_contexts(scan, j) == scan_contexts(one_scan, 0)
 
 
 @st.composite
@@ -500,7 +501,7 @@ def test_candidate_masses_same_cold_and_warm(instance):
 
     def answer():
         masses, scan = _candidate_masses(prior, degrees, chosen, levels, len(degrees))
-        return masses, [_scan_contexts(scan, j) for j in range(len(levels))]
+        return masses, [scan_contexts(scan, j) for j in range(len(levels))]
 
     before = answer()
     clear_kernel_caches()
@@ -583,11 +584,15 @@ def test_boundary_walk_matches_row_scan_and_reference(instance):
     with patch.object(algorithms, "_boundary_walk", algorithms._row_scan):
         row_masses, row_scan = _candidate_masses(prior, degrees, {state}, levels, n)
     assert masses == row_masses
+    # Both kernels join a level's candidate rows into the same maximal runs.
+    assert [[runs(j) for _d, runs in scan] for j in range(len(levels))] == [
+        [runs(j) for _d, runs in row_scan] for j in range(len(levels))
+    ]
     posts = posteriors(prior, degrees)
     for j, p in enumerate(levels):
         assert masses[j] == reference_candidate_mass(replace(prior, p=p), degrees, {state}, n)
         want = [c for c, post in posts if post[state] >= p]
-        assert _scan_contexts(scan, j) == _scan_contexts(row_scan, j) == want
+        assert scan_contexts(scan, j) == scan_contexts(row_scan, j) == want
 
 
 @st.composite
@@ -632,7 +637,7 @@ def test_walk_fixpoints_match_row_scan_and_reference(instance):
     for (_sizes, _survivors, last), (_s, _v, row_last) in zip(got, rows):
         assert (last is None) == (row_last is None)
         if last is not None:
-            assert _scan_contexts(*last) == _scan_contexts(*row_last)
+            assert scan_contexts(*last) == scan_contexts(*row_last)
 
 
 BIG = 10**20
@@ -1092,7 +1097,8 @@ def test_sizes_are_alpha_plus_revolting_context_mass(prior, degseq):
     _sizes, survivors = multistate_fixpoint(degseq, prior)
     reference = reference_revolting(degseq, prior)
     # None stands for every chi context when every state survives.
-    assert contexts == (None if len(survivors) == 2 else reference)
+    listed = None if contexts is None else listed_contexts(contexts)
+    assert listed == (None if len(survivors) == 2 else reference)
     for s in ("A", "B"):
         alpha = prior.type_prob(s, AgentType.ALPHA)
         assert sizes[s] == alpha + expected_context_fraction(s, reference, prior, degseq)
