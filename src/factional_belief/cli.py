@@ -9,18 +9,25 @@ its default inside the branch that reads it.
 --config (or --config=PATH) points at a JSON file whose keys pre-fill that
 subcommand's options as flags would; explicit flags win.
 
+Each subcommand's flags are one table of `Flag` rows in SUBCOMMANDS, read by
+one pass over the command line (`parse_args`): --flag value or
+--flag=value, a long flag cut to a unique prefix, the last of a repeated
+flag winning, and usage errors (exit 2) and --help (exit 0) as argparse
+gives them.
+
 Exit codes: 0 success, 2 validation/parse error, 3 enumeration budget
 exceeded, 4 promise answered Null under --strict.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import bounds as bounds_mod
 from . import fileio
@@ -69,196 +76,356 @@ from .oracle import (
 RAT = fileio.parse_rational
 
 
-def _add_common(sub: argparse.ArgumentParser, seed=False, fmt=False) -> None:
-    sub.add_argument("--config", help="JSON file with option defaults")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
-    if fmt:
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", help="output path (stdout when omitted)")
+class Flag(NamedTuple):
+    """One row of a subcommand's flag table.
+
+    `kind` is "value" (the word as given), "int", "int2" (two ints), "const"
+    (stores the flag's name, less its dashes, under its group's name),
+    "true" or "help". Flags that share a `group` are mutually exclusive, and
+    `required` on a grouped flag means that one flag of the group is
+    required."""
+
+    name: str
+    kind: str = "value"
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    group: str = ""
+    help: str = ""
+    metavar: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.group if self.kind == "const" else self.name[2:].replace("-", "_")
+
+    def usage(self) -> str:
+        if self.kind in _BARE:
+            return self.name
+        if self.choices:
+            return f"{self.name} {{{','.join(self.choices)}}}"
+        return f"{self.name} {self.metavar or self.dest.upper()}"
 
 
-def _analyze_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", required=True)
-    p.add_argument("--degrees", required=True)
-    variant = p.add_mutually_exclusive_group()
-    for flag in ("smallest", "general", "multistate", "auto-relabel"):
-        variant.add_argument(
-            f"--{flag}", dest="variant", action="store_const", const=flag
-        )
-    p.add_argument("--cutoff-c", help="hub cutoff constant, with --general (default 1)")
-    p.add_argument("--epsilon", help="least hub fraction, with --general (default 1/100)")
-    _add_common(p, fmt=True)
+_BARE = ("const", "true", "help")  # kinds that take no value
+HELP = Flag("--help", "help", help="show this help message and exit")
+CONFIG = Flag("--config", help="JSON file with option defaults")
+SEED = Flag("--seed", "int", 0, help="master 64-bit seed")
+FORMAT = Flag("--format", default="csv", choices=("csv", "json"))
+OUT = Flag("--out", help="output path (stdout when omitted)")
 
-
-def _promise_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", required=True)
-    p.add_argument("--degrees", required=True)
-    point = p.add_mutually_exclusive_group(required=True)
-    point.add_argument("--mu-star")
-    point.add_argument("--grid-step")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--show-thresholds", action="store_true")
-    _add_common(p, fmt=True)
-
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", required=True)
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--axis", choices=("param", "p"), default="param")
-    p.add_argument("--start", required=True)
-    p.add_argument("--stop", required=True)
-    p.add_argument("--step", required=True)
-    p.add_argument("--param", help="fixed family parameter (p-axis sweeps)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    _add_common(p, seed=True, fmt=True)
-
-
-def _validate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", required=True)
-    p.add_argument("--state", default="A")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--level", default="1/100")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="edge-list file")
-    source.add_argument("--torus", nargs=2, type=int, metavar=("ROWS", "COLS"))
-    source.add_argument("--family")
-    p.add_argument("--n", type=int)
-    p.add_argument("--param")
-    _add_common(p, seed=True, fmt=True)
-
-
-def _oracle_args(p: argparse.ArgumentParser) -> None:
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="edge-list file")
-    source.add_argument(
-        "--edges", help="inline adjacency, e.g. '0-1,1-2,0-2' (config-friendly)"
-    )
-    p.add_argument("--n", type=int, help="vertex count for --edges (optional)")
-    instance = p.add_mutually_exclusive_group(required=True)
-    instance.add_argument("--prior")
-    instance.add_argument("--clique-reduce", type=int, metavar="K")
-    p.add_argument("--mu-star")
-    p.add_argument("--q-star")
-    p.add_argument("--budget-pairs", type=int, default=OracleBudget.max_cell_cost)
-    p.add_argument(
-        "--budget-assignments", type=int, default=OracleBudget.max_assignments
-    )
-    _add_common(p)
-
-
-def _epistemic_args(p: argparse.ArgumentParser) -> None:
-    task = p.add_mutually_exclusive_group(required=True)
-    task.add_argument("--model")
-    task.add_argument("--verify-prop1", type=int, metavar="COUNT")
-    p.add_argument("--p", help="belief level, with --model (default 1/2)")
-    p.add_argument("--mu", help="agent fraction, with --model (default 1/2)")
-    p.add_argument("--event", help="comma-separated outcome labels")
-    p.add_argument("--omega")
-    _add_common(p, seed=True)
-    p.set_defaults(seed=None)  # read by --verify-prop1 alone, default 0
-
-
-def _gen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", required=True)
-    p.add_argument("--kind", choices=("sequence", "graph"), default="sequence")
-    _add_common(p, seed=True)
-
-
-def _bounds_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", required=True)
-    p.add_argument("--degrees")
-    p.add_argument("--n", type=int)
-    p.add_argument("--epsilon", help="tail deviation fraction, with --degrees (default 1/50)")
-    p.add_argument("--epsilon0", default="1/10")
-    p.add_argument("--c", default="1")
-    _add_common(p, fmt=True)
-
-
-# Each subcommand: its help line and the function that adds its options.
+# Each subcommand: its help line and its flag table.
 SUBCOMMANDS = {
-    "analyze": ("largest/smallest supported revolt sizes", _analyze_args),
-    "promise": ("promise decision / region map", _promise_args),
-    "sweep": ("parameter sweeps with seeded trials", _sweep_args),
-    "validate": ("Monte-Carlo concentration check", _validate_args),
-    "oracle": ("exact small-instance revolt decision", _oracle_args),
-    "epistemic": ("belief operators and common belief", _epistemic_args),
-    "gen": ("degree-sequence / graph generators", _gen_args),
-    "bounds": ("closed-form probability bounds", _bounds_args),
+    "analyze": ("largest/smallest supported revolt sizes", (
+        Flag("--prior", required=True),
+        Flag("--degrees", required=True),
+        Flag("--smallest", "const", group="variant"),
+        Flag("--general", "const", group="variant"),
+        Flag("--multistate", "const", group="variant"),
+        Flag("--auto-relabel", "const", group="variant"),
+        Flag("--cutoff-c", help="hub cutoff constant, with --general (default 1)"),
+        Flag("--epsilon", help="least hub fraction, with --general (default 1/100)"),
+        CONFIG, FORMAT, OUT,
+    )),
+    "promise": ("promise decision / region map", (
+        Flag("--prior", required=True),
+        Flag("--degrees", required=True),
+        Flag("--mu-star", required=True, group="point"),
+        Flag("--grid-step", required=True, group="point"),
+        Flag("--epsilon", required=True),
+        Flag("--delta", required=True),
+        Flag("--strict", "true", False),
+        Flag("--show-thresholds", "true", False),
+        CONFIG, FORMAT, OUT,
+    )),
+    "sweep": ("parameter sweeps with seeded trials", (
+        Flag("--prior", required=True),
+        Flag("--family", required=True, choices=FAMILIES),
+        Flag("--n", "int", 1000),
+        Flag("--axis", default="param", choices=("param", "p")),
+        Flag("--start", required=True),
+        Flag("--stop", required=True),
+        Flag("--step", required=True),
+        Flag("--param", help="fixed family parameter (p-axis sweeps)"),
+        Flag("--trials", "int", 100),
+        Flag("--jobs", "int", 1, help="parallel workers"),
+        CONFIG, SEED, FORMAT, OUT,
+    )),
+    "validate": ("Monte-Carlo concentration check", (
+        Flag("--prior", required=True),
+        Flag("--state", default="A"),
+        Flag("--trials", "int", 200),
+        Flag("--level", default="1/100"),
+        Flag("--graph", required=True, group="source", help="edge-list file"),
+        Flag("--torus", "int2", required=True, group="source", metavar="ROWS COLS"),
+        Flag("--family", required=True, group="source"),
+        Flag("--n", "int"),
+        Flag("--param"),
+        CONFIG, SEED, FORMAT, OUT,
+    )),
+    "oracle": ("exact small-instance revolt decision", (
+        Flag("--graph", required=True, group="source", help="edge-list file"),
+        Flag("--edges", required=True, group="source",
+             help="inline adjacency, e.g. '0-1,1-2,0-2' (config-friendly)"),
+        Flag("--n", "int", help="vertex count for --edges (optional)"),
+        Flag("--prior", required=True, group="instance"),
+        Flag("--clique-reduce", "int", required=True, group="instance", metavar="K"),
+        Flag("--mu-star"),
+        Flag("--q-star"),
+        Flag("--budget-pairs", "int", OracleBudget.max_cell_cost),
+        Flag("--budget-assignments", "int", OracleBudget.max_assignments),
+        CONFIG, OUT,
+    )),
+    "epistemic": ("belief operators and common belief", (
+        Flag("--model", required=True, group="task"),
+        Flag("--verify-prop1", "int", required=True, group="task", metavar="COUNT"),
+        Flag("--p", help="belief level, with --model (default 1/2)"),
+        Flag("--mu", help="agent fraction, with --model (default 1/2)"),
+        Flag("--event", help="comma-separated outcome labels"),
+        Flag("--omega"),
+        CONFIG,
+        Flag("--seed", "int", help="master 64-bit seed, with --verify-prop1 (default 0)"),
+        OUT,
+    )),
+    "gen": ("degree-sequence / graph generators", (
+        Flag("--family", required=True, choices=FAMILIES),
+        Flag("--n", "int", required=True),
+        Flag("--param", required=True),
+        Flag("--kind", default="sequence", choices=("sequence", "graph")),
+        CONFIG, SEED, OUT,
+    )),
+    "bounds": ("closed-form probability bounds", (
+        Flag("--prior", required=True),
+        Flag("--degrees"),
+        Flag("--n", "int"),
+        Flag("--epsilon", help="tail deviation fraction, with --degrees (default 1/50)"),
+        Flag("--epsilon0", default="1/10"),
+        Flag("--c", default="1"),
+        CONFIG, FORMAT, OUT,
+    )),
 }
 
+# Each subcommand's flags by every spelling they are looked up under.
+_LOOKUP = {
+    command: {"-h": HELP, "--help": HELP, **{flag.name: flag for flag in flags}}
+    for command, (_text, flags) in SUBCOMMANDS.items()
+}
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argparse tree: every subcommand, or only `command`'s. The
-    top-level usage lists every subcommand either way."""
-    parser = argparse.ArgumentParser(
-        prog="revolt",
-        description="Belief-threshold revolt games on networks: exact "
-        "equilibrium-size algorithms, oracle checks, and experiments.",
-    )
-    # The full tree keeps argparse's own metavar, which also names the
-    # missing subcommand "command" in its error.
-    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in SUBCOMMANDS if command is None else (command,):
-        help_text, add_arguments = SUBCOMMANDS[name]
-        add_arguments(subs.add_parser(name, help=help_text))
-    return parser
+# A word that starts with "-" is still a value when it is a negative number
+# (as argparse reads one) or a negative fraction, so that --mu -1/2 reaches
+# the option's own range check.
+_NEGATIVE = re.compile(r"-(?:\d+|\d*\.\d+)$|-\d+/\d+\Z")
+
+
+def _usage(command: str | None) -> str:
+    """The usage line, wrapped at 79 columns under the subcommand."""
+    if command is None:
+        return "revolt [-h] {" + ",".join(SUBCOMMANDS) + "} ..."
+    flags = SUBCOMMANDS[command][1]
+    parts, groups = ["[-h]"], set()
+    for flag in flags:
+        if not flag.group:
+            parts.append(flag.usage() if flag.required else f"[{flag.usage()}]")
+        elif flag.group not in groups:
+            groups.add(flag.group)
+            either = " | ".join(f.usage() for f in flags if f.group == flag.group)
+            parts.append(f"({either})" if flag.required else f"[{either}]")
+    lines = [f"revolt {command}"]
+    indent = " " * len(lines[0])
+    for part in parts:
+        if len(f"usage: {lines[-1]} {part}") > 79:
+            lines.append(f"{indent} {part}")
+        else:
+            lines[-1] += " " + part
+    return "\n       ".join(lines)  # under the "usage: " of the first line
+
+
+def _help(command: str | None) -> str:
+    """The --help text: the usage, then one line per subcommand or flag."""
+    if command is None:
+        lines = [
+            "Belief-threshold revolt games on networks: exact equilibrium-size "
+            "algorithms, oracle checks, and experiments.",
+            "",
+            "subcommands:",
+        ] + [f"  {name:<10} {text}" for name, (text, _flags) in SUBCOMMANDS.items()]
+    else:
+        lines = [SUBCOMMANDS[command][0], "", "options:", f"  {'-h, --help':<30} {HELP.help}"]
+        for flag in SUBCOMMANDS[command][1]:
+            text = flag.help
+            if flag.default not in (None, False):
+                text = f"{text} (default {flag.default})".lstrip()
+            lines.append(f"  {flag.usage():<30} {text}".rstrip())
+    return f"usage: {_usage(command)}\n\n" + "\n".join(lines) + "\n"
+
+
+def _fail(command: str | None, message: str):
+    """Print the usage and `message` to stderr and exit 2."""
+    prog = "revolt" if command is None else f"revolt {command}"
+    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(command: str, word: str):
+    """How `command`'s line reads `word`: None for a value, else (flag, the
+    text after "=" or None), with flag None for a word that looks like a
+    flag no row names. A long flag may be cut to a unique prefix."""
+    if word[:1] != "-" or word == "-":
+        return None
+    lookup = _LOOKUP[command]
+    if word in lookup:
+        return lookup[word], None
+    name, eq, explicit = word.partition("=")
+    if eq and name in lookup:
+        return lookup[name], explicit
+    if word[1] == "-":
+        hits = [spelling for spelling in lookup if spelling.startswith(name)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {name} could match {', '.join(hits)}")
+        if hits:
+            return lookup[hits[0]], explicit if eq else None
+    elif word[1] == "h":
+        return HELP, word[2:]
+    if _NEGATIVE.match(word) or " " in word:
+        return None
+    return None, word
+
+
+def _is_value(command: str, word: str) -> bool:
+    return word != "--" and _option(command, word) is None
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """One pass over a command line: its subcommand and each flag's value,
+    or the flag's default. A repeated flag's last value wins; a usage error
+    exits 2 and --help exits 0, each as argparse would."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        first = argv[0] if argv else ""
+        if first == "-h" or (len(first) > 2 and "--help".startswith(first)):
+            sys.stdout.write(_help(None))
+            raise SystemExit(0)
+        if not argv:
+            _fail(None, "the following arguments are required: command")
+        choices = ", ".join(map(repr, SUBCOMMANDS))
+        _fail(None, f"argument command: invalid choice: {first!r} (choose from {choices})")
+    command, words = argv[0], argv[1:]
+    flags = SUBCOMMANDS[command][1]
+    values = {flag.dest: flag.default for flag in flags}
+    given, chosen, extra, asked = set(), {}, [], False
+    i = 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if word == "--":  # only positional words follow, and no subcommand takes one
+            extra += words[i - 1:]
+            break
+        hit = _option(command, word)
+        if asked:  # past --help only an ambiguous prefix still counts
+            continue
+        if hit is None or hit[0] is None:
+            extra.append(word)
+            continue
+        flag, explicit = hit
+        if flag.kind in _BARE:
+            if explicit is not None:
+                _fail(command, f"argument {flag.name}: ignored explicit argument {explicit!r}")
+            asked = flag.kind == "help"
+            value = True if flag.kind == "true" else flag.name[2:]
+        else:
+            count = 2 if flag.kind == "int2" else 1
+            if explicit is not None and count == 1:
+                args = [explicit]
+            else:
+                args = words[i:i + count]
+                if explicit is not None or len(args) < count or not all(
+                    _is_value(command, a) for a in args
+                ):
+                    expected = "one argument" if count == 1 else f"{count} arguments"
+                    _fail(command, f"argument {flag.name}: expected {expected}")
+                i += count
+            if flag.kind != "value":
+                for j, arg in enumerate(args):
+                    try:
+                        args[j] = int(arg)
+                    except ValueError:
+                        _fail(command, f"argument {flag.name}: invalid int value: {arg!r}")
+            value = args if count > 1 else args[0]
+            if flag.choices and value not in flag.choices:
+                choices = ", ".join(map(repr, flag.choices))
+                _fail(command, f"argument {flag.name}: invalid choice: {value!r} "
+                      f"(choose from {choices})")
+        if flag.group:
+            other = chosen.setdefault(flag.group, flag.name)
+            if other != flag.name:
+                _fail(command, f"argument {flag.name}: not allowed with argument {other}")
+        values[flag.dest] = value
+        given.add(flag.name)
+    if asked:
+        sys.stdout.write(_help(command))
+        raise SystemExit(0)
+    missing = [f.name for f in flags if f.required and not f.group and f.name not in given]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    for group in dict.fromkeys(f.group for f in flags if f.group and f.required):
+        if group not in chosen:
+            either = " ".join(f.name for f in flags if f.group == group)
+            _fail(command, f"one of the arguments {either} is required")
+    if extra:
+        _fail(None, f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(command=command, **values)
 
 
 def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
-    """Pre-scan for --config (either spelling) and splice the file's values
-    in as flags right after the subcommand. argparse keeps the last value it
-    sees, so explicit flags, which come later, win; and config values get
-    the same conversions, choices and required-option checks as flags.
+    """Splice the values of the --config file (either spelling; the last one
+    given) in as flags right after the subcommand. The last value of a flag
+    wins, so explicit flags, which come later, win; and config values get
+    the same conversions, choices and required-flag checks as flags.
     Returns the new argv and the config path found."""
-    if not any(word.startswith("--config") for word in argv):
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return argv, None  # refused by the parse
+    path = None
+    for i, word in enumerate(argv):
+        if word == "--":
+            break
+        if word.startswith("--config="):
+            path = word[len("--config="):]
+        elif word == "--config" and i + 1 < len(argv) and _is_value(argv[0], argv[i + 1]):
+            path = argv[i + 1]
+    if path is None:
         return argv, None
-    pre = argparse.ArgumentParser(prog="revolt", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config is None:
-        return argv, None
-    path = known.config
+    return argv[:1] + _config_words(path) + argv[1:], path
+
+
+def _config_words(path: str) -> list[str]:
+    """The config file at `path` as command-line words: a flag per key, and
+    its value as one word, or as one word per item of a list; true is the
+    bare flag and false leaves it out."""
     doc = fileio.read_input(path, "config", json.loads)
     if not isinstance(doc, dict):
         raise fileio.ParseError(f"config {path}: expected a JSON object")
-    extra = []
+    words = []
     for key, value in doc.items():
         flag = "--" + str(key).replace("_", "-")
         if isinstance(value, bool):
             if value:
-                extra.append(flag)
+                words.append(flag)
         elif isinstance(value, (list, tuple)):
-            extra.append(flag)
-            extra.extend(str(v) for v in value)
+            words.append(flag)
+            words.extend(str(v) for v in value)
         else:
-            extra.extend([flag, str(value)])
-    return argv[:1] + extra + argv[1:], path
+            words.extend([flag, str(value)])
+    return words
 
 
-_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
-
-
-def _join_negative_fractions(argv: list[str]) -> list[str]:
-    """Glue a word like -1/2 to the flag before it (--mu -1/2 becomes
-    --mu=-1/2): argparse takes -1 and -0.5 as values but reads -1/2 as an
-    option, so the value would never reach the option's own range check."""
-    out: list[str] = []
-    for word in argv:
-        flag = out[-1] if out else ""
-        bare_flag = flag.startswith("--") and "=" not in flag
-        if bare_flag and _NEGATIVE_FRACTION.fullmatch(word):
-            out[-1] = f"{flag}={word}"
-        else:
-            out.append(word)
-    return out
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The handler's namespace for one command line (without the program
+    name), --config values spliced in. A usage error raises SystemExit(2)."""
+    argv, config = _apply_config(argv)
+    args = _parse(argv)
+    # The scan matches --config only in full; an abbreviation would
+    # otherwise be accepted and its file silently ignored.
+    if args.config != config:
+        raise ValidationError("spell out --config in full")
+    return args
 
 
 def _reject_unread(args, owner: str, chosen: str, *dests: str) -> None:
@@ -602,15 +769,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, config = _apply_config(argv)
-        # Only the named subcommand's parser is built; a call that names
-        # none (help, a typo, nothing) gets the whole tree.
-        parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
-        args = parser.parse_args(_join_negative_fractions(argv))
-        # The pre-scan matches --config only in full; an abbreviation would
-        # otherwise be accepted and its file silently ignored.
-        if args.config != config:
-            raise ValidationError("spell out --config in full")
+        args = parse_args(argv)
         return HANDLERS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

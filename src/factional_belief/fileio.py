@@ -26,9 +26,12 @@ PathLike = Union[str, Path]
 def read_input(path: PathLike, what: str, parse=str):
     """`parse` of the UTF-8 text of the input file at `path`. A file that
     cannot be read or decoded, or that `parse` rejects as JSON, raises
-    ParseError "cannot read {what} {path}: ..."."""
+    ParseError "cannot read {what} {path}: ...". The bytes are decoded as
+    they are, with no newline translation: every parser splits lines with
+    `str.splitlines` or reads JSON, so CRLF files read the same."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, "rb") as file:
+            return parse(file.read().decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
 

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from factional_belief import algorithms, cli, experiments, netgen
-from factional_belief.cli import HANDLERS, build_parser, main
+from factional_belief.cli import HANDLERS, SUBCOMMANDS, main
 from factional_belief.fileio import (
     format_decimal,
     format_edge_list,
@@ -977,17 +976,16 @@ class TestFlagSurface:
         assert captured.out == "" and message in captured.err
 
     def test_seed_and_format_placement(self):
-        subs = next(
-            a for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ).choices
         takes = {
-            flag: {name for name, p in subs.items() if flag in p._option_string_actions}
+            flag: {
+                name for name, (_text, flags) in SUBCOMMANDS.items()
+                if any(f.name == flag for f in flags)
+            }
             for flag in ("--seed", "--format", "--config", "--out")
         }
         assert takes["--seed"] == {"sweep", "validate", "epistemic", "gen"}
         assert takes["--format"] == {"analyze", "promise", "sweep", "validate", "bounds"}
-        assert takes["--config"] == takes["--out"] == set(subs)
+        assert takes["--config"] == takes["--out"] == set(SUBCOMMANDS)
 
 
 def _readme_commands() -> list[str]:
@@ -1006,7 +1004,7 @@ def _readme_commands() -> list[str]:
 def test_readme_command_parses(line):
     argv = shlex.split(line)
     assert argv[0] == "revolt"
-    build_parser().parse_args(argv[1:])
+    assert cli.parse_args(argv[1:]).command == argv[1]
 
 
 def test_readme_has_an_example_per_subcommand():
@@ -1237,46 +1235,52 @@ SUBCOMMAND_CALLS = {  # a success and a usage error the subparser reports
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_CALLS)
-def test_one_subparser_answers_as_the_full_tree(command, files, monkeypatch, capsys):
-    # Help, a subparser's usage error, an unknown flag (reported with the
-    # top-level usage, which lists every subcommand) and a success are
-    # byte-identical whether main builds one subparser or all of them.
+def test_one_subparser_answers_as_the_full_tree(command, files, capsys):
+    # Help lists one line per flag of the subcommand's table and exits 0; a
+    # usage error exits 2 under the subcommand's usage; an unknown flag
+    # exits 2 under the top-level usage, which lists every subcommand.
     success, usage = SUBCOMMAND_CALLS[command]
     lines = [f"{command} --help", usage, success + " --bogus 1", success]
-    built, partial = [], []
-    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or
-                        build_parser(name))
-    for line in lines:
-        partial.append(_called(line.format(**files), capsys))
-    assert built == [command] * len(lines)
-    monkeypatch.setattr(cli, "build_parser", lambda name=None: build_parser())
-    for line, got in zip(lines, partial):
-        assert _called(line.format(**files), capsys) == got
-    assert [code for code, _out, _err in partial] == [0, 2, 2, 0]
-    subs = next(
-        a for a in build_parser(command)._actions
-        if isinstance(a, argparse._SubParsersAction)
+    called = [_called(line.format(**files), capsys) for line in lines]
+    assert [code for code, _out, _err in called] == [0, 2, 2, 0]
+    (_, help_out, help_err), (_, _, usage_err), (_, bogus_out, bogus_err) = called[:3]
+    assert help_out.startswith(f"usage: revolt {command} [-h]") and help_err == ""
+    rows = help_out.partition("\noptions:\n")[2].splitlines()
+    assert [row.split()[0] for row in rows] == ["-h,"] + [f.name for f in SUBCOMMANDS[command][1]]
+    assert usage_err.startswith(f"usage: revolt {command} [-h]")
+    assert f"\nrevolt {command}: error: " in usage_err
+    assert bogus_out == "" and bogus_err == (
+        "usage: revolt [-h] {analyze,promise,sweep,validate,oracle,epistemic,gen,bounds} ...\n"
+        "revolt: error: unrecognized arguments: --bogus 1\n"
     )
-    assert list(subs.choices) == [command]
 
 
 @pytest.mark.parametrize("line", ["--help", "", "bogus --n 1", "--n 1 analyze"])
-def test_unnamed_subcommand_builds_the_full_tree(line, monkeypatch, capsys):
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or
-                        build_parser(name))
+def test_unnamed_subcommand_builds_the_full_tree(line, capsys):
     code, out, err = _called(line, capsys)
-    assert built == [None] and code in (0, 2)
-    assert "{analyze,promise,sweep,validate,oracle,epistemic,gen,bounds}" in out + err
+    assert code == (0 if line == "--help" else 2)
+    assert "{analyze,promise,sweep,validate,oracle,epistemic,gen,bounds}" in (
+        out if code == 0 else err
+    )
+
+
+def test_help_before_a_negative_fraction_shows_help(capsys):
+    # A negative fraction is a value only after a flag that takes one.
+    code, out, err = _called("epistemic --help -1/2", capsys)
+    assert code == 0 and out.startswith("usage: revolt epistemic [-h]") and err == ""
 
 
 def test_config_prescan_only_with_a_config_flag(monkeypatch):
-    def built(*_args, **_kwargs):
-        raise AssertionError("built the --config pre-parser")
+    def read(*_args):
+        raise AssertionError("read a config file")
 
-    argv = ["analyze", "--prior", "p.json", "--degrees", "d.txt"]
-    monkeypatch.setattr(argparse, "ArgumentParser", built)
-    assert cli._apply_config(argv) == (argv, None)
+    monkeypatch.setattr(cli.fileio, "read_input", read)
+    for argv in (
+        ["analyze", "--prior", "p.json", "--degrees", "d.txt"],
+        ["analyze", "--prior", "p.json", "--conf", "c.json"],
+        ["analyze", "--prior", "p.json", "--", "--config", "c.json"],
+    ):
+        assert cli._apply_config(argv) == (argv, None)
 
 
 NUMPY_MA_PROBE = """
@@ -1310,6 +1314,36 @@ def test_jobs_do_not_import_numpy_ma(prior_file, tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+ARGPARSE_PROBE = """
+import json, sys
+from factional_belief.cli import main
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    for name in ("argparse", "gettext"):
+        assert name not in sys.modules, (name, argv)
+"""
+
+
+def test_jobs_do_not_import_argparse(files, tmp_path):
+    # The flag tables are read by the CLI's own parser: no subcommand, help
+    # text or usage error imports argparse, or gettext, which it imports.
+    lines = ["--help", "bogus"] + [f"{command} --help" for command in SUBCOMMAND_CALLS]
+    for success, usage in SUBCOMMAND_CALLS.values():
+        lines += [success, usage, success + " --bogus 1"]
+    argvs = [shlex.split(line.format(**files)) for line in lines]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", ARGPARSE_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "usage: revolt" in proc.stdout and "usage: revolt" in proc.stderr
 
 
 NUMPY_RANDOM_PROBE = """

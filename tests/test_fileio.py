@@ -13,6 +13,7 @@ from factional_belief.fileio import (
     epistemic_model_to_dict,
     load_degree_sequence,
     load_edge_list,
+    load_epistemic_model,
     load_prior,
     parse_degree_sequence,
     parse_edge_list,
@@ -202,6 +203,31 @@ class TestReports:
         rows = [{"a": 1, "b": "x"}, {"a": 2}]
         text = rows_to_csv(rows, ("a", "b"))
         assert text == "a,b\n1,x\n2,\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_files_read_as_lf(newline, tmp_path):
+    # Input files are decoded with no newline translation; the line parsers
+    # split with str.splitlines and JSON takes CR as whitespace, so each
+    # loader gives the same answer, and the same line in an error, as on LF.
+    texts = {
+        "degrees.txt": ("# degrees\n3 x 2\n\n5\n", load_degree_sequence),
+        "edges.txt": ("# n 4\n0 1\n1 2\n", load_edge_list),
+        "prior.json": (json.dumps(MOTIVATING_DOC, indent=1), load_prior),
+        "model.json": (json.dumps(MODEL_DOC, indent=1), load_epistemic_model),
+        "bad.txt": ("4\n\nx 2 3\n", load_degree_sequence),
+    }
+    for name, (text, load) in texts.items():
+        answers = []
+        for suffix, body in (("lf", text), ("cr", text.replace("\n", newline))):
+            path = tmp_path / f"{suffix}-{name}"
+            path.write_bytes(body.encode())
+            try:
+                answers.append(load(path))
+            except ParseError as exc:
+                answers.append(str(exc).replace(str(path), "FILE"))
+        assert answers[0] == answers[1], name
+    assert answers[0].startswith("FILE:3: bad degree line 'x 2 3'")
 
 
 REFUSALS = [

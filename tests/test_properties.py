@@ -13,11 +13,17 @@ plain-Fraction belief operator and (J1, J2) loop, for the CSR concrete
 graph and the array generators against the tuple-built graph and the
 one-draw-at-a-time samplers, for the Python-int PCG64 stream against
 numpy's Generator, for the array Erdos-Gallai test and the heap
-Havel-Hakimi against their list versions, and for the arbitrary-degree
-variant against the oracle on small graphs with a hub."""
+Havel-Hakimi against their list versions, for the arbitrary-degree
+variant against the oracle on small graphs with a hub, and for the CLI's
+one-pass flag parser against argparse built from the same flag tables."""
 
+import argparse
+import io
+import json
+import re
 from bisect import bisect_left
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -52,7 +58,7 @@ from factional_belief import (
     threshold_probabilities,
     two_state_prior,
 )
-from factional_belief import algorithms, epistemic
+from factional_belief import algorithms, cli, epistemic
 from factional_belief import experiments
 from factional_belief import netgen
 from factional_belief.algorithms import (
@@ -72,6 +78,7 @@ from factional_belief.algorithms import (
     revolting_rule,
 )
 from factional_belief.errors import (
+    Error,
     ImpossibleContextError,
     MislabeledStatesError,
     SpaceTooLargeError,
@@ -1609,3 +1616,205 @@ def test_general_variant_matches_oracle_on_hub_graphs(instance):
     assert high_degree_cutoff(graph.n, F(3, 2)) == 3 and max(seq) >= 3
     greatest = greatest_equilibrium(graph, prior)
     assert general == {s: expected_revolt_fraction(graph, prior, greatest, s) for s in "AB"}
+
+
+# ---------------------------------------------------------------------------
+# The CLI's flag parser against argparse built from the same flag tables
+# ---------------------------------------------------------------------------
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """argparse's tree for `cli.SUBCOMMANDS`, as the CLI built it before
+    its own parser: one subparser per subcommand, one mutually exclusive
+    group per flag group."""
+    parser = argparse.ArgumentParser(prog="revolt")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (text, flags) in cli.SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        groups = {}
+        for flag in flags:
+            target = sub
+            if flag.group:
+                if flag.group not in groups:
+                    groups[flag.group] = sub.add_mutually_exclusive_group(
+                        required=flag.required
+                    )
+                target = groups[flag.group]
+            if flag.kind == "const":
+                target.add_argument(
+                    flag.name, dest=flag.dest, action="store_const", const=flag.name[2:]
+                )
+            elif flag.kind == "true":
+                target.add_argument(flag.name, action="store_true")
+            else:
+                target.add_argument(
+                    flag.name,
+                    default=flag.default,
+                    required=flag.required and not flag.group,
+                    type=None if flag.kind == "value" else int,
+                    nargs=2 if flag.kind == "int2" else None,
+                    choices=flag.choices or None,
+                )
+    return parser
+
+
+def reference_parse_args(argv):
+    """The former `cli.main` parse: an argparse pre-parser finds --config,
+    whose words are spliced in after the subcommand; a negative fraction
+    is glued to the bare long flag before it (argparse reads -1/2 as a
+    flag); an abbreviated --config is refused."""
+    config = None
+    if any(word.startswith("--config") for word in argv):
+        pre = argparse.ArgumentParser(prog="revolt", add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv)[0].config
+        if config is not None:
+            argv = argv[:1] + cli._config_words(config) + argv[1:]
+    joined = []
+    for word in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and "=" not in flag and re.fullmatch(r"-\d+/\d+", word):
+            joined[-1] = f"{flag}={word}"
+        else:
+            joined.append(word)
+    args = reference_parser().parse_args(joined)
+    if args.config != config:
+        raise ValidationError("spell out --config in full")
+    return args
+
+
+def parse_outcome(parse, argv):
+    """The namespace `parse` gives `argv` as a dict, or ("exit", code)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return ("exit", exc.code)
+        except Error:
+            return ("exit", 2)
+
+
+CONFIGS = {
+    "smallest": {"smallest": True},
+    "point": {"mu_star": "1/2"},
+    "seed": {"seed": 3},
+    "torus": {"torus": [3, 3]},
+    "bad_int": {"n": "x"},
+    "bad_choice": {"format": "xml"},
+    "inputs": {"prior": "p.json", "degrees": "d.txt", "family": "ba", "n": 5},
+    "nested": {"config": "other.json"},
+    "unread": {"jobs": 2},
+    "not_an_object": ["--smallest"],
+}
+CONFIG_MISSING = "missing"
+
+# Values: plain words, ints good and bad, choices of every flag, negative
+# numbers (-1, -0.5, -.5) and fractions (-1/2), words that look like flags.
+PARSE_VALUES = [
+    "1/2", "3", "0", "x", "1.5", "p.json", "csv", "json", "xml", "ba", "er", "ring",
+    "param", "p", "graph", "sequence", "-1", "-0.5", "-.5", "-1/2", "-3/4", "-1e5",
+    "", "a b", "-a b", "-", "--",
+]
+# Words no flag table reads as a flag with a value: an unknown flag, a
+# single-dash word, the end of flags and help.
+PARSE_JUNK = ["--", "-", "-x", "--bogus", "--h", "-h", "--help", "--he", "--=1", "-1/2"]
+
+
+# Values a flag of each kind reads, negative numbers (-1, -0.5, -.5) and
+# fractions (-1/2) among them.
+GOOD_VALUES = {
+    "value": ["1/2", "p.json", "-1/2", "-3/4", "-0.5", "-.5", "-1", "a b", "-a b", "-"],
+    "int": ["3", "0", "-1", " 7", "+2"],
+}
+
+
+def flag_value(flag):
+    if flag.choices:
+        return st.sampled_from(flag.choices)
+    return st.sampled_from(GOOD_VALUES["value" if flag.kind == "value" else "int"])
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's line from its own flags (in full, cut to a prefix,
+    or as --flag=value), other subcommands' flags, junk words and
+    --config files; most lines start from the required flags, and most
+    values are of the flag's kind."""
+    command = draw(st.sampled_from(sorted(cli.SUBCOMMANDS)))
+    flags = cli.SUBCOMMANDS[command][1]
+    chunks = []
+    if draw(st.integers(0, 7)):
+        for flag in flags:
+            if flag.required and not flag.group:
+                chunks.append([flag.name, draw(flag_value(flag))])
+        for group in dict.fromkeys(f.group for f in flags if f.group and f.required):
+            member = draw(st.sampled_from([f for f in flags if f.group == group]))
+            count = {"int2": 2, "value": 1, "int": 1}.get(member.kind, 0)
+            chunks.append([member.name] + [draw(flag_value(member)) for _ in range(count)])
+    all_flags = [f for _, fs in cli.SUBCOMMANDS.values() for f in fs]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            chunks.append([draw(st.sampled_from(PARSE_JUNK))])
+        elif kind == 1:
+            name = draw(st.sampled_from([CONFIG_MISSING] + sorted(CONFIGS)))
+            spelling = draw(st.sampled_from(["--config {}", "--config={}", "--conf {}"]))
+            chunks.append(spelling.format("{" + name + "}").split())
+        else:
+            flag = draw(st.sampled_from(flags if kind > 2 else all_flags))
+            name = flag.name
+            if not draw(st.integers(0, 3)):
+                name = name[: draw(st.integers(3, len(name)))]
+            arity = {"int2": 2, "value": 1, "int": 1}.get(flag.kind, 0)
+            good = flag_value(flag)
+            if draw(st.integers(0, 3)):
+                words = [draw(good) for _ in range(arity)]
+            else:
+                count = draw(st.integers(max(arity - 1, 0), arity + 1))
+                words = [draw(st.sampled_from(PARSE_VALUES) | good) for _ in range(count)]
+            if len(words) == 1 and not draw(st.integers(0, 3)):
+                chunks.append([f"{name}={words[0]}"])
+            else:
+                chunks.append([name] + words)
+    order = draw(st.permutations(range(len(chunks))))
+    return [command] + [word for i in order for word in chunks[i]]
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("configs")
+    paths = {CONFIG_MISSING: str(folder / "missing.json")}
+    for name, doc in CONFIGS.items():
+        paths[name] = str(folder / f"{name}.json")
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+    return paths
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+@example(["analyze", "--prior", "p.json", "--degrees", "d.txt", "--config", "{smallest}",
+          "--multistate"])
+@example(["epistemic", "--model", "m.json", "--mu", "-1/2", "--p=-1/3"])
+@example(["validate", "--prior", "p.json", "--torus", "-3", "-3", "--torus", "4", "5"])
+@example(["promise", "--prior", "p.json", "--degrees", "d.txt", "--mu-star", "1/2",
+          "--epsilon", "0", "--delta", "0", "--s"])
+def test_flag_parser_matches_argparse(config_paths, line):
+    # The same namespace from both parsers, or exit 2 (0 for help) from both.
+    # One difference is meant: the old join made --help -1/2 into the
+    # refused --help=-1/2, where the parser now shows the help.
+    assume(not any(
+        "--help".startswith(a) and len(a) > 2 and re.fullmatch(r"-\d+/\d+", b)
+        for a, b in zip(line, line[1:])
+    ))
+    argv = [word.format(**config_paths) for word in line]
+    ours = parse_outcome(cli.parse_args, argv)
+    assert ours == parse_outcome(reference_parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--he"], ["--help=x"], ["-hx"], ["-h", "analyze"], ["bogus"],
+    ["Analyze"], ["--", "analyze"], ["--bogus", "analyze"], ["analyze", "--help", "--bogus"],
+])
+def test_top_level_matches_argparse(argv):
+    # Help words, a missing or unknown subcommand, and help past a bad flag.
+    assert parse_outcome(cli.parse_args, argv) == parse_outcome(reference_parse_args, argv)
