@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb, gcd
-from operator import add, le, mul, sub
+from operator import add, le, mul
 from typing import Iterable, Optional
 
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
@@ -240,17 +240,17 @@ def _candidate_masses(
     degree table. Both kernels are memoised on the same key, so the
     trials of a sweep share their degrees' results.
 
-    Both kernels give the degree's parts, pairs (j, weights) of the
-    summed weights, over the scale D^(d+1), of the rows whose highest
-    level reached is levels[j]; and its runs(j), the maximal runs (a, lo,
-    hi) of rows (a, c, d - a - c), lo <= c < hi, that reach levels[j], in
-    table order. The parts are lifted to the top degree's scale D^(top+1)
-    with one multiply each, summed from the highest level down, and
-    divided by the scale once per level and state. Returns, per level,
-    each state's expected fraction (relative to total_n agents) of agents
-    whose context is a candidate over the given degree entries; and the
-    scan, a (d, runs) pair per distinct degree in increasing order. The
-    TABLE_ROW_GUARD check comes first on both paths."""
+    Both kernels give the degree's sums and runs: sums[j] holds each
+    state's summed weight, over the scale D^(d+1), of the rows that reach
+    levels[j], and runs(j) lists those rows as maximal runs (a, lo, hi) of
+    rows (a, c, d - a - c), lo <= c < hi, in table order. Each level's sums
+    are lifted to the top degree's scale D^(top+1) with one multiply each,
+    added over the degrees, and divided by the scale once per level and
+    state. Returns, per level, each state's expected fraction (relative to
+    total_n agents) of agents whose context is a candidate over the given
+    degree entries; and the scan, a (d, runs) pair per distinct degree in
+    increasing order. The TABLE_ROW_GUARD check comes first on both
+    paths."""
     key = _type_key(prior.states)
     common, nums = key
     counts = Counter(degrees)
@@ -263,15 +263,12 @@ def _candidate_masses(
     scan = []
     for d in distinct:
         kernel = _boundary_walk if walk and 2 * len(bounds) <= d + 2 else _row_scan
-        parts, runs = kernel(key, inside, outside, bounds, d)
+        sums, runs = kernel(key, inside, outside, bounds, d)
         lift = counts[d] * common ** (top - d)
-        for j, part in parts:
-            total = totals[j]
-            for i, x in enumerate(part):
+        for total, level in zip(totals, sums):
+            for i, x in enumerate(level):
                 total[i] += lift * x
         scan.append((d, runs))
-    for j in range(len(bounds) - 2, -1, -1):
-        totals[j] = list(map(add, totals[j], totals[j + 1]))
     scale = common ** (top + 1) * total_n
     masses = [
         {s.label: Fraction(x, scale) for s, x in zip(prior.states, total)}
@@ -287,8 +284,9 @@ def _row_scan(key, inside, outside, bounds, d):
     num R <= (den - num) S compared row by row in one `map`, with S and R
     lazy combinations of the columns, never stored. At several ascending
     distinct levels a bisection over the levels puts each row's index in
-    the bin of the levels it reaches. The parts are the bins' weights, and
-    the runs join adjacent binned rows. Results are cached, as
+    the bin of the highest level it reaches. Each level's sums add the
+    bins' weights from the highest level down to it, and its runs join
+    the adjacent rows of those bins. Results are cached, as
     `_boundary_walk`'s are, and immutable."""
     contexts, columns = _degree_table(key, d)
     k = len(bounds)
@@ -313,12 +311,12 @@ def _row_scan(key, inside, outside, bounds, d):
             if lo:
                 bins[lo].append(r)
         bins = tuple(map(tuple, bins))
-    parts = tuple(
-        (b - 1, tuple(sum(map(column.__getitem__, bins[b])) for column in columns))
-        for b in range(1, k + 1)
-        if bins[b]
+    # From the highest level down, a level's sums add its bin to the sums above.
+    weights = (
+        tuple(sum(map(column.__getitem__, rows)) for column in columns) for rows in bins[:0:-1]
     )
-    return parts, partial(_bin_runs, contexts, bins)
+    sums = tuple(accumulate(weights, lambda s, w: tuple(map(add, s, w))))[::-1]
+    return sums, partial(_bin_runs, contexts, bins)
 
 
 def _bin_runs(contexts, bins, j: int) -> tuple[tuple[int, int, int], ...]:
@@ -334,11 +332,14 @@ def _bin_runs(contexts, bins, j: int) -> tuple[tuple[int, int, int], ...]:
 def _boundary_walk(key, inside, outside, bounds, d):
     """`_candidate_masses`' kernel for two states, i the candidate and o
     the other, each with positive alpha, chi and nu numerators. With q_s =
-    alpha_s^a chi_s^(c+1) nu_s^v, row (a, c, v = m - c), m = d - a, is a
-    candidate at p = num/den iff num pi_o q_o <= (den - num) pi_i q_i: the
-    binomials cancel. Along an a-run, q_i / q_o changes by the constant
+    alpha_s^a chi_s^c nu_s^v, row (a, c, v = m - c), m = d - a, is a
+    candidate at p = num/den iff num pi_o chi_o q_o <= (den - num) pi_i
+    chi_i q_i: the binomials cancel, and the agent's own chi joins the
+    level weights. Along an a-run, q_i / q_o changes by the constant
     factor chi_i nu_o / (chi_o nu_i), so a run's candidates are a suffix
-    in c when that factor is at least 1 and a prefix otherwise.
+    in c when that factor is at least 1. Otherwise they are a suffix in
+    v, and the walk runs on the mirror, with chi and nu swapped in the
+    sums U and the compares below and c counting nu neighbors.
 
     Per level, the walk goes from a = d down to 0 and keeps, per state,
     the suffix sum U_s(m, b) = sum over c >= b of C(m, c) chi_s^c
@@ -346,70 +347,63 @@ def _boundary_walk(key, inside, outside, bounds, d):
     U_s(m, b) = (chi_s + nu_s) U_s(m-1, b) + C(m-1, b-1) chi_s^b
     nu_s^(m-b); moving b adds or removes one term, and exact integer
     compares move it. The run adds C(d, a) alpha_s^a chi_s U_s to state
-    s's weight, or the complement (chi_s + nu_s)^m - U_s for a prefix.
-    That is O(d + boundary moves) terms per level, against the table's
-    (d+1)(d+2)/2 rows; the runs are (a, b, m + 1) for a suffix and (a, 0,
-    b) for a prefix. Results are cached and immutable, as the tables and
-    `_row_scan`'s results are, so a p sweep's trials share their walks."""
+    s's sum. That is O(d + boundary moves) terms per level, against the
+    table's (d+1)(d+2)/2 rows; the runs are (a, b, m + 1), or (a, 0, m -
+    b + 1) on the mirror. Results are cached and immutable, as the tables
+    and `_row_scan`'s results are, so a p sweep's trials share their
+    walks."""
     i = 0 if inside[0] else 1
     (al_i, x_i, v_i), (al_o, x_o, v_o) = key[1][i], key[1][1 - i]
-    suffix = x_i * v_o >= x_o * v_i
 
     def powers(base):
-        return list(accumulate(repeat(base, d + 1), mul, initial=1))
+        return list(accumulate(repeat(base, d), mul, initial=1))
 
-    pa_i, px_i, pv_i, pt_i = map(powers, (al_i, x_i, v_i, x_i + v_i))
-    pa_o, px_o, pv_o, pt_o = map(powers, (al_o, x_o, v_o, x_o + v_o))
+    pa_i, pa_o = powers(al_i), powers(al_o)
     binomials = [comb(d, a) for a in range(d + 1)]
     f_i = [x_i * k * p for k, p in zip(binomials, pa_i)]  # C(d, a) alpha^a chi
     f_o = [x_o * k * p for k, p in zip(binomials, pa_o)]
+    own_i, own_o = inside[i] * x_i, outside[1 - i] * x_o
+    mirror = x_i * v_o < x_o * v_i
+    if mirror:
+        x_i, v_i, x_o, v_o = v_i, x_i, v_o, x_o
+    px_i, pv_i, px_o, pv_o = map(powers, (x_i, v_i, x_o, v_o))
+    t_i, t_o = x_i + v_i, x_o + v_o
     sums, runs = [], []
     for num, den in bounds:
-        w_o, w_i = num * outside[1 - i], (den - num) * inside[i]
+        w_o, w_i = num * own_o, (den - num) * own_i
         b, u_i, u_o, s_i, s_o, level = 0, 1, 1, 0, 0, []  # U(0, 0) = 1
         for a in range(d, -1, -1):
             m = d - a
             if m and b:
                 k = comb(m - 1, b - 1)
-                u_i = pt_i[1] * u_i + k * px_i[b] * pv_i[m - b]
-                u_o = pt_o[1] * u_o + k * px_o[b] * pv_o[m - b]
+                u_i = t_i * u_i + k * px_i[b] * pv_i[m - b]
+                u_o = t_o * u_o + k * px_o[b] * pv_o[m - b]
             elif m:
-                u_i *= pt_i[1]
-                u_o *= pt_o[1]
+                u_i *= t_i
+                u_o *= t_o
             left, right = w_o * pa_o[a], w_i * pa_i[a]
-            # Row c is a candidate iff left chi_o^(c+1) nu_o^(m-c) <= right
-            # chi_i^(c+1) nu_i^(m-c); the boundary b is the first row of
-            # the suffix of candidates, or of the suffix of non-candidates.
+            # Row c is a candidate iff left chi_o^c nu_o^(m-c) <= right
+            # chi_i^c nu_i^(m-c); the boundary b is the first row of the
+            # suffix of candidates.
             while b and (
-                left * px_o[b] * pv_o[m - b + 1] <= right * px_i[b] * pv_i[m - b + 1]
-            ) == suffix:
+                left * px_o[b - 1] * pv_o[m - b + 1] <= right * px_i[b - 1] * pv_i[m - b + 1]
+            ):
                 b -= 1
                 k = comb(m, b)
                 u_i += k * px_i[b] * pv_i[m - b]
                 u_o += k * px_o[b] * pv_o[m - b]
-            while b <= m and (
-                left * px_o[b + 1] * pv_o[m - b] <= right * px_i[b + 1] * pv_i[m - b]
-            ) != suffix:
+            while b <= m and left * px_o[b] * pv_o[m - b] > right * px_i[b] * pv_i[m - b]:
                 k = comb(m, b)
                 u_i -= k * px_i[b] * pv_i[m - b]
                 u_o -= k * px_o[b] * pv_o[m - b]
                 b += 1
-            if suffix:
-                s_i += f_i[a] * u_i
-                s_o += f_o[a] * u_o
-                if b <= m:
-                    level.append((a, b, m + 1))
-            else:
-                s_i += f_i[a] * (pt_i[m] - u_i)
-                s_o += f_o[a] * (pt_o[m] - u_o)
-                if b:
-                    level.append((a, 0, b))
-        sums.append([s_i, s_o] if i == 0 else [s_o, s_i])
+            s_i += f_i[a] * u_i
+            s_o += f_o[a] * u_o
+            if b <= m:
+                level.append((a, 0, m - b + 1) if mirror else (a, b, m + 1))
+        sums.append((s_i, s_o) if i == 0 else (s_o, s_i))
         runs.append(tuple(level[::-1]))
-    # The part of levels[j]: its candidates' weights less those of levels[j + 1].
-    above = sums[1:] + [[0, 0]]
-    parts = tuple((j, tuple(map(sub, s, t))) for j, (s, t) in enumerate(zip(sums, above)))
-    return parts, tuple(runs).__getitem__
+    return tuple(sums), tuple(runs).__getitem__
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ and deterministic CSV report text.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
@@ -18,6 +19,7 @@ from .model import (
     Prior,
     StatePrior,
     TypeDistribution,
+    check_vertex_count,
 )
 
 PathLike = Union[str, Path]
@@ -37,7 +39,9 @@ def read_input(path: PathLike, what: str, parse=str):
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "num/den", an integer string, or a decimal string, exactly."""
+    """Parse "num/den", an integer string, or a decimal string, exactly. A
+    decimal exponent whose magnitude is past the interpreter's limit on
+    integer-string digits is refused before `Fraction` expands 10 to it."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -46,8 +50,14 @@ def parse_rational(text) -> Fraction:
         raise ParseError(
             f"refusing float {text!r}; pass a rational string like '2/5'"
         )
+    string = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        _mantissa, e, exponent = string.lower().partition("e")
+        digits = exponent.lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before 3.10.7
+        if e and limit and digits.isdecimal() and int(digits) > limit:
+            raise ValueError(f"exponent past {limit}, the interpreter's integer-digit limit")
+        return Fraction(string)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
@@ -196,23 +206,26 @@ def load_epistemic_model(path: PathLike) -> EpistemicModel:
 
 
 def parse_degree_sequence(text: str, source: str = "<degrees>") -> list[int]:
-    """One integer per line, or run-length lines "count x degree"."""
+    """One integer per line, or run-length lines "count x degree". A
+    run-length line that would take the entry count past VERTEX_GUARD
+    raises SpaceTooLargeError before it is expanded."""
     out: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            if "x" in line:
-                count_s, degree_s = line.split("x")
-                count, degree = int(count_s), int(degree_s)
-                if count < 0:
-                    raise ValueError("negative count")
-                out.extend([degree] * count)
-            else:
+            if "x" not in line:
                 out.append(int(line))
+                continue
+            count_s, degree_s = line.split("x")
+            count, degree = int(count_s), int(degree_s)
+            if count < 0:
+                raise ValueError("negative count")
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: bad degree line {line!r} ({exc})")
+        check_vertex_count(len(out) + count)
+        out.extend([degree] * count)
     if not out:
         raise ParseError(f"{source}: no degrees found")
     return out
@@ -240,7 +253,15 @@ def parse_edge_list(text: str, source: str = "<edges>") -> ConcreteGraph:
         if line.startswith("#"):
             body = line[1:].split()
             if len(body) == 2 and body[0] == "n":
-                declared = int(body[1])
+                try:
+                    declared = int(body[1])
+                    if declared < 0:
+                        raise ValueError
+                except ValueError:
+                    raise ParseError(
+                        f"{source}:{lineno}: vertex count in {line!r} is not a "
+                        "nonnegative integer"
+                    ) from None
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -315,12 +315,13 @@ class TestTwoStateWalk:
         key = _type_key(self.PRIOR.states)
         inside, outside = map(tuple, _split_weights(self.PRIOR, {"A"}))
         for bounds in (((2, 5),), ((1, 5), (2, 5), (3, 5))):
-            parts, runs = getattr(algorithms, name)(key, inside, outside, bounds, 6)
-            assert isinstance(parts, tuple)
+            sums, runs = getattr(algorithms, name)(key, inside, outside, bounds, 6)
+            assert isinstance(sums, tuple) and len(sums) == len(bounds)
+            assert all(isinstance(level, tuple) and len(level) == 2 for level in sums)
             for j in range(len(bounds)):
                 assert isinstance(runs(j), tuple)
                 assert all(isinstance(run, tuple) and len(run) == 3 for run in runs(j))
-                hash((parts, runs(j)))  # a list anywhere inside raises TypeError
+                hash((sums, runs(j)))  # a list anywhere inside raises TypeError
 
     @staticmethod
     def spy(calls, name, kernel, key, inside, outside, bounds, d):

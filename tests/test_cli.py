@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -1166,6 +1167,49 @@ class TestHugeNumbers:
         assert main(["gen", "--family", family, "--n", "5", "--param", "1e400"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+class TestInputGuards:
+    def test_bad_vertex_count_header_exits_2(self, prior_file, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("# n abc\n0 1\n")
+        assert main(["validate", "--prior", prior_file, "--graph", str(graph)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {graph}:1: vertex count in '# n abc' is not a nonnegative integer\n"
+        )
+
+    @pytest.mark.parametrize("where", ["flag", "prior"])
+    def test_huge_decimal_exponent_exits_2_quickly(self, where, const4_file, tmp_path, capsys):
+        # Fraction would expand 10**100000000 for minutes before answering.
+        huge = "1e100000000"
+        doc = dict(MOTIVATING, p=huge if where == "prior" else MOTIVATING["p"])
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps(doc))
+        line = PROMISE.format(prior=prior, degrees=const4_file)
+        line += f"--mu-star {huge if where == 'flag' else '1/2'}"
+        start = perf_counter()
+        assert main(shlex.split(line)) == 2
+        assert perf_counter() - start < 5
+        captured = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert captured.out == "" and captured.err == (
+            f"error: bad rational {huge!r}: exponent past {limit}, "
+            "the interpreter's integer-digit limit\n"
+        )
+
+    def test_run_length_past_vertex_guard_exits_2(self, prior_file, tmp_path, monkeypatch,
+                                                  capsys):
+        degrees = tmp_path / "degrees.txt"
+        degrees.write_text("1000000000000x4\n")
+        monkeypatch.setattr(
+            "factional_belief.algorithms._candidate_masses", lambda *args: pytest.fail("ran")
+        )
+        assert main(["analyze", "--prior", prior_file, "--degrees", str(degrees)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: graphs limited to 1000000 vertices, not 1000000000000\n"
+        )
 
 
 @pytest.mark.parametrize("states", [

@@ -1,10 +1,13 @@
 import json
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
 from factional_belief import ConcreteGraph, EpistemicModel
-from factional_belief.errors import ParseError
+from factional_belief.errors import ParseError, SpaceTooLargeError
 from factional_belief.fileio import (
     dump_prior,
     format_degree_sequence,
@@ -36,7 +39,8 @@ MOTIVATING_DOC = {
 class TestRationals:
     @pytest.mark.parametrize(
         "text,value",
-        [("2/5", F(2, 5)), ("0", F(0)), ("7", F(7)), ("0.005", F(1, 200)), (3, F(3))],
+        [("2/5", F(2, 5)), ("0", F(0)), ("7", F(7)), ("0.005", F(1, 200)), (3, F(3)),
+         ("2.5E-3", F(1, 400)), ("1e5", F(100000))],
     )
     def test_parse(self, text, value):
         assert parse_rational(text) == value
@@ -48,6 +52,16 @@ class TestRationals:
     def test_reject_garbage(self):
         with pytest.raises(ParseError):
             parse_rational("two fifths")
+
+    def test_exponent_at_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit}") == 10**limit
+        assert parse_rational(f"1e-{limit}") == F(1, 10**limit)
+        for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", f"1e+{limit + 1}", "1e1_000_000"):
+            start = perf_counter()
+            with pytest.raises(ParseError, match="the interpreter's integer-digit limit$"):
+                parse_rational(text)
+            assert perf_counter() - start < 1
 
 
 class TestPriorDocument:
@@ -172,6 +186,24 @@ class TestDegreeFiles:
         with pytest.raises(ParseError):
             parse_degree_sequence("# nothing\n")
 
+    def test_run_length_checked_before_expansion(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLargeError) as info:
+                parse_degree_sequence("3\n1000000000000x4\n")
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "graphs limited to 1000000 vertices, not 1000000000001"
+        with pytest.raises(SpaceTooLargeError, match="not 1000001$"):
+            parse_degree_sequence("2\n999999 x 4\n1x4\n")
+
+    def test_a_million_entries_load(self, tmp_path):
+        path = tmp_path / "degs.txt"
+        path.write_text("2\n999998 x 4\n3\n")
+        seq = load_degree_sequence(path)
+        assert len(seq) == 1_000_000 and seq[:2] == [2, 4] and seq[-1] == 3
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "degs.txt"
         path.write_text(format_degree_sequence([4, 4, 1]))
@@ -233,6 +265,12 @@ def test_crlf_files_read_as_lf(newline, tmp_path):
 REFUSALS = [
     pytest.param(lambda: parse_edge_list("0 x"), ParseError,
                  "<edges>:1: non-integer endpoint in '0 x'", id="edge-endpoint-not-integer"),
+    pytest.param(lambda: parse_edge_list("# n abc\n0 1", source="g.txt"), ParseError,
+                 "g.txt:1: vertex count in '# n abc' is not a nonnegative integer",
+                 id="edge-header-count-not-integer"),
+    pytest.param(lambda: parse_edge_list("0 1\n# n -3"), ParseError,
+                 "<edges>:2: vertex count in '# n -3' is not a nonnegative integer",
+                 id="edge-header-count-negative"),
     pytest.param(lambda: parse_degree_sequence("-2 x 3"), ParseError,
                  "<degrees>:1: bad degree line '-2 x 3' (negative count)",
                  id="degree-count-negative"),

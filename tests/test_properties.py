@@ -602,6 +602,38 @@ def test_boundary_walk_matches_row_scan_and_reference(instance):
         assert scan_contexts(scan, j) == scan_contexts(row_scan, j) == want
 
 
+# chi_A nu_B < chi_B nu_A: state A's candidates in an a-run are a prefix in
+# c, so a walk for A runs on the mirror.
+PREFIX_PRIOR = two_state_prior(
+    F(1, 2), F(1, 2),
+    TypeDistribution(F(1, 2), F(1, 10), F(2, 5)),
+    TypeDistribution(F(1, 20), F(1, 5), F(3, 4)),
+)
+
+
+@pytest.mark.parametrize("others", [[], [F(1, 10), F(9, 10)]], ids=["one-level", "three-levels"])
+def test_mirrored_walk_matches_row_scan_and_reference(others):
+    d = 8
+    tie = state_posterior(ContextClass(AgentType.CHI, 2, 3, 3), PREFIX_PRIOR)["A"]
+    levels = sorted({tie, *others})
+    key = _type_key(PREFIX_PRIOR.states)
+    inside, outside = map(tuple, algorithms._split_weights(PREFIX_PRIOR, {"A"}))
+    bounds = tuple((p.numerator, p.denominator) for p in levels)
+    sums, runs = algorithms._boundary_walk(key, inside, outside, bounds, d)
+    row_sums, row_runs = _row_scan(key, inside, outside, bounds, d)
+    assert sums == row_sums
+    posts = posteriors(PREFIX_PRIOR, [d])
+    for j, p in enumerate(levels):
+        assert runs(j) == row_runs(j)
+        want = [c for c, post in posts if post["A"] >= p]
+        assert 0 < len(want) < len(posts)
+        assert listed_contexts([(d, runs(j))]) == want
+        mass = reference_candidate_mass(replace(PREFIX_PRIOR, p=p), [d], {"A"}, 1)
+        assert [F(x, key[0] ** (d + 1)) for x in sums[j]] == [mass["A"], mass["B"]]
+    # Every a-run that holds a candidate starts at c = 0.
+    assert all(lo == 0 for j in range(len(levels)) for _a, lo, _hi in runs(j))
+
+
 @st.composite
 def walk_thresholds(draw):
     """A walk prior, up to 3 revealed agents, degrees 0-40 with a repeat
