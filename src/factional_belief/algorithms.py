@@ -10,7 +10,6 @@ with the same degrees cannot change a result.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -253,7 +252,9 @@ def _candidate_masses(
     paths."""
     key = _type_key(prior.states)
     common, nums = key
-    counts = Counter(degrees)
+    counts: dict[int, int] = {}  # Counter(list) would walk Mapping's subclass tree
+    for d in degrees:
+        counts[d] = counts.get(d, 0) + 1
     inside, outside = map(tuple, _split_weights(prior, candidate_states))
     distinct = _check_table_rows(key, counts)
     bounds = tuple((p.numerator, p.denominator) for p in levels)

@@ -23,6 +23,7 @@ from .model import (
 )
 
 PathLike = Union[str, Path]
+ECHO = 40  # characters of a refused text that an error shows
 
 
 def read_input(path: PathLike, what: str, parse=str):
@@ -38,10 +39,29 @@ def read_input(path: PathLike, what: str, parse=str):
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
 
 
+def _shown(value) -> str:
+    """repr(value), cut to the first ECHO characters of a longer string or
+    repr, and their count."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= ECHO:
+        return repr(value)
+    head = repr(text[:ECHO]) if text is value else text[:ECHO]
+    return f"{head}... ({len(text)} characters)"
+
+
+def _unsigned(numeral: str) -> str:
+    """numeral without one leading sign."""
+    return numeral[1:] if numeral[:1] in ("+", "-") else numeral
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "num/den", an integer string, or a decimal string, exactly. A
-    decimal exponent whose magnitude is past the interpreter's limit on
-    integer-string digits is refused before `Fraction` expands 10 to it."""
+    """Parse "num/den", an integer string, or a decimal string, exactly.
+    ASCII "int" and "int/int" strings become `Fraction(int, int)`; every
+    other string goes to `Fraction(string)`, with the same errors. A decimal
+    part with more digits than the interpreter's limit on integer-string
+    digits is refused as `int` refuses it, and a decimal exponent past that
+    limit is refused, both before `Fraction` computes 10 to that power. An
+    error echoes at most ECHO characters of the text."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -52,14 +72,21 @@ def parse_rational(text) -> Fraction:
         )
     string = str(text).strip()
     try:
-        _mantissa, e, exponent = string.lower().partition("e")
-        digits = exponent.lstrip("+-").replace("_", "")
+        num, slash, den = string.partition("/")
+        if string.isascii() and _unsigned(num).isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+        mantissa, _e, exponent = string.lower().partition("e")
+        digits = _unsigned(exponent).replace("_", "")
+        decimal = mantissa.partition(".")[2].replace("_", "")
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before 3.10.7
-        if e and limit and digits.isdecimal() and int(digits) > limit:
+        if limit and digits.isdecimal() and int(digits) > limit:
             raise ValueError(f"exponent past {limit}, the interpreter's integer-digit limit")
+        if limit and len(decimal) > limit and decimal.isdecimal():
+            int(decimal)  # raises ValueError as Fraction would, after 10**len(decimal)
         return Fraction(string)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+        reason = str(exc).replace(repr(string), _shown(string))
+        raise ParseError(f"bad rational {_shown(text)}: {reason}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -81,7 +108,9 @@ def format_decimal(x) -> str:
 
 
 def _object(value, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
+    # The exact type first: the first isinstance test of a type against an
+    # ABC walks the ABC's whole subclass tree.
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise ParseError(f"{what} must be a JSON object")
     return value
 

@@ -121,22 +121,22 @@ def _add128(hi, lo, c_hi, c_lo) -> None:
     hi += lo < c_lo
 
 
-# Row 0 holds M**i and row 1 holds sum_{j<i} M**j, for i = 1..width, as
-# high and low words: the i-th LCG state after s is M**i*s + (sum M**j)*inc.
-_jumps = [np.array([[w], [g]], np.uint64) for w, g in zip(_words(_PCG_MULT), (0, 1))]
+# The words (high, low) of G_i = sum_{j<i} M**j for i = 1..width: as
+# M**i = (M - 1)*G_i + 1, the i-th LCG state after s is G_i*K + s, with
+# K = (M - 1)*s + inc one int per block.
+_jumps = [np.zeros(1, np.uint64), np.ones(1, np.uint64)]
 
 
 def _jump_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The jump words for at least k states, grown by doubling: with A_i =
-    M**i and G_i = sum_{j<i} M**j, A_{n+j} = A_n*A_j and G_{n+j} = A_n*G_j
-    + G_n. Built once a process, up to the first power of two >= k."""
+    """The G words for at least k states, grown by doubling: G_{n+j} =
+    A_n*G_j + G_n, with A_n = M**n = (M - 1)*G_n + 1. Built once a process,
+    up to the first power of two >= k."""
     hi, lo = _jumps
-    while hi.shape[1] < k:
-        top_hi, top_lo = _mul128(hi, lo, _as_int(hi[0, -1], lo[0, -1]))
-        _add128(top_hi[1], top_lo[1], hi[1, -1], lo[1, -1])
-        hi = np.concatenate((hi, top_hi), axis=1)
-        lo = np.concatenate((lo, top_lo), axis=1)
-        _jumps[:] = hi, lo
+    while len(hi) < k:
+        a_n = ((_PCG_MULT - 1) * _as_int(hi[-1], lo[-1]) + 1) & _MASK128
+        top_hi, top_lo = _mul128(hi, lo, a_n)
+        _add128(top_hi, top_lo, hi[-1], lo[-1])
+        hi, lo = _jumps[:] = np.concatenate((hi, top_hi)), np.concatenate((lo, top_lo))
     return hi, lo
 
 
@@ -226,17 +226,17 @@ class _Stream:
                 return m >> 32
 
     def doubles(self, k: int) -> np.ndarray:
-        """k uniform doubles in [0, 1). Each block of states is A_i*s + C_i
-        for the block's start state s, with C_i = G_i*inc computed once."""
+        """k uniform doubles in [0, 1). Each block of states is G_i*K + s
+        for the block's start state s, K = (M - 1)*s + inc: one 128-bit
+        product per state."""
         out = np.empty(k)
-        width = min(k, DOUBLE_CHUNK)
-        table_hi, table_lo = _jump_table(width)
-        inc_hi, inc_lo = _mul128(table_hi[1, :width], table_lo[1, :width], self.inc)
+        table_hi, table_lo = _jump_table(min(k, DOUBLE_CHUNK))
         s = self.state
         for start in range(0, k, DOUBLE_CHUNK):
             n = min(DOUBLE_CHUNK, k - start)
-            hi, lo = _mul128(table_hi[0, :n], table_lo[0, :n], s)
-            _add128(hi, lo, inc_hi[:n], inc_lo[:n])
+            step = ((_PCG_MULT - 1) * s + self.inc) & _MASK128
+            hi, lo = _mul128(table_hi[:n], table_lo[:n], step)
+            _add128(hi, lo, *_words(s))
             s = _as_int(hi[-1], lo[-1])
             lo ^= hi  # XSL-RR: rotate hi ^ lo right by the top 6 bits
             hi >>= _W58

@@ -1198,6 +1198,19 @@ class TestInputGuards:
             "the interpreter's integer-digit limit\n"
         )
 
+    def test_long_decimal_exits_2_with_a_short_line(self, prior_file, const4_file, capsys):
+        # Fraction would compute 10**100000 first; the error shows the text's
+        # head and length, not its 100,002 characters.
+        line = PROMISE.format(prior=prior_file, degrees=const4_file)
+        start = perf_counter()
+        assert main(shlex.split(line) + ["--mu-star", "0." + "1" * 100_000]) == 2
+        assert perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 300
+        assert captured.err.startswith("error: bad rational '0.111")
+        assert "(100002 characters)" in captured.err
+
     def test_run_length_past_vertex_guard_exits_2(self, prior_file, tmp_path, monkeypatch,
                                                   capsys):
         degrees = tmp_path / "degrees.txt"
@@ -1388,6 +1401,47 @@ def test_jobs_do_not_import_argparse(files, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "usage: revolt" in proc.stdout and "usage: revolt" in proc.stderr
+
+
+ABC_PROBE = """
+import _abc, json, numbers, sys
+from collections.abc import Mapping
+from factional_belief.cli import main
+
+def negative(abc):
+    return {ref() for ref in _abc._get_dump(abc)[2]}
+
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert list not in negative(Mapping), argv
+    assert str not in negative(numbers.Rational), argv
+"""
+
+
+def test_jobs_make_no_first_use_abc_scans(files, tmp_path):
+    # The first negative isinstance test of a type against an ABC walks the
+    # ABC's whole subclass tree, which numpy grows; in a forked job that
+    # walk costs hundreds of microseconds. Counter(list) asks whether a list
+    # is a Mapping and Fraction(str) whether a str is a Rational, so the
+    # jobs count degrees in a dict and parse rationals from ints.
+    _abc = pytest.importorskip("_abc")
+    if not hasattr(_abc, "_get_dump"):
+        pytest.skip("this interpreter's _abc has no _get_dump")
+    lines = [
+        ANALYZE,
+        PROMISE + "--mu-star 1/2",
+        VALIDATE + "--family ba --n 300 --param 2",
+        "epistemic --model {model} --event 1",
+        SWEEP,
+    ]
+    argvs = [shlex.split(line.format(**files)) for line in lines]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", ABC_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 NUMPY_RANDOM_PROBE = """

@@ -63,6 +63,31 @@ class TestRationals:
                 parse_rational(text)
             assert perf_counter() - start < 1
 
+    def test_long_decimal_refused_before_expansion(self):
+        # Fraction would compute 10**len(decimal) first, about 1.7 s here.
+        text = "0." + "1" * 4_000_000
+        start = perf_counter()
+        with pytest.raises(ParseError) as caught:
+            parse_rational(text)
+        assert perf_counter() - start < 0.5
+        limit = sys.get_int_max_str_digits()
+        assert str(caught.value) == (
+            f"bad rational {text[:40]!r}... (4000002 characters): Exceeds the limit "
+            f"({limit} digits) for integer string conversion: value has 4000000 digits; "
+            "use sys.set_int_max_str_digits() to increase the limit"
+        )
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000, "x" * 10**6, [1] * 10**5])
+    def test_refusal_echo_is_clipped(self, text):
+        with pytest.raises(ParseError) as caught:
+            parse_rational(text)
+        message = str(caught.value)
+        assert len(message) < 300
+        if isinstance(text, str):
+            assert message.startswith(f"bad rational {text[:40]!r}... ({len(text)} characters): ")
+        else:
+            assert message.startswith(f"bad rational {str(text)[:40]}... ({len(str(text))} characters): ")
+
 
 class TestPriorDocument:
     def test_round_trip(self):

@@ -14,13 +14,15 @@ graph and the array generators against the tuple-built graph and the
 one-draw-at-a-time samplers, for the Python-int PCG64 stream against
 numpy's Generator, for the array Erdos-Gallai test and the heap
 Havel-Hakimi against their list versions, for the arbitrary-degree
-variant against the oracle on small graphs with a hub, and for the CLI's
-one-pass flag parser against argparse built from the same flag tables."""
+variant against the oracle on small graphs with a hub, for the CLI's
+one-pass flag parser against argparse built from the same flag tables,
+and for the rational parser against Fraction."""
 
 import argparse
 import io
 import json
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -58,7 +60,7 @@ from factional_belief import (
     threshold_probabilities,
     two_state_prior,
 )
-from factional_belief import algorithms, cli, epistemic
+from factional_belief import algorithms, cli, epistemic, fileio
 from factional_belief import experiments
 from factional_belief import netgen
 from factional_belief.algorithms import (
@@ -81,6 +83,7 @@ from factional_belief.errors import (
     Error,
     ImpossibleContextError,
     MislabeledStatesError,
+    ParseError,
     SpaceTooLargeError,
     ValidationError,
 )
@@ -1461,8 +1464,9 @@ WORD128 = st.one_of(
 @given(st.lists(WORD128, min_size=1, max_size=8), WORD128, WORD128, WORD128, WORD128)
 def test_word_arithmetic_matches_python_ints(xs, c, d, c2, offset):
     # The stream's 128-bit products and sums on uint64 words, against ints:
-    # one row times an int, and two rows times an int, the form the jump
-    # table's doubling uses (the second row is xs reversed and offset).
+    # a row times an int, plus a row, plus np.uint64 scalar words (the form
+    # the jump table's doubling and every block of doubles use), and a
+    # stacked pair of rows times an int.
     hi, lo = (np.array(words, np.uint64) for words in zip(*map(netgen._words, xs)))
     ys = [(x + offset) % 2**128 for x in reversed(xs)]
     y_hi, y_lo = (np.array(words, np.uint64) for words in zip(*map(netgen._words, ys)))
@@ -1471,8 +1475,32 @@ def test_word_arithmetic_matches_python_ints(xs, c, d, c2, offset):
     assert list(map(netgen._as_int, rows_hi[1], rows_lo[1])) == [y * c2 % 2**128 for y in ys]
     hi, lo = netgen._mul128(hi, lo, c)
     assert list(map(netgen._as_int, hi, lo)) == [x * c % 2**128 for x in xs]
-    netgen._add128(hi, lo, *netgen._words(d))
-    assert list(map(netgen._as_int, hi, lo)) == [(x * c + d) % 2**128 for x in xs]
+    netgen._add128(hi, lo, y_hi, y_lo)
+    want = [(x * c + y) % 2**128 for x, y in zip(xs, ys)]
+    assert list(map(netgen._as_int, hi, lo)) == want
+    d_hi, d_lo = netgen._words(d)
+    assert type(d_hi) is type(d_lo) is np.uint64
+    netgen._add128(hi, lo, d_hi, d_lo)
+    want = [(w + d) % 2**128 for w in want]
+    assert list(map(netgen._as_int, hi, lo)) == want
+    netgen._add128(hi, lo, y_hi[-1], y_lo[-1])
+    assert list(map(netgen._as_int, hi, lo)) == [(w + ys[-1]) % 2**128 for w in want]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 4096])
+def test_jump_table_from_empty_matches_python_ints(k, monkeypatch):
+    # Built from G_1 alone by doubling, the table holds G_i = sum_{j<i} M**j
+    # for i = 1..width, the first power of two >= k.
+    monkeypatch.setattr(netgen, "_jumps", [np.zeros(1, np.uint64), np.ones(1, np.uint64)])
+    hi, lo = netgen._jump_table(k)
+    width = 1 << (k - 1).bit_length()
+    assert hi.dtype == lo.dtype == np.uint64 and hi.shape == lo.shape == (width,)
+    g, want = 0, []
+    for i in range(width):
+        g = (g * netgen._PCG_MULT + 1) % 2**128  # G_{i+1} = M*G_i + 1
+        want.append(g)
+    assert list(map(netgen._as_int, hi, lo)) == want
+    assert netgen._jump_table(k)[0] is hi
 
 
 CHUNK = netgen.DOUBLE_CHUNK
@@ -1850,3 +1878,68 @@ def test_flag_parser_matches_argparse(config_paths, line):
 def test_top_level_matches_argparse(argv):
     # Help words, a missing or unknown subcommand, and help past a bad flag.
     assert parse_outcome(cli.parse_args, argv) == parse_outcome(reference_parse_args, argv)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before 3.10.7
+LONG = "1" * ((DIGIT_LIMIT or 4300) + 1)  # a numeral past the limit
+NUMERAL = st.one_of(
+    st.text("0123456789", min_size=1, max_size=12),
+    st.sampled_from(["0", "007", "1_000", "1__0", "_1", "1_", "\u0663", "\uff11\uff12", "\u00b2"]),
+)
+SIGN = st.sampled_from(["", "+", "-", "--", "+-"])
+BLANK = st.sampled_from(["", " ", "\t", "\n ", "\u2003"])
+RATIONAL_TAIL = st.one_of(
+    st.just(""),
+    st.builds("/{}".format, NUMERAL | st.sampled_from(["", "0", "-2", "+2"])),
+    st.builds(" / {}".format, NUMERAL),
+    st.builds(".{}".format, NUMERAL | st.just("")),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["e", "E", ".5e", "/2e"]),
+        SIGN,
+        NUMERAL | st.sampled_from([str(DIGIT_LIMIT), str(DIGIT_LIMIT + 1), "1_0"]),
+    ),
+)
+RATIONAL_TEXT = st.one_of(
+    st.builds("{}{}{}{}{}".format, BLANK, SIGN, NUMERAL | st.just(""), RATIONAL_TAIL, BLANK),
+    st.sampled_from([
+        LONG, "-" + LONG, "1/" + LONG, LONG + "/0", "0." + LONG, "." + LONG + "e5",
+        "0." + "1_" * len(LONG) + "1", "0." + "1_" * (len(LONG) // 4), " 1/" + "0" * len(LONG),
+    ]),
+)
+
+
+def rational_reference(text):
+    """Fraction of the stripped text, or the ParseError message for it: a
+    decimal exponent past the interpreter's digit limit is refused, and an
+    echo of the text is clipped."""
+    string = text.strip()
+    exponent = re.fullmatch(r"[^eE]*[eE][+-]?([\d_]+)", string)
+    digits = exponent and exponent[1].replace("_", "")
+    try:
+        if DIGIT_LIMIT and digits and int(digits) > DIGIT_LIMIT:
+            raise ValueError(
+                f"exponent past {DIGIT_LIMIT}, the interpreter's integer-digit limit"
+            )
+        return F(string)
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = str(exc).replace(repr(string), fileio._shown(string))
+        return f"bad rational {fileio._shown(text)}: {reason}"
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(RATIONAL_TEXT)
+@example("1/0")
+@example("/2")
+@example("1/-2")
+@example("-0/0")
+@example(" 007/0350 ")
+def test_parse_rational_matches_fraction(text):
+    # The same value as Fraction, or the same ParseError message, whether
+    # the text takes the int fast path or goes to Fraction.
+    try:
+        got = fileio.parse_rational(text)
+    except ParseError as exc:
+        got = str(exc)
+    assert got == rational_reference(text)
+    assert len(got if isinstance(got, str) else "") < 300
