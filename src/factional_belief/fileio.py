@@ -6,6 +6,7 @@ and deterministic CSV report text.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,10 @@ from .model import (
 
 PathLike = Union[str, Path]
 ECHO = 40  # characters of a refused text that an error shows
+# A decimal string as Fraction reads it: sign, integer part, "." and
+# fractional part, exponent. Underscores between digits from Python 3.11 on.
+_RUN = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
+_DECIMAL = re.compile(rf"[-+]?({_RUN})?\.({_RUN})(?:e[-+]?{_RUN})?", re.IGNORECASE)
 
 
 def read_input(path: PathLike, what: str, parse=str):
@@ -57,11 +62,12 @@ def _unsigned(numeral: str) -> str:
 def parse_rational(text) -> Fraction:
     """Parse "num/den", an integer string, or a decimal string, exactly.
     ASCII "int" and "int/int" strings become `Fraction(int, int)`; every
-    other string goes to `Fraction(string)`, with the same errors. A decimal
-    part with more digits than the interpreter's limit on integer-string
-    digits is refused as `int` refuses it, and a decimal exponent past that
-    limit is refused, both before `Fraction` computes 10 to that power. An
-    error echoes at most ECHO characters of the text."""
+    other string goes to `Fraction(string)`, with the same errors. A
+    well-formed decimal string whose fractional part has more digits than
+    the interpreter's limit on integer-string digits gets Fraction's error
+    without Fraction computing 10 to that length first. A decimal exponent
+    past that limit is refused. An error echoes at most ECHO characters of
+    the text."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -75,14 +81,17 @@ def parse_rational(text) -> Fraction:
         num, slash, den = string.partition("/")
         if string.isascii() and _unsigned(num).isdigit() and (den.isdigit() or not slash):
             return Fraction(int(num), int(den) if slash else 1)
-        mantissa, _e, exponent = string.lower().partition("e")
+        exponent = string.lower().partition("e")[2]
         digits = _unsigned(exponent).replace("_", "")
-        decimal = mantissa.partition(".")[2].replace("_", "")
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before 3.10.7
         if limit and digits.isdecimal() and int(digits) > limit:
             raise ValueError(f"exponent past {limit}, the interpreter's integer-digit limit")
-        if limit and len(decimal) > limit and decimal.isdecimal():
-            int(decimal)  # raises ValueError as Fraction would, after 10**len(decimal)
+        decimal = len(string) > limit > 0 and _DECIMAL.fullmatch(string)
+        if decimal and len(decimal[2].replace("_", "")) > limit:
+            # Fraction's own conversions, which raise ValueError, in its order
+            # but before it computes 10**len of the fractional part.
+            int(decimal[1] or "0")
+            int(decimal[2].replace("_", ""))
         return Fraction(string)
     except (ValueError, ZeroDivisionError) as exc:
         reason = str(exc).replace(repr(string), _shown(string))

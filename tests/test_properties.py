@@ -1905,6 +1905,7 @@ RATIONAL_TEXT = st.one_of(
     st.sampled_from([
         LONG, "-" + LONG, "1/" + LONG, LONG + "/0", "0." + LONG, "." + LONG + "e5",
         "0." + "1_" * len(LONG) + "1", "0." + "1_" * (len(LONG) // 4), " 1/" + "0" * len(LONG),
+        "x." + LONG, "1/2." + LONG, "1.2." + LONG, LONG + "." + LONG + "1", "-." + LONG + "e-1_0",
     ]),
 )
 
