@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb, gcd
-from operator import add, le, mul
+from operator import add, itemgetter, le, mul, sub, truediv
 from typing import Iterable, Optional
 
 from .errors import MislabeledStatesError, SpaceTooLargeError, ValidationError
@@ -178,12 +178,6 @@ def _check_table_rows(key, degrees: Iterable[int]) -> list[int]:
     return distinct
 
 
-def _tables(key, degrees: Iterable[int]):
-    """(degree, rows) of the degree table of every distinct degree, in
-    increasing order, after the TABLE_ROW_GUARD check."""
-    return [(d, _degree_table(key, d)) for d in _check_table_rows(key, degrees)]
-
-
 def _split_weights(prior: Prior, states: Iterable[str]) -> tuple[list[int], list[int]]:
     """The integer state probabilities inside and outside `states`, zero
     elsewhere: a row's probability-weighted weight on either side is one
@@ -228,18 +222,21 @@ def _candidate_masses(
     inside and outside the set, and T = S + R, that is S / T >= p, or
     num R <= (den - num) S for p = num/den, exact and division-free.
 
-    Each distinct degree goes through one of two kernels. With two
-    states, each with positive alpha, chi and nu mass, and one of them the
-    candidate set, `_boundary_walk` walks each level's candidacy boundary
-    through the degree's a-runs and builds no table, at about k d terms
-    for k levels against the table's (d+1)(d+2)/2 rows; so it takes the
-    degrees with k <= (d + 2)/2, every degree at one level. Every other
-    degree and prior (three or more states, a type with zero mass in some
-    state) goes through `_row_scan`, which tests every row of the cached
-    degree table. Both kernels are memoised on the same key, so the
-    trials of a sweep share their degrees' results.
+    Each distinct degree goes through a walk or the row scan. When every
+    state has positive alpha, chi and nu mass and the candidate set is
+    ordered by chi/nu (see `_mirrored`), each a-run's candidates are one
+    suffix, in c or in v, and a walk follows each level's boundary through
+    the degree's a-runs and builds no table, at about k d terms for k
+    levels against the table's (d+1)(d+2)/2 rows; so it takes the degrees
+    with k <= (d + 2)/2, every degree at one level. Two states with one
+    of them the candidate set take `_boundary_walk`, any other ordered
+    set `_multistate_walk`. Every other degree and prior (an unordered
+    candidate set, a type with zero mass in some state) goes through
+    `_row_scan`, which tests every row of the cached degree table. The
+    kernels are memoised on the same key, so the trials of a sweep share
+    their degrees' results.
 
-    Both kernels give the degree's sums and runs: sums[j] holds each
+    Every kernel gives the degree's sums and runs: sums[j] holds each
     state's summed weight, over the scale D^(d+1), of the rows that reach
     levels[j], and runs(j) lists those rows as maximal runs (a, lo, hi) of
     rows (a, c, d - a - c), lo <= c < hi, in table order. Each level's sums
@@ -248,8 +245,8 @@ def _candidate_masses(
     state. Returns, per level, each state's expected fraction (relative to
     total_n agents) of agents whose context is a candidate over the given
     degree entries; and the scan, a (d, runs) pair per distinct degree in
-    increasing order. The TABLE_ROW_GUARD check comes first on both
-    paths."""
+    increasing order. The TABLE_ROW_GUARD check comes first on every
+    path."""
     key = _type_key(prior.states)
     common, nums = key
     counts: dict[int, int] = {}  # Counter(list) would walk Mapping's subclass tree
@@ -258,12 +255,14 @@ def _candidate_masses(
     inside, outside = map(tuple, _split_weights(prior, candidate_states))
     distinct = _check_table_rows(key, counts)
     bounds = tuple((p.numerator, p.denominator) for p in levels)
-    walk = len(nums) == 2 and all(map(all, nums)) and inside.count(0) == 1
+    walk = None
+    if all(map(all, nums)) and _mirrored(nums, inside) is not None:
+        walk = _boundary_walk if len(nums) == 2 and inside.count(0) == 1 else _multistate_walk
     top = max(counts, default=0)
     totals = [[0] * len(nums) for _ in bounds]
     scan = []
     for d in distinct:
-        kernel = _boundary_walk if walk and 2 * len(bounds) <= d + 2 else _row_scan
+        kernel = walk if walk and 2 * len(bounds) <= d + 2 else _row_scan
         sums, runs = kernel(key, inside, outside, bounds, d)
         lift = counts[d] * common ** (top - d)
         for total, level in zip(totals, sums):
@@ -403,6 +402,86 @@ def _boundary_walk(key, inside, outside, bounds, d):
             if b <= m:
                 level.append((a, 0, m - b + 1) if mirror else (a, b, m + 1))
         sums.append((s_i, s_o) if i == 0 else (s_o, s_i))
+        runs.append(tuple(level[::-1]))
+    return tuple(sums), tuple(runs).__getitem__
+
+
+def _mirrored(nums, inside) -> Optional[bool]:
+    """How the candidate set whose states have nonzero `inside` entries is
+    walked, with chi/nu read from the positive type numerators `nums`:
+    False when no outside state's chi/nu exceeds an inside state's, True
+    when no inside state's exceeds an outside state's (the walk runs on
+    the mirror), None when neither holds (the row scan). Along an a-run,
+    row c's candidacy is the sign of sum_s beta_s r_s^c, r_s = chi_s /
+    nu_s, with beta_s > 0 inside and < 0 outside. Divided by r^c, r the
+    least inside ratio, the inside terms do not fall and the outside terms
+    do not rise as c grows, so the sign changes at most once, ties across
+    the split included: the candidates are a suffix in c (in v on the
+    mirror)."""
+    pairs = [
+        (x_i * v_o, x_o * v_i)
+        for (_a, x_i, v_i), w_i in zip(nums, inside) if w_i
+        for (_b, x_o, v_o), w_o in zip(nums, inside) if not w_o
+    ]
+    if all(out <= ins for ins, out in pairs):
+        return False
+    if all(ins <= out for ins, out in pairs):
+        return True
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _multistate_walk(key, inside, outside, bounds, d):
+    """`_boundary_walk` for any candidate set that `_mirrored` orders, with
+    every type numerator positive: row (a, c, v) is a candidate at p =
+    num/den iff sum_s w_s alpha_s^a chi_s^c nu_s^v >= 0, with w_s = (den -
+    num) pi_s chi_s inside the set and -num pi_s chi_s outside, and the
+    candidates of an a-run are a suffix in c (in v on the mirror). The
+    walk keeps one suffix sum U_s per state by the same recurrence and
+    moves the boundary by the same exact compares. Two states with one
+    candidate keep `_boundary_walk`'s unrolled loop, about twice as fast
+    as these per-state lists."""
+    nums = key[1]
+    mirror = _mirrored(nums, inside)
+
+    def powers(base):
+        return list(accumulate(repeat(base, d), mul, initial=1))
+
+    binomials = [comb(d, a) for a in range(d + 1)]
+    pa = [powers(al) for al, _x, _v in nums]
+    f = [[x * k * p for k, p in zip(binomials, ps)] for (_al, x, _v), ps in zip(nums, pa)]
+    own = [(w_in * x, w_out * x) for (_al, x, _v), w_in, w_out in zip(nums, inside, outside)]
+    if mirror:
+        nums = [(al, v, x) for al, x, v in nums]
+    states = [(powers(x), powers(v)) for _al, x, v in nums]
+    t = [x + v for _al, x, v in nums]
+    sums, runs = [], []
+    for num, den in bounds:
+        w = [(den - num) * o_in - num * o_out for o_in, o_out in own]
+        b, u, s, level = 0, [1] * len(nums), [0] * len(nums), []  # U(0, 0) = 1
+        for a in range(d, -1, -1):
+            m = d - a
+            if m and b:
+                k = comb(m - 1, b - 1)
+                u = [t_s * u_s + k * x[b] * v[m - b] for t_s, u_s, (x, v) in zip(t, u, states)]
+            elif m:
+                u = list(map(mul, t, u))
+            coef = [w_s * p[a] for w_s, p in zip(w, pa)]
+            # The boundary b is the first row of the suffix of candidates.
+            while b and sum(
+                cf * x[b - 1] * v[m - b + 1] for cf, (x, v) in zip(coef, states)
+            ) >= 0:
+                b -= 1
+                k = comb(m, b)
+                u = [u_s + k * x[b] * v[m - b] for u_s, (x, v) in zip(u, states)]
+            while b <= m and sum(cf * x[b] * v[m - b] for cf, (x, v) in zip(coef, states)) < 0:
+                k = comb(m, b)
+                u = [u_s - k * x[b] * v[m - b] for u_s, (x, v) in zip(u, states)]
+                b += 1
+            s = [s_s + f_s[a] * u_s for s_s, f_s, u_s in zip(s, f, u)]
+            if b <= m:
+                level.append((a, 0, m - b + 1) if mirror else (a, b, m + 1))
+        sums.append(tuple(s))
         runs.append(tuple(level[::-1]))
     return tuple(sums), tuple(runs).__getitem__
 
@@ -569,29 +648,26 @@ def equilibria_map(
     return rows
 
 
-def _level_key(pair: tuple[int, int]) -> tuple[float, float]:
-    x, t = pair
-    return x / t, (x - t) / t
-
-
 def _ordered_levels(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """The distinct values x / t of the integer pairs (x, t), 0 <= x <= t,
-    in increasing order, each as its reduced pair. They are sorted by the
-    floats x / t and, to tell apart values near 1, x / t - 1: int true
-    division is correctly rounded and rounding is monotone, so keys that
-    differ are in the exact order. Only runs of equal keys (duplicates,
-    and values too small for a float) are ordered and deduplicated
-    exactly, with Fractions; a level alone in its run is reduced with one
-    gcd and builds no Fraction."""
+    t > 0, in increasing order, each as its reduced pair. They are sorted
+    by the floats x / t and, to tell apart values near 1, x / t - 1,
+    computed once per pair: int true division is correctly rounded and
+    rounding is monotone, so keys that differ are in the exact order. Only
+    runs of equal keys (duplicates, and values too small for a float) are
+    ordered and deduplicated exactly, with Fractions; a level alone in its
+    run is reduced with one gcd and builds no Fraction."""
+    xs, ts = tuple(zip(*pairs)) or ((), ())
+    keyed = sorted(zip(map(truediv, xs, ts), map(truediv, map(sub, xs, ts), ts), xs, ts))
     out = []
-    for _key, run in groupby(sorted(pairs, key=_level_key), key=_level_key):
+    for _key, run in groupby(keyed, key=itemgetter(0, 1)):
         run = list(run)
         if len(run) == 1:
-            x, t = run[0]
+            _k, _k1, x, t = run[0]
             g = gcd(x, t)
             out.append((x // g, t // g))
         else:
-            levels = sorted({Fraction(x, t) for x, t in run})
+            levels = sorted({Fraction(x, t) for _k, _k1, x, t in run})
             out += ((q.numerator, q.denominator) for q in levels)
     return out
 
@@ -605,7 +681,11 @@ def crucial_threshold_pairs(
     denominator). `e_A(candidates+alpha)` is X_A at the candidate-state
     fixpoint: A's alpha mass plus the mass of the candidate contexts of the
     surviving states. A's posterior levels are ordered by `_ordered_levels`
-    from the degree tables' pairs (pi_A W_A, sum of pi W)."""
+    from one pair (x_A, x_A + x_B) per possible row (a, c, v) of the
+    distinct degrees, x_s = pi_s alpha_s^a chi_s^(c+1) nu_s^v over the
+    integer weights: a table row's weights less the binomials and the
+    scale, which cancel in the level. No degree table is built, but the
+    rows are still counted against TABLE_ROW_GUARD first."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     mass = chi_alpha(prior)
@@ -616,13 +696,28 @@ def crucial_threshold_pairs(
         "e_A(candidates+alpha)": sizes["A"],
     }
     out = {k: (q.numerator, q.denominator) for k, q in values.items()}
-    a = prior.labels.index("A")
+    key = _type_key(prior.states)
+    alpha, chi, nu = _possible_types(key[1])
     _common, probs = integer_weights(s.prob for s in prior.states)
-    posts = _ordered_levels(chain.from_iterable(
-        zip(map(mul, columns[a], repeat(probs[a])), _combined(columns, probs))
-        for _d, (_contexts, columns) in _tables(_type_key(prior.states), seq)
-    ))
-    for i, q in enumerate(posts):
+    states = list(zip(probs, key[1]))[:: 1 if prior.labels[0] == "A" else -1]
+    pairs = []
+    for d in _check_table_rows(key, seq) if chi else ():
+        powers = [
+            (pi, *(list(accumulate(repeat(base, d + 1), mul, initial=1)) for base in nums))
+            for pi, nums in states
+        ]
+        for a in range(d + 1 if alpha else 1):
+            # The run of rows with a alpha neighbors, c = first..m, v = m - c.
+            m = d - a
+            first = 0 if nu else m
+            x_a, x_b = (
+                list(map(mul, map(mul, px[first + 1 :], pv[m - first :: -1]), repeat(pi * pa[a])))
+                for pi, pa, px, pv in powers
+            )
+            t = list(map(add, x_a, x_b))
+            # A row that weighs zero in both states never occurs.
+            pairs += compress(zip(x_a, t), t)
+    for i, q in enumerate(_ordered_levels(pairs)):
         out[f"posterior_A_level_{i}"] = q
     return out
 

@@ -14,7 +14,12 @@ from factional_belief import algorithms
 
 
 def clear_kernel_caches():
-    for cached in (algorithms._degree_table, algorithms._row_scan, algorithms._boundary_walk):
+    for cached in (
+        algorithms._degree_table,
+        algorithms._row_scan,
+        algorithms._boundary_walk,
+        algorithms._multistate_walk,
+    ):
         cached.cache_clear()
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -270,8 +270,9 @@ class TestOneTablePass:
 @pytest.mark.usefixtures("cold_caches")
 class TestTwoStateWalk:
     """Two states with positive alpha, chi and nu mass in both take the
-    boundary walk at one level: no degree table is built, except for the
-    threshold listing. At k levels a degree d walks when k <= (d + 2)/2."""
+    boundary walk at one level, and the threshold listing reads its levels
+    from the type numerators: no degree table is built. At k levels a
+    degree d walks when k <= (d + 2)/2."""
 
     PRIOR = two_state_prior(
         F(2, 5), F(1, 2),
@@ -291,7 +292,7 @@ class TestTwoStateWalk:
         assert built == []
         thresholds = crucial_thresholds(degrees, self.PRIOR)
         assert thresholds["e_A(candidates+alpha)"] == sizes["A"]
-        assert sorted(d for _key, d in built) == [1, 2, 3, 8, 40]
+        assert len(thresholds) > 3 and built == []
 
     def test_kernel_follows_cost_rule(self, monkeypatch):
         calls = []
@@ -327,6 +328,71 @@ class TestTwoStateWalk:
     def spy(calls, name, kernel, key, inside, outside, bounds, d):
         calls.append((name, len(bounds), d))
         return kernel(key, inside, outside, bounds, d)
+
+
+def three_state_prior(mu, *states):
+    """p = 2/5; states A, B, C of (prob, alpha, chi, nu)."""
+    return Prior(F(2, 5), mu, tuple(
+        StatePrior(label, F(prob), TypeDistribution(*map(F, types)))
+        for label, (prob, *types) in zip("ABC", states)
+    ))
+
+
+@pytest.mark.usefixtures("cold_caches")
+class TestMultistateWalk:
+    """With every type mass positive, a candidate set of any size walks
+    when no outside state's chi/nu exceeds an inside state's (or the
+    reverse), and takes the row scan otherwise."""
+
+    # chi/nu: A 7/2, B 9/10, C 4/15. A and B reach mu, B then drops, so the
+    # fixpoint passes over {A, B} and {A}, both ordered.
+    ORDERED = three_state_prior(
+        F(1, 2), ("2/5", "1/10", "7/10", "1/5"), ("3/10", "1/20", "9/20", "1/2"),
+        ("3/10", "1/20", "1/5", "3/4"),
+    )
+    # chi/nu: A 7/2, B 9/10, C 1/4. A and C reach mu, B does not: B's ratio
+    # lies between A's and C's, so {A, C} is unordered.
+    UNORDERED = three_state_prior(
+        F(11, 20), ("2/5", "1/10", "7/10", "1/5"), ("3/10", "1/20", "9/20", "1/2"),
+        ("3/10", "1/2", "1/10", "2/5"),
+    )
+    DEGREES = [1, 2, 2, 3, 8, 8, 16, 40]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        table = algorithms._degree_table
+        monkeypatch.setattr(
+            algorithms, "_degree_table", lambda *args: built.append(args[1]) or table(*args)
+        )
+        return built
+
+    def test_ordered_builds_no_table(self, built, monkeypatch):
+        sizes, survivors = multistate_fixpoint(self.DEGREES, self.ORDERED)
+        assert survivors == {"A"} and built == []
+        monkeypatch.setattr(algorithms, "_multistate_walk", algorithms._row_scan)
+        monkeypatch.setattr(algorithms, "_boundary_walk", algorithms._row_scan)
+        assert multistate_fixpoint(self.DEGREES, self.ORDERED) == (sizes, survivors)
+        assert set(built) == set(self.DEGREES)
+
+    def test_unordered_builds_tables(self, built):
+        walk = algorithms._multistate_walk
+        _masses, scan = _candidate_masses(self.UNORDERED, self.DEGREES, {"A", "C"}, [F(2, 5)], 8)
+        assert built == sorted(set(self.DEGREES)) and walk.cache_info().currsize == 0
+        _sizes, survivors = multistate_fixpoint(self.DEGREES, self.UNORDERED)
+        assert survivors and walk.cache_info().currsize == 0
+        # {A, B} is ordered (C's ratio is the least), so it walks.
+        _candidate_masses(self.UNORDERED, self.DEGREES, {"A", "B"}, [F(2, 5)], 8)
+        assert walk.cache_info().currsize == len(set(self.DEGREES))
+
+    @pytest.mark.parametrize("prior", ["ORDERED", "UNORDERED"])
+    def test_state_order_leaves_sizes_unchanged(self, prior):
+        prior = getattr(self, prior)
+        sizes, survivors = multistate_fixpoint(self.DEGREES, prior)
+        for states in permutations(prior.states):
+            assert multistate_fixpoint(self.DEGREES, replace(prior, states=states)) == (
+                sizes, survivors
+            )
 
 
 class TestAlgorithm1:

@@ -68,13 +68,14 @@ from factional_belief.algorithms import (
     _candidate_masses,
     _check_table_rows,
     _degree_table,
+    _multistate_walk,
     _fixpoints,
     _ordered_levels,
     _perturbed_sizes,
     _row_scan,
-    _tables,
     _type_key,
     algorithm1_auto_grid,
+    crucial_threshold_pairs,
     high_degree_cutoff,
     multistate_fixpoint,
     revolting_rule,
@@ -87,6 +88,7 @@ from factional_belief.errors import (
     SpaceTooLargeError,
     ValidationError,
 )
+from factional_belief.model import integer_weights
 from factional_belief.experiments import (
     SweepConfig,
     grid,
@@ -257,7 +259,8 @@ def reference_candidate_mass(prior, degrees, states, total_n):
     inside = [s.label in states for s in prior.states]
     counts = Counter(degrees)
     mass = [F(0)] * len(probs)
-    for d, (_contexts, columns) in _tables(key, counts):
+    for d in _check_table_rows(key, counts):
+        _contexts, columns = _degree_table(key, d)
         kept = [
             w for w in zip(*columns)
             if sum(pi * wi for pi, wi, i in zip(probs, w, inside) if i)
@@ -682,6 +685,97 @@ def test_walk_fixpoints_match_row_scan_and_reference(instance):
             assert scan_contexts(*last) == scan_contexts(*row_last)
 
 
+@st.composite
+def set_posteriors(draw, prior, degrees, chosen):
+    """The exact posterior on the states `chosen` of a row of one of the
+    degrees."""
+    d = draw(st.sampled_from(degrees))
+    a = draw(st.integers(0, d))
+    c = draw(st.integers(0, d - a))
+    post = state_posterior(ContextClass(AgentType.CHI, a, c, d - a - c), prior)
+    return sum(post[s] for s in chosen)
+
+
+@st.composite
+def multistate_walk_instances(draw):
+    """A prior with 3-5 states in random order, every type mass positive
+    and unequal state probabilities; degrees 0-16 with a repeat; a proper
+    subset of the states: those above a cut in chi/nu order, those below
+    it (half the time the two states either side of the cut get equal
+    chi/nu) or any subset; and 1-3 ascending levels from {0, 1}, the
+    eighths and the exact posteriors of rows on the subset (ties)."""
+    k = draw(st.integers(3, 5))
+    weight = st.integers(1, 6)
+    types = sorted(
+        ([draw(weight) for _ in range(3)] for _ in range(k)), key=lambda t: F(t[1], t[2])
+    )
+    cut = draw(st.integers(1, k - 1))
+    if draw(st.booleans()):
+        scale = draw(st.integers(1, 2))
+        types[cut][1:] = [scale * types[cut - 1][1], scale * types[cut - 1][2]]
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k, unique=True))
+    states = [
+        StatePrior(f"s{i}", F(w, sum(weights)), TypeDistribution(*(F(x, sum(t)) for x in t)))
+        for i, (w, t) in enumerate(zip(weights, types))
+    ]
+    labels = [s.label for s in states]
+    chosen = draw(st.sampled_from([
+        labels[cut:],
+        labels[:cut],
+        draw(st.lists(st.sampled_from(labels), min_size=1, max_size=k - 1, unique=True)),
+    ]))
+    prior = Prior(F(1, 2), F(1, 2), tuple(draw(st.permutations(states))))
+    degrees = draw(st.lists(st.integers(0, 16), min_size=1, max_size=3))
+    degrees.append(draw(st.sampled_from(degrees)))
+    level = st.one_of(
+        st.sampled_from([F(0), F(1)]),
+        st.integers(0, 8).map(lambda j: F(j, 8)),
+        set_posteriors(prior, degrees, chosen),
+    )
+    levels = sorted(set(draw(st.lists(level, min_size=1, max_size=3))))
+    return prior, degrees, set(chosen), levels
+
+
+def ordered_by_chi_nu(prior, chosen):
+    """Whether no outside state's chi/nu exceeds an inside state's, or no
+    inside state's exceeds an outside state's."""
+    ratio = {s.label: s.types.chi / s.types.nu for s in prior.states}
+    inside = [r for s, r in ratio.items() if s in chosen]
+    outside = [r for s, r in ratio.items() if s not in chosen]
+    return max(outside) <= min(inside) or max(inside) <= min(outside)
+
+
+@WALK_SETTINGS
+@given(multistate_walk_instances())
+def test_multistate_walk_matches_row_scan_and_reference(instance):
+    prior, degrees, chosen, levels = instance
+    n = len(degrees)
+    ordered = ordered_by_chi_nu(prior, chosen)
+    walked = []
+
+    def walk(key, inside, outside, bounds, d):
+        walked.append(d)
+        return _multistate_walk(key, inside, outside, bounds, d)
+
+    with patch.object(algorithms, "_row_scan", no_table if ordered else _row_scan), \
+            patch.object(algorithms, "_multistate_walk", walk):
+        masses, scan = _candidate_masses(prior, degrees, chosen, levels, n)
+    # Ordered sets walk on the degrees of the cost rule, unordered ones scan.
+    cost_rule = [d for d in sorted(set(degrees)) if 2 * len(levels) <= d + 2]
+    assert walked == (cost_rule if ordered else [])
+    with patch.object(algorithms, "_multistate_walk", _row_scan):
+        row_masses, row_scan = _candidate_masses(prior, degrees, chosen, levels, n)
+    assert masses == row_masses
+    assert [[runs(j) for _d, runs in scan] for j in range(len(levels))] == [
+        [runs(j) for _d, runs in row_scan] for j in range(len(levels))
+    ]
+    posts = posteriors(prior, degrees)
+    for j, p in enumerate(levels):
+        assert masses[j] == reference_candidate_mass(replace(prior, p=p), degrees, chosen, n)
+        want = [c for c, post in posts if sum(post[s] for s in chosen) >= p]
+        assert scan_contexts(scan, j) == want
+
+
 BIG = 10**20
 TIED_PAIRS = [
     (BIG, BIG + 1), (BIG + 1, BIG + 2),  # both round to 1.0
@@ -714,6 +808,36 @@ def test_ordered_levels_match_sorted_fractions(pairs):
     assert _ordered_levels(pairs) == [
         (q.numerator, q.denominator) for q in sorted({F(x, t) for x, t in pairs})
     ]
+
+
+def reference_threshold_levels(degseq, prior):
+    """A's posterior levels as the threshold listing read them from the
+    degree tables, one pair (pi_A W_A, sum of pi W) per table row,
+    deduplicated and ordered exactly, with Fractions."""
+    key = _type_key(prior.states)
+    a = prior.labels.index("A")
+    _common, probs = integer_weights(s.prob for s in prior.states)
+    levels = {
+        F(probs[a] * w[a], sum(pi * wi for pi, wi in zip(probs, w)))
+        for d in _check_table_rows(key, degseq)
+        for w in zip(*_degree_table(key, d)[1])
+    }
+    return [(q.numerator, q.denominator) for q in sorted(levels)]
+
+
+@SETTINGS
+@given(
+    type_dists(), type_dists(), st.integers(1, 7), st.booleans(),
+    st.lists(st.integers(0, 12), min_size=1, max_size=6),
+)
+def test_threshold_listing_matches_table_reference(dist_a, dist_b, prob_a, a_second, degseq):
+    # type_dists puts zero alpha, chi or nu mass in some states.
+    prior = two_state_prior(F(1, 2), F(1, 2), dist_a, dist_b, F(prob_a, 8))
+    if a_second:
+        prior = replace(prior, states=prior.states[::-1])
+    listing = crucial_threshold_pairs(degseq, prior)
+    levels = [q for k, q in listing.items() if k.startswith("posterior_A_level_")]
+    assert levels == reference_threshold_levels(degseq, prior)
 
 
 def swap_state_labels(prior):
