@@ -25,10 +25,11 @@ from .model import (
 
 PathLike = Union[str, Path]
 ECHO = 40  # characters of a refused text that an error shows
-# A decimal string as Fraction reads it: sign, integer part, "." and
-# fractional part, exponent. Underscores between digits from Python 3.11 on.
-_RUN = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
-_DECIMAL = re.compile(rf"[-+]?({_RUN})?\.({_RUN})(?:e[-+]?{_RUN})?", re.IGNORECASE)
+# The rationals README documents, in ASCII digits: a sign, then "num/den" or
+# an integer or decimal with an optional fractional part and exponent.
+_RATIONAL = re.compile(
+    r"([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)", re.ASCII
+)
 
 
 def read_input(path: PathLike, what: str, parse=str):
@@ -54,48 +55,39 @@ def _shown(value) -> str:
     return f"{head}... ({len(text)} characters)"
 
 
-def _unsigned(numeral: str) -> str:
-    """numeral without one leading sign."""
-    return numeral[1:] if numeral[:1] in ("+", "-") else numeral
-
-
 def parse_rational(text) -> Fraction:
-    """Parse "num/den", an integer string, or a decimal string, exactly.
-    ASCII "int" and "int/int" strings become `Fraction(int, int)`; every
-    other string goes to `Fraction(string)`, with the same errors. A
-    well-formed decimal string whose fractional part has more digits than
-    the interpreter's limit on integer-string digits gets Fraction's error
-    without Fraction computing 10 to that length first. A decimal exponent
-    past that limit is refused. An error echoes at most ECHO characters of
-    the text."""
+    """Parse "num/den", an integer or a decimal such as "2.5E-3", exactly,
+    as one `Fraction(int, int)`. Surrounding whitespace is stripped; any
+    other text, a bool and a float are refused. A decimal exponent past the
+    interpreter's limit on integer-string digits is refused before any power
+    of ten, and each digit run goes through `int` first, which refuses a run
+    past that limit. An error echoes at most ECHO characters of the text."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, (bool, float)):
+        raise ParseError(
+            f"refusing {type(text).__name__} {text!r}; pass a rational string like '2/5'"
+        )
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        raise ParseError(
-            f"refusing float {text!r}; pass a rational string like '2/5'"
-        )
-    string = str(text).strip()
+    match = _RATIONAL.fullmatch(str(text).strip())
     try:
-        num, slash, den = string.partition("/")
-        if string.isascii() and _unsigned(num).isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den) if slash else 1)
-        exponent = string.lower().partition("e")[2]
-        digits = _unsigned(exponent).replace("_", "")
+        if not match:
+            raise ValueError("not an integer, num/den or decimal")
+        sign, whole, den, fraction, exp = match.groups()
+        exp = int(exp or 0)
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before 3.10.7
-        if limit and digits.isdecimal() and int(digits) > limit:
+        if limit and abs(exp) > limit:
             raise ValueError(f"exponent past {limit}, the interpreter's integer-digit limit")
-        decimal = len(string) > limit > 0 and _DECIMAL.fullmatch(string)
-        if decimal and len(decimal[2].replace("_", "")) > limit:
-            # Fraction's own conversions, which raise ValueError, in its order
-            # but before it computes 10**len of the fractional part.
-            int(decimal[1] or "0")
-            int(decimal[2].replace("_", ""))
-        return Fraction(string)
-    except (ValueError, ZeroDivisionError) as exc:
-        reason = str(exc).replace(repr(string), _shown(string))
-        raise ParseError(f"bad rational {_shown(text)}: {reason}") from None
+        num, den = int(whole or 0), int(den or 1)
+        if fraction:  # int's own error on a run past the limit, before 10 ** its length
+            num, exp = int(fraction) + num * 10 ** len(fraction), exp - len(fraction)
+        if not den:
+            raise ValueError("zero denominator")
+        num = -num if sign == "-" else num
+        return Fraction(num * 10**exp, den) if exp >= 0 else Fraction(num, den * 10**-exp)
+    except ValueError as exc:
+        raise ParseError(f"bad rational {_shown(text)}: {exc}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -1238,6 +1238,22 @@ def test_malformed_prior_exits_2(states, const4_file, tmp_path, capsys):
     assert not captured.out
 
 
+@pytest.mark.parametrize("doc, value", [
+    (dict(MOTIVATING, p=True), True),
+    (dict(MOTIVATING, states=dict(MOTIVATING["states"], B=dict(MOTIVATING["states"]["B"],
+                                                                prob=False))), False),
+])
+def test_boolean_in_prior_exits_2(doc, value, const4_file, tmp_path, capsys):
+    # JSON true and false are not the rationals 1 and 0.
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps(doc))
+    assert main(["analyze", "--prior", str(prior), "--degrees", const4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: refusing bool {value}; pass a rational string like '2/5'\n"
+    )
+
+
 @pytest.mark.parametrize("argv, count, allocation", [
     ("validate --prior {prior} --graph {header}", 500000000, "model._edge_array"),
     ("oracle --graph {header} --clique-reduce 2", 500000000, "model._edge_array"),
@@ -1423,13 +1439,15 @@ def test_jobs_make_no_first_use_abc_scans(files, tmp_path):
     # ABC's whole subclass tree, which numpy grows; in a forked job that
     # walk costs hundreds of microseconds. Counter(list) asks whether a list
     # is a Mapping and Fraction(str) whether a str is a Rational, so the
-    # jobs count degrees in a dict and parse rationals from ints.
+    # jobs count degrees in a dict and build every rational, a decimal
+    # spelling included, as Fraction(int, int).
     _abc = pytest.importorskip("_abc")
     if not hasattr(_abc, "_get_dump"):
         pytest.skip("this interpreter's _abc has no _get_dump")
     lines = [
         ANALYZE,
         PROMISE + "--mu-star 1/2",
+        "promise --prior {prior} --degrees {degrees} --mu-star 0.5 --epsilon 1e-2 --delta 1e-2",
         VALIDATE + "--family ba --n 300 --param 2",
         "epistemic --model {model} --event 1",
         SWEEP,

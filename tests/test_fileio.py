@@ -40,7 +40,8 @@ class TestRationals:
     @pytest.mark.parametrize(
         "text,value",
         [("2/5", F(2, 5)), ("0", F(0)), ("7", F(7)), ("0.005", F(1, 200)), (3, F(3)),
-         ("2.5E-3", F(1, 400)), ("1e5", F(100000))],
+         ("2.5E-3", F(1, 400)), ("1e5", F(100000)), (".5", F(1, 2)), ("5.", F(5)),
+         (" -007/0350 ", F(-1, 50)), ("+.25e1", F(5, 2))],
     )
     def test_parse(self, text, value):
         assert parse_rational(text) == value
@@ -57,7 +58,7 @@ class TestRationals:
         limit = sys.get_int_max_str_digits()
         assert parse_rational(f"1e{limit}") == 10**limit
         assert parse_rational(f"1e-{limit}") == F(1, 10**limit)
-        for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", f"1e+{limit + 1}", "1e1_000_000"):
+        for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", f"1e+{limit + 1}"):
             start = perf_counter()
             with pytest.raises(ParseError, match="the interpreter's integer-digit limit$"):
                 parse_rational(text)
@@ -302,6 +303,23 @@ REFUSALS = [
     pytest.param(lambda: epistemic_model_from_dict({"outcomes": ["1"], "prob": {"1": "1"}}),
                  ParseError, "model document missing field 'partitions'",
                  id="model-without-partitions"),
+    pytest.param(lambda: parse_rational(True), ParseError,
+                 "refusing bool True; pass a rational string like '2/5'", id="rational-true"),
+    pytest.param(lambda: parse_rational(False), ParseError,
+                 "refusing bool False; pass a rational string like '2/5'", id="rational-false"),
+    pytest.param(lambda: parse_rational("1/0"), ParseError, "bad rational '1/0': zero denominator",
+                 id="rational-zero-denominator"),
+    *(
+        pytest.param(lambda text=text: parse_rational(text), ParseError,
+                     f"bad rational {text!r}: not an integer, num/den or decimal",
+                     id=f"rational-{name}")
+        for name, text in [
+            ("underscore", "1_000"), ("underscore-exponent", "1e1_000_000"),
+            ("arabic-indic-digit", "\u0661/2"), ("fullwidth-digits", "\uff11\uff12"),
+            ("signed-denominator", "1/+2"), ("spaced-slash", "1 / 2"), ("hex", "0x10"),
+            ("point", "."), ("empty", ""), ("no-numerator", "/2"),
+        ]
+    ),
 ]
 
 @pytest.mark.parametrize("call, error, message", REFUSALS)

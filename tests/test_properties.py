@@ -2034,22 +2034,32 @@ RATIONAL_TEXT = st.one_of(
 )
 
 
+# The README's rational grammar, one alternative per spelling, ASCII digits.
+RATIONAL_GRAMMAR = re.compile(
+    r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+)
+
+
 def rational_reference(text):
-    """Fraction of the stripped text, or the ParseError message for it: a
-    decimal exponent past the interpreter's digit limit is refused, and an
-    echo of the text is clipped."""
+    """Fraction of the stripped text if it is in the README's grammar, or
+    the ParseError message for it: any other text gets the one refusal, a
+    decimal exponent past the interpreter's digit limit and a zero
+    denominator are refused, a digit run past that limit gets int's error,
+    and an echo of the text is clipped."""
     string = text.strip()
-    exponent = re.fullmatch(r"[^eE]*[eE][+-]?([\d_]+)", string)
-    digits = exponent and exponent[1].replace("_", "")
     try:
-        if DIGIT_LIMIT and digits and int(digits) > DIGIT_LIMIT:
+        if not RATIONAL_GRAMMAR.fullmatch(string):
+            raise ValueError("not an integer, num/den or decimal")
+        exponent = re.search(r"[eE]([-+]?[0-9]+)$", string)
+        if DIGIT_LIMIT and exponent and abs(int(exponent[1])) > DIGIT_LIMIT:
             raise ValueError(
                 f"exponent past {DIGIT_LIMIT}, the interpreter's integer-digit limit"
             )
         return F(string)
-    except (ValueError, ZeroDivisionError) as exc:
-        reason = str(exc).replace(repr(string), fileio._shown(string))
-        return f"bad rational {fileio._shown(text)}: {reason}"
+    except ValueError as exc:
+        return f"bad rational {fileio._shown(text)}: {exc}"
+    except ZeroDivisionError:
+        return f"bad rational {fileio._shown(text)}: zero denominator"
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -2059,9 +2069,15 @@ def rational_reference(text):
 @example("1/-2")
 @example("-0/0")
 @example(" 007/0350 ")
+@example(".")
+@example("")
+@example("5.")
+@example("-.5E-3")
+@example("1 / 2")
 def test_parse_rational_matches_fraction(text):
-    # The same value as Fraction, or the same ParseError message, whether
-    # the text takes the int fast path or goes to Fraction.
+    # On the README's grammar the value is Fraction's and a digit run past
+    # the interpreter's limit gets int's error; every other text, underscores
+    # and non-ASCII digits included, gets the one refusal.
     try:
         got = fileio.parse_rational(text)
     except ParseError as exc:
