@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat
 from math import comb, gcd
 from operator import add, itemgetter, le, mul, sub, truediv
 from typing import Iterable, Optional
@@ -26,6 +26,7 @@ from .model import (
     DegreeSequence,
     Prior,
     StatePrior,
+    as_fraction,
     chi_alpha,
     integer_weights,
     validate_degree_sequence,
@@ -55,8 +56,8 @@ class PromiseInstance:
     def __post_init__(self):
         object.__setattr__(self, "degseq", tuple(validate_degree_sequence(self.degseq)))
         object.__setattr__(self, "mu_star", _requested_size(self.mu_star))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        object.__setattr__(self, "epsilon", as_fraction("epsilon", self.epsilon))
+        object.__setattr__(self, "delta", as_fraction("delta", self.delta))
         if self.epsilon <= 0 or self.delta <= 0:
             raise ValidationError("epsilon and delta must be positive")
         p, mu = self.prior.p, self.prior.mu
@@ -69,7 +70,7 @@ class PromiseInstance:
 
 def _requested_size(mu_star) -> Fraction:
     """mu_star as a Fraction; a requested revolt size outside [0, 1] raises."""
-    mu_star = Fraction(mu_star)
+    mu_star = as_fraction("mu_star", mu_star)
     if not 0 <= mu_star <= 1:
         raise ValidationError("mu_star must lie in [0, 1]")
     return mu_star
@@ -95,7 +96,7 @@ def expected_type_fraction(
 
 
 def _type_key(states: Iterable[StatePrior]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """The degree tables' cache key: the `integer_weights` of every state's
+    """The kernels' cache key: the `integer_weights` of every state's
     (alpha, chi, nu), that is their common denominator D and each state's
     numerators over D. Integers hash without a gcd, unlike Fractions."""
     common, nums = integer_weights(
@@ -106,68 +107,48 @@ def _type_key(states: Iterable[StatePrior]) -> tuple[int, tuple[tuple[int, int, 
 
 
 def _possible_types(nums) -> tuple[bool, bool, bool]:
-    """Whether some state has alpha, chi and nu agents, from the table key's
+    """Whether some state has alpha, chi and nu agents, from the type key's
     numerators. Types with zero mass in every state cannot occur."""
     return tuple(map(any, zip(*nums)))
 
 
-@lru_cache(maxsize=4096)
-def _degree_table(
-    key: tuple[int, tuple[tuple[int, int, int], ...]], degree: int
-) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
-    """Per-degree table of possible chi-centered contexts as columns of
-    integers over one common scale: (contexts, columns), where contexts[i]
-    holds row i's neighbor counts (a, c, v) and columns[s][i] its weight in
-    state s, and state s's likelihood of the context is that weight /
-    D^(degree+1), with D and the type numerators from `_type_key`. The
-    scale is the same for every state, so weights add and compare as
-    integers and no row pays a gcd. Contexts with zero likelihood in every
-    state are omitted (they never occur and have no posterior). The table
-    does not depend on p or mu, so threshold sweeps share it."""
-    _common, nums = key
+def _rows(nums, d: int):
+    """The possible chi-centered contexts (a, c, v) of degree d, one a-run
+    at a time, as (a, first, columns): the run holds the rows c =
+    first..d - a, v = d - a - c, and columns[s] their weights alpha^a
+    chi^(c+1) nu^v over state s's type numerators `nums` (the own type is
+    chi). A row's likelihood in state s is C(d, a) C(d - a, c) times its
+    weight over D^(d+1), with D from `_type_key`; the binomials are left
+    to the reader, since they cancel in a posterior. Types that no state
+    has are skipped (`_possible_types`), which keeps high degrees linear
+    instead of quadratic in d: without alpha only the a = 0 run exists,
+    without nu each run holds c = d - a alone, and without chi there is
+    no row. Rows that weigh 0 in every state are kept."""
     alpha_possible, chi_possible, nu_possible = _possible_types(nums)
     if not chi_possible:
-        return (), tuple(() for _ in nums)
-    # Per state, the powers 0..degree+1 of its alpha, chi and nu numerators;
-    # a row's weight is C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v (the own
-    # type is chi).
+        return
+    # Per state, the powers 0..d+1 of its alpha, chi and nu numerators.
     powers = [
-        [list(accumulate(repeat(base, degree + 1), mul, initial=1)) for base in state]
+        [list(accumulate(repeat(base, d + 1), mul, initial=1)) for base in state]
         for state in nums
     ]
-    # Skipping impossible types keeps high-degree tables linear instead of
-    # quadratic in the degree.
-    contexts = []
-    columns = [[] for _ in nums]
-    for a in range(degree + 1 if alpha_possible else 1):
-        # The run of rows with a alpha neighbors, c = first..m, v = m - c.
-        m = degree - a
+    for a in range(d + 1 if alpha_possible else 1):
+        m = d - a
         first = 0 if nu_possible else m
-        cs = range(first, m + 1)
-        contexts += zip(repeat(a), cs, range(m - first, -1, -1))
-        binomials = list(map(comb, repeat(m), cs))
-        for column, (pa, px, pn) in zip(columns, powers):
-            column += map(
-                mul,
-                map(mul, binomials, repeat(comb(degree, a) * pa[a])),
-                map(mul, px[first + 1 : m + 2], pn[m - first :: -1]),
-            )
-    # A state with every type possible weighs every row.
-    if all(0 in state for state in nums):
-        keep = list(map(any, zip(*columns)))
-        contexts = compress(contexts, keep)
-        columns = [compress(column, keep) for column in columns]
-    return tuple(contexts), tuple(map(tuple, columns))
+        yield a, first, [
+            list(map(mul, map(mul, px[first + 1 : m + 2], pv[m - first :: -1]), repeat(pa[a])))
+            for pa, px, pv in powers
+        ]
 
 
 def _check_table_rows(key, degrees: Iterable[int]) -> list[int]:
     """The distinct degrees, in increasing order. Raises SpaceTooLargeError
-    when the rows of their degree tables sum past TABLE_ROW_GUARD, whether
-    or not the tables are built."""
+    when the `_rows` of those degrees number past TABLE_ROW_GUARD, whether
+    or not any kernel reads them."""
     distinct = sorted(set(degrees))
-    # `_degree_table` iterates over the (a, c, v) with a + c + v = d, a and v
-    # nonzero only for possible types: with k of alpha and nu possible, the
-    # C(d + k, k) rows (d+1)(d+2)/2, d + 1 or 1; none without chi.
+    # `_rows` yields the (a, c, v) with a + c + v = d, a and v nonzero only
+    # for possible types: with k of alpha and nu possible, the C(d + k, k)
+    # rows (d+1)(d+2)/2, d + 1 or 1; none without chi.
     alpha, chi, nu = _possible_types(key[1])
     rows = chi * sum(comb(d + alpha + nu, alpha + nu) for d in distinct)
     if rows > TABLE_ROW_GUARD:
@@ -192,7 +173,7 @@ def _split_weights(prior: Prior, states: Iterable[str]) -> tuple[list[int], list
 def candidate_contexts(
     prior: Prior, degrees: Iterable[int], candidate_states: Iterable[str]
 ) -> list[ContextClass]:
-    """Chi-centered contexts (over the given degrees, in table order) whose
+    """Chi-centered contexts (over the given degrees, in `_rows` order) whose
     posterior mass on the candidate-state set is at least p: the rows of
     the runs that `_candidate_masses` puts at the one level p."""
     degrees = validate_degree_sequence(degrees)
@@ -223,23 +204,24 @@ def _candidate_masses(
     num R <= (den - num) S for p = num/den, exact and division-free.
 
     Each distinct degree goes through a walk or the row scan. When every
-    state has positive alpha, chi and nu mass and the candidate set is
-    ordered by chi/nu (see `_mirrored`), each a-run's candidates are one
-    suffix, in c or in v, and a walk follows each level's boundary through
-    the degree's a-runs and builds no table, at about k d terms for k
-    levels against the table's (d+1)(d+2)/2 rows; so it takes the degrees
-    with k <= (d + 2)/2, every degree at one level. Two states with one
-    of them the candidate set take `_boundary_walk`, any other ordered
-    set `_multistate_walk`. Every other degree and prior (an unordered
-    candidate set, a type with zero mass in some state) goes through
-    `_row_scan`, which tests every row of the cached degree table. The
-    kernels are memoised on the same key, so the trials of a sweep share
-    their degrees' results.
+    state has positive chi and nu mass and the candidate set is ordered by
+    chi/nu (see `_mirrored`), each a-run's candidates are one suffix, in c
+    or in v, and a walk follows each level's boundary through the degree's
+    a-runs, at about k d terms for k levels against the (d+1)(d+2)/2 rows
+    of `_rows`; so it takes the degrees with k <= (d + 2)/2, every degree
+    at one level. Alpha may be 0 in any state: that state's terms vanish
+    on the a > 0 runs, and with no alpha agents at all only the a = 0 run
+    exists. Two states with one of them the candidate set take
+    `_boundary_walk`, any other ordered set `_multistate_walk`. Every
+    other degree and prior (an unordered candidate set, zero chi or nu
+    mass in some state) goes through `_row_scan`, which tests every row of
+    `_rows`. The kernels are memoised on the same key, so the trials of a
+    sweep share their degrees' results.
 
     Every kernel gives the degree's sums and runs: sums[j] holds each
     state's summed weight, over the scale D^(d+1), of the rows that reach
     levels[j], and runs(j) lists those rows as maximal runs (a, lo, hi) of
-    rows (a, c, d - a - c), lo <= c < hi, in table order. Each level's sums
+    rows (a, c, d - a - c), lo <= c < hi, in `_rows` order. Each level's sums
     are lifted to the top degree's scale D^(top+1) with one multiply each,
     added over the degrees, and divided by the scale once per level and
     state. Returns, per level, each state's expected fraction (relative to
@@ -256,7 +238,7 @@ def _candidate_masses(
     distinct = _check_table_rows(key, counts)
     bounds = tuple((p.numerator, p.denominator) for p in levels)
     walk = None
-    if all(map(all, nums)) and _mirrored(nums, inside) is not None:
+    if all(x and v for _a, x, v in nums) and _mirrored(nums, inside) is not None:
         walk = _boundary_walk if len(nums) == 2 and inside.count(0) == 1 else _multistate_walk
     top = max(counts, default=0)
     totals = [[0] * len(nums) for _ in bounds]
@@ -279,28 +261,25 @@ def _candidate_masses(
 
 @lru_cache(maxsize=4096)
 def _row_scan(key, inside, outside, bounds, d):
-    """`_candidate_masses`' kernel for any prior: the degree table's rows
-    tested one by one. At one level the test is one whole-column pass,
-    num R <= (den - num) S compared row by row in one `map`, with S and R
-    lazy combinations of the columns, never stored. At several ascending
-    distinct levels a bisection over the levels puts each row's index in
-    the bin of the highest level it reaches. Each level's sums add the
-    bins' weights from the highest level down to it, and its runs join
-    the adjacent rows of those bins. Results are cached, as
-    `_boundary_walk`'s are, and immutable."""
-    contexts, columns = _degree_table(key, d)
+    """`_candidate_masses`' kernel for any prior: the rows of `_rows`
+    tested one by one. A row reaches the level num/den when num T <= den
+    S, with S its probability-weighted weight inside the candidate set and
+    T that in every state; a bisection over the ascending distinct levels
+    counts the levels it reaches, and a row that weighs 0 in every state
+    reaches none. Per a-run, the weights times C(d, a) C(d - a, c) of the
+    rows with the same count go to that count's bin in one pass per state,
+    and each level's sums add the bins from the highest level down to it.
+    Each a-run keeps its rows' counts, from which a level's runs are
+    joined when asked for. Results are cached, as the walks' are, and
+    immutable."""
     k = len(bounds)
-    if k == 1:
-        num, den = bounds[0]
-        lhs = _combined(columns, [num * w for w in outside])
-        rhs = _combined(columns, [(den - num) * w for w in inside])
-        bins = ((), tuple(compress(range(len(contexts)), map(le, lhs, rhs))))
-    else:
-        bins = [[] for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
-        rows = zip(_combined(columns, inside), _combined(columns, outside))
-        for r, (s, rest) in enumerate(rows):
-            t = s + rest
-            lo, hi = 0, k
+    total = tuple(map(add, inside, outside))
+    bins = [[0] * len(total) for _ in range(k + 1)]  # bins[b]: rows reaching levels[:b]
+    reached = []
+    for a, first, columns in _rows(key[1], d):
+        reach = []
+        for s, t in zip(_combined(columns, inside), _combined(columns, total)):
+            lo, hi = 0, k if t else 0
             while lo < hi:
                 mid = (lo + hi) // 2
                 num, den = bounds[mid]
@@ -308,30 +287,34 @@ def _row_scan(key, inside, outside, bounds, d):
                     lo = mid + 1
                 else:
                     hi = mid
-            if lo:
-                bins[lo].append(r)
-        bins = tuple(map(tuple, bins))
+            reach.append(lo)
+        m = d - a
+        binomials = list(map(mul, map(comb, repeat(m), range(first, m + 1)), repeat(comb(d, a))))
+        for b in set(reach) - {0}:
+            hits = list(map(b.__eq__, reach))
+            w = list(compress(binomials, hits))
+            bins[b] = [x + sum(map(mul, compress(y, hits), w)) for x, y in zip(bins[b], columns)]
+        reached.append((a, first, reach))
+
+    def runs(j: int) -> tuple[tuple[int, int, int], ...]:
+        out = []
+        for a, c, reach in reached:
+            for hit, group in groupby(reach, j.__lt__):
+                n = len(list(group))
+                if hit:
+                    out.append((a, c, c + n))
+                c += n
+        return tuple(out)
+
     # From the highest level down, a level's sums add its bin to the sums above.
-    weights = (
-        tuple(sum(map(column.__getitem__, rows)) for column in columns) for rows in bins[:0:-1]
-    )
-    sums = tuple(accumulate(weights, lambda s, w: tuple(map(add, s, w))))[::-1]
-    return sums, partial(_bin_runs, contexts, bins)
-
-
-def _bin_runs(contexts, bins, j: int) -> tuple[tuple[int, int, int], ...]:
-    runs = []
-    for a, c, _v in map(contexts.__getitem__, sorted(chain.from_iterable(bins[j + 1 :]))):
-        # A row right after the last run's end, in the same a-run, extends it.
-        lo = runs.pop()[1] if runs and runs[-1][::2] == (a, c) else c
-        runs.append((a, lo, c + 1))
-    return tuple(runs)
+    sums = tuple(accumulate(map(tuple, bins[:0:-1]), lambda s, w: tuple(map(add, s, w))))
+    return sums[::-1], runs
 
 
 @lru_cache(maxsize=4096)
 def _boundary_walk(key, inside, outside, bounds, d):
     """`_candidate_masses`' kernel for two states, i the candidate and o
-    the other, each with positive alpha, chi and nu numerators. With q_s =
+    the other, each with positive chi and nu numerators. With q_s =
     alpha_s^a chi_s^c nu_s^v, row (a, c, v = m - c), m = d - a, is a
     candidate at p = num/den iff num pi_o chi_o q_o <= (den - num) pi_i
     chi_i q_i: the binomials cancel, and the agent's own chi joins the
@@ -347,13 +330,16 @@ def _boundary_walk(key, inside, outside, bounds, d):
     U_s(m, b) = (chi_s + nu_s) U_s(m-1, b) + C(m-1, b-1) chi_s^b
     nu_s^(m-b); moving b adds or removes one term, and exact integer
     compares move it. The run adds C(d, a) alpha_s^a chi_s U_s to state
-    s's sum. That is O(d + boundary moves) terms per level, against the
-    table's (d+1)(d+2)/2 rows; the runs are (a, b, m + 1), or (a, 0, m -
-    b + 1) on the mirror. Results are cached and immutable, as the tables
-    and `_row_scan`'s results are, so a p sweep's trials share their
-    walks."""
+    s's sum, nothing for a > 0 when alpha_s = 0. When neither state has
+    alpha agents only the a = 0 run exists, and the walk starts there,
+    at b = 0 with U_s(d, 0) = (chi_s + nu_s)^d. That is O(d + boundary
+    moves) terms per level, against the scan's (d+1)(d+2)/2 rows; the
+    runs are (a, b, m + 1), or (a, 0, m - b + 1) on the mirror. Results
+    are cached and immutable, as `_row_scan`'s are, so a p sweep's trials
+    share their walks."""
     i = 0 if inside[0] else 1
     (al_i, x_i, v_i), (al_o, x_o, v_o) = key[1][i], key[1][1 - i]
+    top = d if al_i or al_o else 0
 
     def powers(base):
         return list(accumulate(repeat(base, d), mul, initial=1))
@@ -371,14 +357,14 @@ def _boundary_walk(key, inside, outside, bounds, d):
     sums, runs = [], []
     for num, den in bounds:
         w_o, w_i = num * own_o, (den - num) * own_i
-        b, u_i, u_o, s_i, s_o, level = 0, 1, 1, 0, 0, []  # U(0, 0) = 1
-        for a in range(d, -1, -1):
+        b, u_i, u_o, s_i, s_o, level = 0, t_i ** (d - top), t_o ** (d - top), 0, 0, []
+        for a in range(top, -1, -1):
             m = d - a
-            if m and b:
+            if a < top and b:
                 k = comb(m - 1, b - 1)
                 u_i = t_i * u_i + k * px_i[b] * pv_i[m - b]
                 u_o = t_o * u_o + k * px_o[b] * pv_o[m - b]
-            elif m:
+            elif a < top:
                 u_i *= t_i
                 u_o *= t_o
             left, right = w_o * pa_o[a], w_i * pa_i[a]
@@ -408,7 +394,8 @@ def _boundary_walk(key, inside, outside, bounds, d):
 
 def _mirrored(nums, inside) -> Optional[bool]:
     """How the candidate set whose states have nonzero `inside` entries is
-    walked, with chi/nu read from the positive type numerators `nums`:
+    walked, with chi/nu read from the type numerators `nums`, whose chi
+    and nu are positive:
     False when no outside state's chi/nu exceeds an inside state's, True
     when no inside state's exceeds an outside state's (the walk runs on
     the mirror), None when neither holds (the row scan). Along an a-run,
@@ -433,16 +420,17 @@ def _mirrored(nums, inside) -> Optional[bool]:
 @lru_cache(maxsize=4096)
 def _multistate_walk(key, inside, outside, bounds, d):
     """`_boundary_walk` for any candidate set that `_mirrored` orders, with
-    every type numerator positive: row (a, c, v) is a candidate at p =
+    every chi and nu numerator positive: row (a, c, v) is a candidate at p =
     num/den iff sum_s w_s alpha_s^a chi_s^c nu_s^v >= 0, with w_s = (den -
     num) pi_s chi_s inside the set and -num pi_s chi_s outside, and the
     candidates of an a-run are a suffix in c (in v on the mirror). The
-    walk keeps one suffix sum U_s per state by the same recurrence and
-    moves the boundary by the same exact compares. Two states with one
+    walk keeps one suffix sum U_s per state by the same recurrence, from
+    the same start, and moves the boundary by the same exact compares. Two states with one
     candidate keep `_boundary_walk`'s unrolled loop, about twice as fast
     as these per-state lists."""
     nums = key[1]
     mirror = _mirrored(nums, inside)
+    top = d if any(al for al, _x, _v in nums) else 0
 
     def powers(base):
         return list(accumulate(repeat(base, d), mul, initial=1))
@@ -458,13 +446,13 @@ def _multistate_walk(key, inside, outside, bounds, d):
     sums, runs = [], []
     for num, den in bounds:
         w = [(den - num) * o_in - num * o_out for o_in, o_out in own]
-        b, u, s, level = 0, [1] * len(nums), [0] * len(nums), []  # U(0, 0) = 1
-        for a in range(d, -1, -1):
+        b, u, s, level = 0, [t_s ** (d - top) for t_s in t], [0] * len(nums), []
+        for a in range(top, -1, -1):
             m = d - a
-            if m and b:
+            if a < top and b:
                 k = comb(m - 1, b - 1)
                 u = [t_s * u_s + k * x[b] * v[m - b] for t_s, u_s, (x, v) in zip(t, u, states)]
-            elif m:
+            elif a < top:
                 u = list(map(mul, t, u))
             coef = [w_s * p[a] for w_s, p in zip(w, pa)]
             # The boundary b is the first row of the suffix of candidates.
@@ -505,7 +493,7 @@ def _two_state(
     X_A >= X_B convention: the labels hold when B is not the only candidate
     (the only state whose chi+alpha mass reaches mu) and X_A >= X_B.
     Without `relabel` a violation raises, the candidate check before any
-    table is built. With it, a p whose labels fail is relabeled when the
+    candidacy pass. With it, a p whose labels fail is relabeled when the
     exchanged labels hold; the fixpoint never reads the labels, so the
     sizes are the same. When neither holds, one state is the only
     candidate but has the smaller size, and that raises."""
@@ -553,8 +541,8 @@ def revolting_rule(
     two-state largest-revolt reasoning: a (d, runs) pair per distinct
     degree in increasing order, the runs of the fixpoint's last candidacy
     pass (see `_candidate_masses`), with no second pass. They are None
-    when every state survives: every chi agent then revolts, so no degree
-    table is built (TABLE_ROW_GUARD still applies); and [] when no state
+    when every state survives: every chi agent then revolts, so no
+    candidacy pass runs (TABLE_ROW_GUARD still applies); and [] when no state
     survives. The labels are checked as `algorithm1` checks them, by the
     same `_two_state` call. Used by the Monte-Carlo validator."""
     (sizes, survivors, last), _relabeled = _two_state(degseq, prior, [prior.p])[0]
@@ -578,7 +566,7 @@ def algorithm1_auto_grid(
     degseq: DegreeSequence, prior: Prior, p_values: Iterable[Fraction]
 ) -> list[tuple[dict[str, Fraction], bool]]:
     """`algorithm1_auto` at each belief threshold p of `p_values` (mu from
-    the prior), in order, from one pass over each degree table; the first
+    the prior), in order, from one candidacy pass per degree; the first
     p at which no labeling satisfies X_A >= X_B raises."""
     ps = [Fraction(p) for p in p_values]
     if not all(0 <= p <= 1 for p in ps):
@@ -681,11 +669,11 @@ def crucial_threshold_pairs(
     denominator). `e_A(candidates+alpha)` is X_A at the candidate-state
     fixpoint: A's alpha mass plus the mass of the candidate contexts of the
     surviving states. A's posterior levels are ordered by `_ordered_levels`
-    from one pair (x_A, x_A + x_B) per possible row (a, c, v) of the
+    from one pair (x_A, x_A + x_B) per row (a, c, v) of `_rows` over the
     distinct degrees, x_s = pi_s alpha_s^a chi_s^(c+1) nu_s^v over the
-    integer weights: a table row's weights less the binomials and the
-    scale, which cancel in the level. No degree table is built, but the
-    rows are still counted against TABLE_ROW_GUARD first."""
+    integer weights: the binomials and the scale cancel in the level. A
+    row that weighs 0 in both states has no level. The rows are counted
+    against TABLE_ROW_GUARD first."""
     prior.require_two_states()
     seq = validate_degree_sequence(degseq)
     mass = chi_alpha(prior)
@@ -697,25 +685,16 @@ def crucial_threshold_pairs(
     }
     out = {k: (q.numerator, q.denominator) for k, q in values.items()}
     key = _type_key(prior.states)
-    alpha, chi, nu = _possible_types(key[1])
     _common, probs = integer_weights(s.prob for s in prior.states)
-    states = list(zip(probs, key[1]))[:: 1 if prior.labels[0] == "A" else -1]
+    order = 1 if prior.labels[0] == "A" else -1
+    (pi_a, pi_b), nums = probs[::order], key[1][::order]
     pairs = []
-    for d in _check_table_rows(key, seq) if chi else ():
-        powers = [
-            (pi, *(list(accumulate(repeat(base, d + 1), mul, initial=1)) for base in nums))
-            for pi, nums in states
-        ]
-        for a in range(d + 1 if alpha else 1):
-            # The run of rows with a alpha neighbors, c = first..m, v = m - c.
-            m = d - a
-            first = 0 if nu else m
-            x_a, x_b = (
-                list(map(mul, map(mul, px[first + 1 :], pv[m - first :: -1]), repeat(pi * pa[a])))
-                for pi, pa, px, pv in powers
-            )
+    for d in _check_table_rows(key, seq):
+        for _a, _first, (x_a, x_b) in _rows(nums, d):
+            if pi_a != pi_b:  # equal state probabilities are 1 and 1
+                x_a = list(map(mul, x_a, repeat(pi_a)))
+                x_b = map(mul, x_b, repeat(pi_b))
             t = list(map(add, x_a, x_b))
-            # A row that weighs zero in both states never occurs.
             pairs += compress(zip(x_a, t), t)
     for i, q in enumerate(_ordered_levels(pairs)):
         out[f"posterior_A_level_{i}"] = q
@@ -820,7 +799,7 @@ def _fixpoints(
 ) -> list[tuple[dict[str, Fraction], frozenset, Optional[tuple]]]:
     """`multistate_fixpoint` at each (p, mu) of `thresholds`, in order; the
     prior's own p and mu are not read. Thresholds with the same candidate
-    set share one pass over the degree tables, at all their distinct p.
+    set share one candidacy pass, at all their distinct p.
     A set only shrinks from round to round, so handling the largest
     pending set first reaches each set once, with every threshold that
     will ever hold it.
@@ -849,7 +828,7 @@ def _fixpoints(
         if len(survivors) == len(labels):
             # Every context puts posterior 1 >= p on the full state set
             # (states have positive probability, so no possible context is
-            # left out), so every chi agent revolts and no table is needed.
+            # left out), so every chi agent revolts and no pass is needed.
             out[i] = (dict(mass), survivors, None)
         else:
             pending.setdefault(survivors, []).append(i)

@@ -22,7 +22,6 @@ exceeded, 4 promise answered Null under --strict.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -210,12 +209,6 @@ _LOOKUP = {
     for command, (_text, flags) in SUBCOMMANDS.items()
 }
 
-# A word that starts with "-" is still a value when it is a negative number
-# (as argparse reads one) or a negative fraction, so that --mu -1/2 reaches
-# the option's own range check.
-_NEGATIVE = re.compile(r"-(?:\d+|\d*\.\d+)$|-\d+/\d+\Z")
-
-
 def _usage(command: str | None) -> str:
     """The usage line, wrapped at 79 columns under the subcommand."""
     if command is None:
@@ -285,7 +278,9 @@ def _option(command: str, word: str):
             return lookup[hits[0]], explicit if eq else None
     elif word[1] == "h":
         return HELP, word[2:]
-    if _NEGATIVE.match(word) or " " in word:
+    # A negative number in the package's rational grammar is a value, so that
+    # --mu -1/2 and --mu-star -2.5E-3 reach the option's own range check.
+    if fileio._RATIONAL.fullmatch(word) or " " in word:
         return None
     return None, word
 

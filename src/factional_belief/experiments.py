@@ -269,10 +269,10 @@ def _context_lookup(prior: Prior, deg: np.ndarray, candidacy) -> tuple[np.ndarra
     """The revolting contexts as one flat bool table, with each vertex's
     block start and alpha stride: a chi vertex with a alpha and v nu
     neighbors is a candidate iff table[start + a * stride + v]. A block
-    per distinct degree d holds one cell for each (a, v) its degree table
+    per distinct degree d holds one cell for each (a, v) that its `_rows`
     can hold (`_possible_types`): (d + 1)^2 with alpha and nu agents
     possible, d + 1 with one of them and 1 with neither, so the table is
-    never more than twice the rows of the degree tables. The stride is
+    never more than twice those rows. The stride is
     d + 1 where nu agents are possible, else 1. `revolting_rule`'s
     candidacy has a (d, runs) pair per distinct degree, in the blocks'
     order; a run (a, lo, hi) sets one slice, d - a - hi < v <= d - a - lo."""

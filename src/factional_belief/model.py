@@ -36,6 +36,17 @@ def integer_weights(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     return common, [x.numerator * (common // x.denominator) for x in values]
 
 
+def as_fraction(name: str, value) -> Fraction:
+    """A model field as a Fraction. A str or a bool raises ValidationError
+    naming the field: the package reads rational text with its own grammar
+    (`fileio.parse_rational`), not `Fraction`'s, and True is no number."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (str, bool)):
+        raise ValidationError(f"{name} must be an int or a Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
 class AgentType(Enum):
     """The three agent types: always-revolt, never-revolt, conditional."""
 
@@ -66,10 +77,7 @@ class TypeDistribution:
 
     def __post_init__(self):
         for name in ("alpha", "chi", "nu"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
-        for name in ("alpha", "chi", "nu"):
+            object.__setattr__(self, name, as_fraction(name, getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ValidationError(f"type probability {name} is negative")
         if self.alpha + self.chi + self.nu != 1:
@@ -91,8 +99,7 @@ class StatePrior:
     types: TypeDistribution
 
     def __post_init__(self):
-        if not isinstance(self.prob, Fraction):
-            object.__setattr__(self, "prob", Fraction(self.prob))
+        object.__setattr__(self, "prob", as_fraction("prob", self.prob))
         # A zero-probability state could only add contexts that no possible
         # state produces; the posteriors of those are undefined.
         if self.prob <= 0:
@@ -114,8 +121,8 @@ class Prior:
     states: tuple[StatePrior, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        object.__setattr__(self, "p", as_fraction("p", self.p))
+        object.__setattr__(self, "mu", as_fraction("mu", self.mu))
         object.__setattr__(self, "states", tuple(self.states))
         if not (0 <= self.p <= 1 and 0 <= self.mu <= 1):
             raise ValidationError("p and mu must lie in [0, 1]")
@@ -162,10 +169,10 @@ def two_state_prior(
     prob_a=Fraction(1, 2),
 ) -> Prior:
     """Convenience constructor for the fundamental two-state case."""
-    prob_a = Fraction(prob_a)
+    prob_a = as_fraction("prob_a", prob_a)
     return Prior(
-        p=Fraction(p),
-        mu=Fraction(mu),
+        p=p,
+        mu=mu,
         states=(
             StatePrior("A", prob_a, dist_a),
             StatePrior("B", 1 - prob_a, dist_b),

@@ -15,7 +15,6 @@ from factional_belief import algorithms
 
 def clear_kernel_caches():
     for cached in (
-        algorithms._degree_table,
         algorithms._row_scan,
         algorithms._boundary_walk,
         algorithms._multistate_walk,
@@ -43,9 +42,9 @@ def scan_contexts(scan, j):
 
 @pytest.fixture
 def cold_caches():
-    """Empty the degree-table and candidacy-kernel caches first, so that a
-    test that counts table builds or kernel calls (or forbids them) does not
-    depend on which tests ran before it."""
+    """Empty the candidacy-kernel caches first, so that a test that counts
+    row enumerations or kernel calls (or forbids them) does not depend on
+    which tests ran before it."""
     clear_kernel_caches()
 
 

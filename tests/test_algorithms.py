@@ -269,10 +269,10 @@ class TestOneTablePass:
 
 @pytest.mark.usefixtures("cold_caches")
 class TestTwoStateWalk:
-    """Two states with positive alpha, chi and nu mass in both take the
-    boundary walk at one level, and the threshold listing reads its levels
-    from the type numerators: no degree table is built. At k levels a
-    degree d walks when k <= (d + 2)/2."""
+    """Two states with positive chi and nu mass in both take the boundary
+    walk at one level, and the threshold listing reads its levels from
+    `_rows`: no row is scanned. At k levels a degree d walks when k <=
+    (d + 2)/2."""
 
     PRIOR = two_state_prior(
         F(2, 5), F(1, 2),
@@ -281,18 +281,21 @@ class TestTwoStateWalk:
     )
 
     def test_analyze_builds_no_table(self, monkeypatch):
-        built = []
-        table = algorithms._degree_table
-        monkeypatch.setattr(
-            algorithms, "_degree_table", lambda *args: built.append(args) or table(*args)
-        )
+        def scanned(*_args):
+            raise AssertionError("scanned rows")
+
+        listed = []
+        rows = algorithms._rows
+        monkeypatch.setattr(algorithms, "_row_scan", scanned)
+        monkeypatch.setattr(algorithms, "_rows", lambda *args: listed.append(args[1]) or rows(*args))
         degrees = [1, 2, 3, 8, 8, 40]
         sizes = algorithm1(degrees, self.PRIOR)
         assert sizes["A"] > sizes["B"] and revolting_rule(degrees, self.PRIOR)[1]
-        assert built == []
+        assert listed == []
         thresholds = crucial_thresholds(degrees, self.PRIOR)
         assert thresholds["e_A(candidates+alpha)"] == sizes["A"]
-        assert len(thresholds) > 3 and built == []
+        # The listing reads each distinct degree's rows once.
+        assert len(thresholds) > 3 and listed == sorted(set(degrees))
 
     def test_kernel_follows_cost_rule(self, monkeypatch):
         calls = []
@@ -311,18 +314,35 @@ class TestTwoStateWalk:
         assert walked == {1: degrees, 2: degrees[2:], 5: degrees[8:]}
         assert scanned == {1: [], 2: degrees[:2], 5: degrees[:8]}
 
-    @pytest.mark.parametrize("name", ["_row_scan", "_boundary_walk"])
+    @pytest.mark.parametrize("name", ["_row_scan", "_boundary_walk", "_multistate_walk"])
     def test_kernel_results_are_immutable(self, name):
-        key = _type_key(self.PRIOR.states)
-        inside, outside = map(tuple, _split_weights(self.PRIOR, {"A"}))
-        for bounds in (((2, 5),), ((1, 5), (2, 5), (3, 5))):
-            sums, runs = getattr(algorithms, name)(key, inside, outside, bounds, 6)
-            assert isinstance(sums, tuple) and len(sums) == len(bounds)
-            assert all(isinstance(level, tuple) and len(level) == 2 for level in sums)
-            for j in range(len(bounds)):
-                assert isinstance(runs(j), tuple)
-                assert all(isinstance(run, tuple) and len(run) == 3 for run in runs(j))
-                hash((sums, runs(j)))  # a list anywhere inside raises TypeError
+        # Each kernel on a prior it takes, with alpha > 0 and with alpha = 0
+        # in every state; the k-state walk on an ordered three-state set.
+        if name == "_multistate_walk":
+            ordered = TestMultistateWalk.ORDERED
+            priors = [ordered, three_state_prior(ordered.mu, *(
+                (s.prob, 0, s.types.chi, s.types.alpha + s.types.nu) for s in ordered.states
+            ))]
+        else:
+            priors = [self.PRIOR, two_state_prior(
+                F(2, 5), F(1, 2),
+                TypeDistribution(F(0), F(4, 5), F(1, 5)),
+                TypeDistribution(F(0), F(1, 5), F(4, 5)),
+            )]
+        for prior in priors:
+            key = _type_key(prior.states)
+            inside, outside = map(tuple, _split_weights(prior, {"A"}))
+            for bounds in (((2, 5),), ((1, 5), (2, 5), (3, 5))):
+                sums, runs = getattr(algorithms, name)(key, inside, outside, bounds, 6)
+                assert isinstance(sums, tuple) and len(sums) == len(bounds)
+                assert all(
+                    isinstance(level, tuple) and len(level) == len(prior.states)
+                    for level in sums
+                )
+                for j in range(len(bounds)):
+                    assert isinstance(runs(j), tuple) and runs(j)
+                    assert all(isinstance(run, tuple) and len(run) == 3 for run in runs(j))
+                    hash((sums, runs(j)))  # a list anywhere inside raises TypeError
 
     @staticmethod
     def spy(calls, name, kernel, key, inside, outside, bounds, d):
@@ -340,8 +360,8 @@ def three_state_prior(mu, *states):
 
 @pytest.mark.usefixtures("cold_caches")
 class TestMultistateWalk:
-    """With every type mass positive, a candidate set of any size walks
-    when no outside state's chi/nu exceeds an inside state's (or the
+    """With every chi and nu mass positive, a candidate set of any size
+    walks when no outside state's chi/nu exceeds an inside state's (or the
     reverse), and takes the row scan otherwise."""
 
     # chi/nu: A 7/2, B 9/10, C 4/15. A and B reach mu, B then drops, so the
@@ -360,11 +380,10 @@ class TestMultistateWalk:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """The degrees whose `_rows` were listed, in order."""
         built = []
-        table = algorithms._degree_table
-        monkeypatch.setattr(
-            algorithms, "_degree_table", lambda *args: built.append(args[1]) or table(*args)
-        )
+        rows = algorithms._rows
+        monkeypatch.setattr(algorithms, "_rows", lambda *args: built.append(args[1]) or rows(*args))
         return built
 
     def test_ordered_builds_no_table(self, built, monkeypatch):
@@ -420,11 +439,13 @@ class TestAlgorithm1:
 
     @pytest.mark.usefixtures("cold_caches")
     def test_mislabeled_raises(self, motivating_prior, monkeypatch):
-        # Only B reaches mu, which raises before any degree table is built.
-        def built(*_args):
-            raise AssertionError("built a degree table")
+        # Only B reaches mu, which raises before any row is listed or any
+        # kernel runs.
+        def listed(*_args):
+            raise AssertionError("listed rows")
 
-        monkeypatch.setattr(algorithms, "_degree_table", built)
+        for name in ("_rows", "_row_scan", "_boundary_walk", "_multistate_walk"):
+            monkeypatch.setattr(algorithms, name, listed)
         msg = "only state B is a candidate; labels appear swapped"
         with pytest.raises(MislabeledStatesError, match=f"^{re.escape(msg)}$"):
             algorithm1(CONST4, swap_state_labels(motivating_prior))

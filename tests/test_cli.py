@@ -191,12 +191,14 @@ BOTH_SURVIVE_PRIOR = dict(MOTIVATING, states={
 ])
 @pytest.mark.usefixtures("cold_caches")
 def test_table_row_guard_exits_2(doc, task, tmp_path, monkeypatch, capsys):
-    # alpha and nu are both possible, so the degree-1000 table would hold
-    # 1001 * 1002 / 2 = 501,501 rows, past TABLE_ROW_GUARD.
-    def built(*_args):
-        raise AssertionError("built a degree table past the guard")
+    # alpha and nu are both possible, so degree 1000 has 1001 * 1002 / 2 =
+    # 501,501 rows, past TABLE_ROW_GUARD, which refuses them before any is
+    # listed or any kernel runs.
+    def listed(*_args):
+        raise AssertionError("listed rows past the guard")
 
-    monkeypatch.setattr(algorithms, "_degree_table", built)
+    for name in ("_rows", "_row_scan", "_boundary_walk", "_multistate_walk"):
+        monkeypatch.setattr(algorithms, name, listed)
     prior = tmp_path / "alpha.json"
     prior.write_text(json.dumps(doc))
     degrees = tmp_path / "degs1000.txt"
@@ -209,13 +211,14 @@ def test_table_row_guard_exits_2(doc, task, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.usefixtures("cold_caches")
 def test_validate_all_survive_builds_no_table(tmp_path, monkeypatch, capsys):
-    # Every state survives, so every chi vertex is a candidate and no degree
-    # table is built; a star's leaves and degree-1000 hub still trip the row
-    # guard, at 3 + 501,501 rows.
-    def built(*_args):
-        raise AssertionError("built a degree table")
+    # Every state survives, so every chi vertex is a candidate and no row is
+    # listed or tested; a star's leaves and degree-1000 hub still trip the
+    # row guard, at 3 + 501,501 rows.
+    def listed(*_args):
+        raise AssertionError("listed rows")
 
-    monkeypatch.setattr(algorithms, "_degree_table", built)
+    for name in ("_rows", "_row_scan", "_boundary_walk", "_multistate_walk"):
+        monkeypatch.setattr(algorithms, name, listed)
     prior = tmp_path / "both.json"
     prior.write_text(json.dumps(BOTH_SURVIVE_PRIOR))
     path = tmp_path / "path.txt"
@@ -678,12 +681,17 @@ class TestEpistemicCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--mu", "-1/2", "mu must lie in [0, 1]"), ("--p", "-1/3", "p must lie in [0, 1]")],
-    )
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "-1/2", "mu must lie in [0, 1]"),
+        ("--p", "-1/3", "p must lie in [0, 1]"),
+        ("--p", "-5.", "p must lie in [0, 1]"),
+        ("--mu-star", "-2.5E-3", "mu_star must lie in [0, 1]"),
+    ])
     def test_negative_fraction_reaches_range_check(self, flag, value, message, files, capsys):
-        argv = ["epistemic", "--model", files["model"], "--event", "1", flag, value]
+        # A negative number in any spelling of the rational grammar is the
+        # flag's value, not a flag (--mu-star is promise's).
+        command = PROMISE if flag == "--mu-star" else "epistemic --model {model} --event 1 "
+        argv = [*command.format(**files).split(), flag, value]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"

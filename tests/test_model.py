@@ -57,6 +57,11 @@ class TestTypeDistribution:
         with pytest.raises(ValidationError):
             TypeDistribution(alpha=F(-1, 2), chi=F(1), nu=F(1, 2))
 
+    def test_ints_and_fractions_accepted(self):
+        d = TypeDistribution(alpha=0, chi=F(1, 2), nu=F(1, 2))
+        assert (d.alpha, d.chi, d.nu) == (F(0), F(1, 2), F(1, 2))
+        assert all(type(x) is F for x in (d.alpha, d.chi, d.nu))
+
     def test_swap_alpha_nu(self):
         d = TypeDistribution(alpha=F(1, 6), chi=F(1, 2), nu=F(1, 3))
         s = d.swap_alpha_nu()
@@ -253,6 +258,15 @@ REFUSALS = [
                  ValidationError, "p and mu must lie in [0, 1]", id="prior-p-3/2"),
     pytest.param(lambda: Prior(F(1, 2), F(1, 2), (StatePrior("A", F(1, 2), HALF_CHI),) * 2),
                  ValidationError, "state labels must be unique", id="prior-duplicate-labels"),
+    # Rational text goes through fileio's grammar, never Fraction's, and a
+    # bool is no probability: the model types refuse both, naming the field.
+    pytest.param(lambda: TypeDistribution(alpha="0", chi="4_0/50", nu="1/5"), ValidationError,
+                 "alpha must be an int or a Fraction, not str", id="types-str"),
+    pytest.param(lambda: Prior(True, F(1, 2), (StatePrior("A", F(1, 2), HALF_CHI),
+                                               StatePrior("B", F(1, 2), HALF_CHI))),
+                 ValidationError, "p must be an int or a Fraction, not bool", id="prior-p-bool"),
+    pytest.param(lambda: StatePrior("A", "1/2", HALF_CHI), ValidationError,
+                 "prob must be an int or a Fraction, not str", id="state-prob-str"),
     pytest.param(lambda: ContextClass(CHI, 0, -1, 0), ValidationError,
                  "neighbor counts must be nonnegative", id="context-count-negative"),
     pytest.param(lambda: enumerate_contexts(-1), ValidationError,

@@ -1,9 +1,10 @@
 """Property tests for the candidate-state fixpoint that every
 largest-revolt entry point shares (random two-state priors on an eighths
-grid and short random degree sequences), for the integer degree-table
-kernel, its row guard against a row-by-row count, and the revolting
-contexts of the fixpoint's last pass against Bayes' rule in plain
-Fractions, for the many-threshold table pass against the one-threshold
+grid and short random degree sequences), for the integer row enumerator
+and the row scan against a reference degree table, the row guard against
+a row-by-row count, and the revolting contexts of the fixpoint's last
+pass against Bayes' rule in plain Fractions, for the walks against the
+row scan, for the many-threshold candidacy pass against the one-threshold
 fixpoint loop (and the p grid, the promise pair and p-axis sweep rows
 against their per-point answers), for the concrete-graph oracle against a
 brute force over every type assignment and against the per-assignment
@@ -67,12 +68,12 @@ from factional_belief.algorithms import (
     PromiseInstance,
     _candidate_masses,
     _check_table_rows,
-    _degree_table,
     _multistate_walk,
     _fixpoints,
     _ordered_levels,
     _perturbed_sizes,
     _row_scan,
+    _rows,
     _type_key,
     algorithm1_auto_grid,
     crucial_threshold_pairs,
@@ -250,19 +251,17 @@ def test_kernel_matches_fraction_reference(instance):
 
 
 def reference_candidate_mass(prior, degrees, states, total_n):
-    """The candidate mass of the one-threshold scan: each degree table's
-    rows (its columns read back row by row) tested one by one against
-    prior.p, their weights summed per state
-    and divided by the table's own scale D^(d+1)."""
+    """The candidate mass of the one-threshold scan: each reference degree
+    table's rows tested one by one against prior.p, their weights summed
+    per state and divided by the table's own scale D^(d+1)."""
     key = _type_key(prior.states)
     probs = [s.prob for s in prior.states]
     inside = [s.label in states for s in prior.states]
     counts = Counter(degrees)
     mass = [F(0)] * len(probs)
     for d in _check_table_rows(key, counts):
-        _contexts, columns = _degree_table(key, d)
         kept = [
-            w for w in zip(*columns)
+            w for _row, w in reference_degree_table(key, d)
             if sum(pi * wi for pi, wi, i in zip(probs, w, inside) if i)
             >= prior.p * sum(pi * wi for pi, wi in zip(probs, w))
         ]
@@ -349,10 +348,10 @@ def test_one_pass_fixpoints_match_one_threshold_loop(instance):
 
 
 def reference_degree_table(key, degree):
-    """The degree table row by row, as built before the tables were stored
-    as columns: ((a, c, v), weights) for each context with a nonzero weight
-    in some state, in order of a then c, where a state's weight is
-    C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v over its type numerators."""
+    """The degree table row by row: ((a, c, v), weights) for each context
+    with a nonzero weight in some state, in order of a then c, where a
+    state's weight is C(d, a) C(d-a, c) alpha^a chi^(c+1) nu^v over its
+    type numerators."""
     _common, nums = key
     if not any(c for _a, c, _n in nums):
         return ()
@@ -394,14 +393,25 @@ DISJOINT_KEY = _type_key((
 ))
 
 
+def nonzero_rows(key, degree):
+    """The rows of `_rows` that weigh something in some state, as
+    ((a, c, v), weights) with the binomials C(d, a) C(d-a, c) put back."""
+    rows = []
+    for a, first, columns in _rows(key[1], degree):
+        assert len(columns) == len(key[1])
+        assert all(len(column) == degree - a - first + 1 for column in columns)
+        for c, weights in enumerate(zip(*columns), first):
+            if any(weights):
+                k = comb(degree, a) * comb(degree - a, c)
+                rows.append(((a, c, degree - a - c), tuple(k * w for w in weights)))
+    return tuple(rows)
+
+
 @SETTINGS
 @given(table_keys(), st.integers(0, 12))
 @example(DISJOINT_KEY, 6)
-def test_degree_table_matches_row_reference(key, degree):
-    contexts, columns = _degree_table(key, degree)
-    assert len(columns) == len(key[1])
-    assert all(len(column) == len(contexts) for column in columns)
-    assert tuple(zip(contexts, zip(*columns))) == reference_degree_table(key, degree)
+def test_rows_match_row_reference(key, degree):
+    assert nonzero_rows(key, degree) == reference_degree_table(key, degree)
 
 
 @st.composite
@@ -448,13 +458,84 @@ def test_row_guard_matches_brute_row_count(key, degrees, guard):
                 _check_table_rows(key, degrees)
         else:
             assert _check_table_rows(key, degrees) == sorted(set(degrees))
-    built = sum(len(_degree_table(key, d)[0]) for d in set(degrees))
-    # Rows that weigh zero in every state are dropped; none is when some
-    # state has all three types.
+    listed = sum(
+        len(columns[0]) for d in set(degrees) for _a, _first, columns in _rows(key[1], d)
+    )
+    assert listed == rows
+    built = sum(len(nonzero_rows(key, d)) for d in set(degrees))
+    # Some rows may weigh zero in every state; none does when some state
+    # has all three types.
     if any(all(state) for state in key[1]):
         assert built == rows
     else:
         assert built <= rows
+
+
+def reference_row_scan(key, inside, outside, levels, degree):
+    """Each level's summed weights and maximal runs (a, lo, hi) from the
+    reference degree table: a row reaches p when its posterior mass on the
+    set, S / (S + R), is at least p."""
+    sums, runs = [], []
+    for p in levels:
+        hits = [
+            (row, w) for row, w in reference_degree_table(key, degree)
+            if F(dot(inside, w), dot(inside, w) + dot(outside, w)) >= p
+        ]
+        sums.append(tuple(sum(w[i] for _row, w in hits) for i in range(len(inside))))
+        level = []
+        for (a, c, _v), _w in hits:
+            if level and level[-1][0] == a and level[-1][2] == c:
+                level[-1] = (a, level[-1][1], c + 1)
+            else:
+                level.append((a, c, c + 1))
+        runs.append(tuple(level))
+    return tuple(sums), runs
+
+
+def dot(xs, ys):
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+@st.composite
+def scan_instances(draw):
+    """A row-scan input: 2-4 states whose alpha, chi and nu masses are
+    each zero or not, a proper subset of them (with three or more states
+    often unordered by chi/nu), degree 0-10 and 1-3 ascending levels from
+    the eighths and the exact posteriors of rows on the subset (ties)."""
+    k = draw(st.integers(2, 4))
+    states = []
+    for i in range(k):
+        w = [draw(st.integers(1, 5)) if draw(st.booleans()) else 0 for _ in range(3)]
+        w[1] += not any(w)
+        prob = draw(st.integers(1, 9))
+        states.append(StatePrior(f"s{i}", F(prob), TypeDistribution(*(F(x, sum(w)) for x in w))))
+    total = sum(s.prob for s in states)
+    prior = Prior(F(1, 2), F(1, 2), tuple(replace(s, prob=s.prob / total) for s in states))
+    chosen = draw(st.lists(st.sampled_from(prior.labels), min_size=1, max_size=k - 1, unique=True))
+    key = _type_key(prior.states)
+    inside, outside = map(tuple, algorithms._split_weights(prior, chosen))
+    degree = draw(st.integers(0, 10))
+    ties = [
+        F(dot(inside, w), dot(inside, w) + dot(outside, w))
+        for _row, w in reference_degree_table(key, degree)
+    ]
+    level = st.integers(0, 8).map(lambda j: F(j, 8))
+    if ties:
+        level |= st.sampled_from(ties)
+    levels = sorted(set(draw(st.lists(level, min_size=1, max_size=3))))
+    return key, inside, outside, levels, degree
+
+
+@SETTINGS
+@given(scan_instances())
+@example((DISJOINT_KEY, (1, 0), (0, 1), [F(0), F(1, 2), F(1)], 6))
+def test_row_scan_matches_table_reference(instance):
+    key, inside, outside, levels, degree = instance
+    bounds = tuple((p.numerator, p.denominator) for p in levels)
+    sums, runs = _row_scan(key, inside, outside, bounds, degree)
+    assert (sums, [runs(j) for j in range(len(levels))]) == reference_row_scan(
+        key, inside, outside, levels, degree
+    )
 
 
 @st.composite
@@ -527,11 +608,15 @@ WALK_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, datab
 
 @st.composite
 def walk_priors(draw):
-    """A two-state prior with all six type masses positive and unequal
-    state probabilities; half the time chi_A nu_B = chi_B nu_A, so that
-    every a-run is all-or-none."""
+    """A two-state prior with positive chi and nu masses and unequal state
+    probabilities, with alpha positive in both states, in one or in
+    neither; half the time chi_A nu_B = chi_B nu_A, so that every a-run is
+    all-or-none."""
     weights = st.integers(1, 6)
     alpha_a, chi_a, nu_a, alpha_b = (draw(weights) for _ in range(4))
+    no_alpha = draw(st.sampled_from(["", "", "A", "B", "AB"]))
+    alpha_a *= "A" not in no_alpha
+    alpha_b *= "B" not in no_alpha
     if draw(st.booleans()):
         k = draw(st.integers(1, 3))
         chi_b, nu_b = k * chi_a, k * nu_a
@@ -548,12 +633,14 @@ def walk_priors(draw):
 
 
 @st.composite
-def row_posteriors(draw, prior, degrees, state):
-    """The exact posterior on `state` of a row of one of the degrees."""
+def set_posteriors(draw, prior, degrees, chosen):
+    """The exact posterior on the states `chosen` of a possible row of one
+    of the degrees (a = 0 when no state has alpha agents)."""
     d = draw(st.sampled_from(degrees))
-    a = draw(st.integers(0, d))
+    a = draw(st.integers(0, d if any(s.types.alpha for s in prior.states) else 0))
     c = draw(st.integers(0, d - a))
-    return state_posterior(ContextClass(AgentType.CHI, a, c, d - a - c), prior)[state]
+    post = state_posterior(ContextClass(AgentType.CHI, a, c, d - a - c), prior)
+    return sum(post[s] for s in chosen)
 
 
 def walk_levels(prior, degrees, state):
@@ -562,8 +649,8 @@ def walk_levels(prior, degrees, state):
     level = st.one_of(
         st.sampled_from([F(0), F(1)]),
         st.integers(0, 8).map(lambda j: F(j, 8)),
-        row_posteriors(prior, degrees, state),
-        row_posteriors(prior, degrees, state),
+        set_posteriors(prior, degrees, [state]),
+        set_posteriors(prior, degrees, [state]),
     )
     return st.lists(level, min_size=1, max_size=4).map(lambda ls: sorted(set(ls)))
 
@@ -686,20 +773,10 @@ def test_walk_fixpoints_match_row_scan_and_reference(instance):
 
 
 @st.composite
-def set_posteriors(draw, prior, degrees, chosen):
-    """The exact posterior on the states `chosen` of a row of one of the
-    degrees."""
-    d = draw(st.sampled_from(degrees))
-    a = draw(st.integers(0, d))
-    c = draw(st.integers(0, d - a))
-    post = state_posterior(ContextClass(AgentType.CHI, a, c, d - a - c), prior)
-    return sum(post[s] for s in chosen)
-
-
-@st.composite
 def multistate_walk_instances(draw):
-    """A prior with 3-5 states in random order, every type mass positive
-    and unequal state probabilities; degrees 0-16 with a repeat; a proper
+    """A prior with 3-5 states in random order, every chi and nu mass
+    positive, alpha positive in every state, in some or in none, and
+    unequal state probabilities; degrees 0-16 with a repeat; a proper
     subset of the states: those above a cut in chi/nu order, those below
     it (half the time the two states either side of the cut get equal
     chi/nu) or any subset; and 1-3 ascending levels from {0, 1}, the
@@ -713,6 +790,10 @@ def multistate_walk_instances(draw):
     if draw(st.booleans()):
         scale = draw(st.integers(1, 2))
         types[cut][1:] = [scale * types[cut - 1][1], scale * types[cut - 1][2]]
+    no_alpha = draw(st.sampled_from(["none", "none", "some", "all"]))
+    for t in types:
+        if no_alpha == "all" or no_alpha == "some" and draw(st.booleans()):
+            t[0] = 0
     weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k, unique=True))
     states = [
         StatePrior(f"s{i}", F(w, sum(weights)), TypeDistribution(*(F(x, sum(t)) for x in t)))
@@ -811,16 +892,16 @@ def test_ordered_levels_match_sorted_fractions(pairs):
 
 
 def reference_threshold_levels(degseq, prior):
-    """A's posterior levels as the threshold listing read them from the
-    degree tables, one pair (pi_A W_A, sum of pi W) per table row,
-    deduplicated and ordered exactly, with Fractions."""
+    """A's posterior levels from the reference degree tables, one pair
+    (pi_A W_A, sum of pi W) per table row, deduplicated and ordered
+    exactly, with Fractions."""
     key = _type_key(prior.states)
     a = prior.labels.index("A")
     _common, probs = integer_weights(s.prob for s in prior.states)
     levels = {
         F(probs[a] * w[a], sum(pi * wi for pi, wi in zip(probs, w)))
         for d in _check_table_rows(key, degseq)
-        for w in zip(*_degree_table(key, d)[1])
+        for _row, w in reference_degree_table(key, d)
     }
     return [(q.numerator, q.denominator) for q in sorted(levels)]
 
@@ -1842,26 +1923,44 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def glued_negative(word):
+    """Whether `word` is a negative number in the README's rational grammar
+    that argparse reads as a flag: -1/2, -1e5 or -5., but not -1, -0.5 or
+    -.5, which argparse reads as numbers."""
+    return (
+        word[:1] == "-"
+        and RATIONAL_GRAMMAR.fullmatch(word) is not None
+        and not re.fullmatch(r"-\d+|-\d*\.\d+", word)
+    )
+
+
+def glue_negatives(words):
+    """`words` with each `glued_negative` word glued to the bare long flag
+    before it, as --flag=word."""
+    glued = []
+    for word in words:
+        flag = glued[-1] if glued else ""
+        if flag.startswith("--") and "=" not in flag and glued_negative(word):
+            glued[-1] = f"{flag}={word}"
+        else:
+            glued.append(word)
+    return glued
+
+
 def reference_parse_args(argv):
-    """The former `cli.main` parse: an argparse pre-parser finds --config,
-    whose words are spliced in after the subcommand; a negative fraction
-    is glued to the bare long flag before it (argparse reads -1/2 as a
-    flag); an abbreviated --config is refused."""
+    """The former `cli.main` parse, with `glue_negatives` applied to the
+    command line before its --config pre-parse and to the spliced config
+    words: an argparse pre-parser finds --config, whose words are spliced
+    in after the subcommand; an abbreviated --config is refused."""
+    argv = glue_negatives(argv)
     config = None
     if any(word.startswith("--config") for word in argv):
         pre = argparse.ArgumentParser(prog="revolt", add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         config = pre.parse_known_args(argv)[0].config
         if config is not None:
-            argv = argv[:1] + cli._config_words(config) + argv[1:]
-    joined = []
-    for word in argv:
-        flag = joined[-1] if joined else ""
-        if flag.startswith("--") and "=" not in flag and re.fullmatch(r"-\d+/\d+", word):
-            joined[-1] = f"{flag}={word}"
-        else:
-            joined.append(word)
-    args = reference_parser().parse_args(joined)
+            argv = argv[:1] + glue_negatives(cli._config_words(config)) + argv[1:]
+    args = reference_parser().parse_args(argv)
     if args.config != config:
         raise ValidationError("spell out --config in full")
     return args
@@ -1893,21 +1992,25 @@ CONFIGS = {
 CONFIG_MISSING = "missing"
 
 # Values: plain words, ints good and bad, choices of every flag, negative
-# numbers (-1, -0.5, -.5) and fractions (-1/2), words that look like flags.
+# numbers (-1, -0.5, -.5, -1e5, -5., -2.5E-3) and fractions (-1/2), words
+# that look like flags.
 PARSE_VALUES = [
     "1/2", "3", "0", "x", "1.5", "p.json", "csv", "json", "xml", "ba", "er", "ring",
     "param", "p", "graph", "sequence", "-1", "-0.5", "-.5", "-1/2", "-3/4", "-1e5",
-    "", "a b", "-a b", "-", "--",
+    "-5.", "-2.5E-3", "", "a b", "-a b", "-", "--",
 ]
 # Words no flag table reads as a flag with a value: an unknown flag, a
 # single-dash word, the end of flags and help.
 PARSE_JUNK = ["--", "-", "-x", "--bogus", "--h", "-h", "--help", "--he", "--=1", "-1/2"]
 
 
-# Values a flag of each kind reads, negative numbers (-1, -0.5, -.5) and
-# fractions (-1/2) among them.
+# Values a flag of each kind reads, negative numbers (-1, -0.5, -.5, -1e5,
+# -5., -2.5E-3) and fractions (-1/2) among them.
 GOOD_VALUES = {
-    "value": ["1/2", "p.json", "-1/2", "-3/4", "-0.5", "-.5", "-1", "a b", "-a b", "-"],
+    "value": [
+        "1/2", "p.json", "-1/2", "-3/4", "-0.5", "-.5", "-1", "-1e5", "-5.", "-2.5E-3",
+        "a b", "-a b", "-",
+    ],
     "int": ["3", "0", "-1", " 7", "+2"],
 }
 
@@ -1987,7 +2090,7 @@ def test_flag_parser_matches_argparse(config_paths, line):
     # One difference is meant: the old join made --help -1/2 into the
     # refused --help=-1/2, where the parser now shows the help.
     assume(not any(
-        "--help".startswith(a) and len(a) > 2 and re.fullmatch(r"-\d+/\d+", b)
+        "--help".startswith(a) and len(a) > 2 and glued_negative(b)
         for a, b in zip(line, line[1:])
     ))
     argv = [word.format(**config_paths) for word in line]
