@@ -433,6 +433,10 @@ class TestValidate:
         "suffix walk": (F(2, 5), [(1, 10), (7, 10), (1, 5)], [(1, 20), (1, 5), (3, 4)], True),
         "prefix walk": (F(1, 2), [(1, 2), (1, 10), (2, 5)], [(1, 20), (1, 5), (3, 4)], True),
         "alpha=0 walk": (F(2, 5), [(0, 1), (4, 5), (1, 5)], [(0, 1), (1, 5), (4, 5)], True),
+        # No alpha agents in either state and no nu agents in A: zero nu
+        # mass keeps the row scan, and the all-chi contexts of degree >= 1
+        # revolt.
+        "alpha=0 scan": (F(4, 5), [(0, 1), (1, 1), (0, 1)], [(0, 1), (2, 5), (3, 5)], False),
         # No nu agents in A and no alpha agents in B: the rows with both
         # alpha and nu neighbors weigh 0 in both states, and zero nu mass
         # keeps the row scan.
